@@ -2,8 +2,7 @@
 //! runtime safety specifications at once.
 //!
 //! Every harness that records a real execution — the TCP loopback
-//! cluster, the threaded runtime, the deterministic simulation harness —
-//! ends up with the same two questions: is the `TO` face of the trace a
+//! cluster, the deterministic simulation harness — ends up with the same two questions: is the `TO` face of the trace a
 //! `TO-machine` trace ([`crate::to_trace`]), and does the `VS` face
 //! satisfy Lemma 4.2 and per-view prefix delivery ([`crate::cause`])?
 //! [`check_conformance`] answers both and folds the outcome into a single

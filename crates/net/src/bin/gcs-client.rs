@@ -10,6 +10,7 @@
 //! open-loop at that many operations per second. Concurrent clients
 //! against one cluster must use disjoint `--base` ranges.
 
+use gcs_model::Value;
 use gcs_net::load::{run_load, LoadConfig, LoadMode};
 use std::net::SocketAddr;
 use std::process::exit;
@@ -72,16 +73,11 @@ fn main() {
         Some(r) => LoadMode::Open { rate: r },
         None => LoadMode::Closed { window },
     };
-    let cfg = LoadConfig {
-        ops,
-        value_base: base,
-        mode,
-        idle_timeout: Duration::from_secs(idle_secs),
-        warmup,
-    };
+    let cfg =
+        LoadConfig { group: 0, ops, mode, idle_timeout: Duration::from_secs(idle_secs), warmup };
 
     println!("gcs-client: {addr}, {ops} ops, {mode:?}");
-    let report = match run_load(addr, &cfg) {
+    let report = match run_load(addr, &cfg, |i| Value::from_u64(base + i)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("gcs-client: {e}");

@@ -18,7 +18,7 @@
 //! status line as they appear.
 
 use gcs_model::{ProcId, Time};
-use gcs_net::runtime::{Clock, NetNode};
+use gcs_net::runtime::{Clock, HostedGroup, NetNode};
 use gcs_net::transport::TransportConfig;
 use gcs_obs::{BoundParams, Obs, StabilizationMonitor, TokenRoundMonitor};
 use gcs_vsimpl::{DetectorPolicy, ProtoConfig};
@@ -133,14 +133,16 @@ fn main() {
     if adaptive {
         proto.detector = DetectorPolicy::adaptive();
     }
-    let node = match NetNode::start_with_obs(
+    // One ring: group 0, recording into the transport's sink.
+    let ring = HostedGroup { proto, obs: None, stable: None };
+    let node = match NetNode::start(
         me,
-        proto,
         listener,
         &addrs,
         TransportConfig::default(),
         Clock::new(),
         obs.clone(),
+        BTreeMap::from([(0, ring)]),
     ) {
         Ok(n) => n,
         Err(e) => {
@@ -178,11 +180,14 @@ fn main() {
         }
         reported_round = round.violations().len();
 
-        let view = node.views().last().map(|v| v.to_string()).unwrap_or_else(|| "<none>".into());
+        let view = node
+            .group(0)
+            .and_then(|ring| ring.views().last().map(|v| v.to_string()))
+            .unwrap_or_else(|| "<none>".into());
         println!(
             "gcs-node {me}: delivered {} | view {view} | sent {} recv {} dropped {} rejected {} | \
              b-checked {} d-checked {} violations {}",
-            node.delivered().len(),
+            node.delivered_count(),
             node.transport().frames_sent(),
             node.transport().frames_received(),
             node.transport().frames_dropped(),

@@ -2,13 +2,13 @@
 //!
 //! The paper's implementation sketch assumes a timed asynchronous
 //! network: messages may be lost or delayed, and good channels deliver
-//! within δ. Elsewhere in this repository that network is the
-//! deterministic simulator (`gcs-netsim`) or an in-process channel
-//! runtime (`vsimpl::threaded`). This crate supplies the third — and
-//! deployable — event source: `std::net` TCP sockets on a real host,
-//! with nothing swapped but the transport, exactly the layering the
-//! paper's Section 1 anticipates ("mapping of the abstract algorithm to
-//! the target platform").
+//! within δ. Elsewhere in this repository that network is a
+//! deterministic simulator (`gcs-netsim`, `gcs-sim`). This crate
+//! supplies the deployable event source — `std::net` TCP sockets on a
+//! real host — and the one real-threads host of the protocol, with
+//! nothing swapped but the transport, exactly the layering the paper's
+//! Section 1 anticipates ("mapping of the abstract algorithm to the
+//! target platform").
 //!
 //! The pieces:
 //!
@@ -27,14 +27,18 @@
 //! - [`runtime`] — [`runtime::NodeCore`], the thread-free protocol half
 //!   hosting the unchanged `VsNode<TimedVsToTo>` state machine over any
 //!   transport (with stable-storage crash/recovery), and
-//!   [`runtime::NetNode`], the threaded TCP wrapper recording emitted
-//!   traces with cluster-mergeable (time, sequence) stamps.
+//!   [`runtime::NetNode`], which hosts one or several group instances
+//!   of it — one core-loop thread each — behind a single TCP endpoint,
+//!   recording emitted traces with cluster-mergeable (time, sequence)
+//!   stamps.
 //! - [`cluster`] — a loopback harness that boots n nodes on ephemeral
-//!   localhost ports; integration tests drive traffic, cut links, crash
-//!   and restart nodes, and feed the merged trace to the VS/TO safety
-//!   checkers of `gcs-core`.
+//!   localhost ports, as one ring or as overlapping groups; integration
+//!   tests drive traffic, cut links, crash and restart nodes, and feed
+//!   each group's merged trace to the VS/TO safety checkers of
+//!   `gcs-core`.
 //! - [`load`] — an open/closed-loop load-generating client speaking the
-//!   client protocol over TCP, with latency/throughput histograms.
+//!   (group-tagged or untagged) client protocol over TCP, with
+//!   latency/throughput histograms.
 //!
 //! The `gcs-node` and `gcs-client` binaries wrap [`runtime`] and
 //! [`load`] for running a cluster by hand across terminals (or hosts).
@@ -49,13 +53,16 @@ pub mod queue;
 pub mod runtime;
 pub mod transport;
 
-pub use cluster::{ClusterConfig, LoopbackCluster};
+pub use cluster::{ClusterConfig, ClusterTrace, GroupSpec, LoopbackCluster};
 pub use codec::{
     decode_payload, decode_payload_shared, encode_frame, encode_payload, read_frame, write_frame,
     CodecError, Frame, HelloKind, MAX_FRAME, WIRE_VERSION,
 };
 pub use load::{run_load, Histogram, LoadConfig, LoadMode, LoadReport};
-pub use runtime::{merge_recordings, run_core_loop, Clock, NetNode, NodeCore, Recorded};
+pub use runtime::{
+    merge_recordings, run_core_loop, Clock, GroupExit, GroupHandle, HostedGroup, NetNode, NodeCore,
+    Recorded,
+};
 pub use transport::{
     GroupEndpoint, Incoming, ShutdownReport, TcpTransport, Transport, TransportConfig,
 };

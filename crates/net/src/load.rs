@@ -70,11 +70,12 @@ impl LoadReport {
 /// Load-generator parameters.
 #[derive(Clone, Debug)]
 pub struct LoadConfig {
-    /// Total operations to submit.
+    /// The group instance to drive. Group 0 speaks the untagged client
+    /// protocol of a single ring (`SubmitBatch`/`DeliverBatch`); other
+    /// groups are tagged (`SubmitGroup`/`DeliverGroup`).
+    pub group: u32,
+    /// Timed operations to submit.
     pub ops: u64,
-    /// Values are `value_base .. value_base + ops`; distinct generators
-    /// against one cluster must use disjoint ranges.
-    pub value_base: u64,
     /// Driving discipline.
     pub mode: LoadMode,
     /// Give up waiting for deliveries after this long with no progress.
@@ -83,262 +84,266 @@ pub struct LoadConfig {
     /// opens. They warm the ring — view formation, the cold token's
     /// first rotations — and are excluded from the histogram and the
     /// elapsed time, so the ramp-up cannot masquerade as a genuine p99
-    /// tail. Warm-up values occupy `value_base .. value_base + warmup`;
-    /// the timed range follows them.
+    /// tail. The warm-up takes the caller's values `0 .. warmup`; the
+    /// timed range follows them.
     pub warmup: u64,
 }
 
-/// Runs one load generation session against the node at `addr`.
+/// Whether the reader's buffer already holds one complete frame (so
+/// draining it cannot block on the socket).
+fn buffer_has_frame(r: &io::BufReader<TcpStream>) -> bool {
+    let buf = r.buffer();
+    let Some(hdr) = buf.get(..4) else { return false };
+    let Ok(hdr) = <[u8; 4]>::try_from(hdr) else { return false };
+    let len = u32::from_be_bytes(hdr) as usize;
+    buf.len() >= 4usize.saturating_add(len)
+}
+
+/// Forwards the fingerprints of the values `group` delivers, with their
+/// arrival instant; exits on EOF/error. Deliveries arrive in bursts (the
+/// node writes one vectored batch per flush), so the reader drains every
+/// frame already buffered and crosses the channel once per burst — one
+/// timestamp, one send, one receiver wakeup — instead of once per
+/// operation.
+fn read_deliveries(stream: TcpStream, group: u32, tx: mpsc::Sender<(Vec<u64>, Instant)>) {
+    let mut stream = io::BufReader::with_capacity(256 * 1024, stream);
+    let mut burst: Vec<u64> = Vec::new();
+    while let Ok(Some(f)) = read_frame(&mut stream) {
+        match f {
+            Frame::Deliver { a, .. } if group == 0 => burst.push(a.fingerprint()),
+            Frame::DeliverBatch(batch) if group == 0 => {
+                burst.extend(batch.iter().map(|(_, a)| a.fingerprint()));
+            }
+            Frame::DeliverGroup { group: g, batch } if g == group => {
+                burst.extend(batch.iter().map(|(_, a)| a.fingerprint()));
+            }
+            // Other groups' deliveries and pushed `View` notifications
+            // are skipped (the node multiplexes every subscription onto
+            // this socket) — but they must still flush a pending burst
+            // below, or completions collected just before one strand
+            // until the next delivery arrives.
+            _ => {}
+        }
+        if burst.is_empty() || buffer_has_frame(&stream) {
+            continue;
+        }
+        if tx.send((std::mem::take(&mut burst), Instant::now())).is_err() {
+            return;
+        }
+    }
+}
+
+/// What [`Session::drain`] saw.
+enum Drained {
+    /// At least one burst of deliveries arrived.
+    Progress,
+    /// Nothing arrived within the wait.
+    Quiet,
+    /// The connection is gone.
+    Closed,
+}
+
+/// One client connection mid-run: the write half, the delivery channel
+/// from the reader thread, and the operations in flight.
+struct Session<F> {
+    stream: TcpStream,
+    fw: FrameWriter,
+    rx: mpsc::Receiver<(Vec<u64>, Instant)>,
+    group: u32,
+    value: F,
+    /// The next operation index to hand to `value`.
+    next: u64,
+    /// Fingerprint → the instant the operation's latency counts from.
+    pending: BTreeMap<u64, Instant>,
+    last_progress: Instant,
+    idle_timeout: Duration,
+}
+
+impl<F: FnMut(u64) -> Value> Session<F> {
+    /// Submits the next `count` operations as one coalesced batch: one
+    /// frame, encoded into a reused buffer, one write. Operation `k` of
+    /// the batch is timed from `from + k * gap`.
+    fn submit(&mut self, count: u64, from: Instant, gap: Duration) -> io::Result<()> {
+        if count == 0 {
+            return Ok(());
+        }
+        let mut t0 = from;
+        let mut batch = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            let v = (self.value)(self.next);
+            self.next += 1;
+            self.pending.insert(v.fingerprint(), t0);
+            t0 += gap;
+            batch.push(v);
+        }
+        let frame = match self.group {
+            0 => Frame::SubmitBatch(batch),
+            group => Frame::SubmitGroup { group, batch },
+        };
+        self.fw.clear();
+        self.fw.push(&frame);
+        self.fw.write_to(&mut self.stream)
+    }
+
+    /// Waits up to `wait` for deliveries, then takes every burst already
+    /// queued behind the first (batched tokens complete operations in
+    /// bursts); calls `done(t0, at)` for each of ours.
+    fn drain(&mut self, wait: Duration, mut done: impl FnMut(Instant, Instant)) -> Drained {
+        let mut next = match self.rx.recv_timeout(wait) {
+            Ok(burst) => Some(burst),
+            Err(mpsc::RecvTimeoutError::Timeout) => return Drained::Quiet,
+            Err(mpsc::RecvTimeoutError::Disconnected) => return Drained::Closed,
+        };
+        while let Some((xs, at)) = next {
+            for x in xs {
+                if let Some(t0) = self.pending.remove(&x) {
+                    done(t0, at);
+                }
+            }
+            next = self.rx.try_recv().ok();
+        }
+        self.last_progress = Instant::now();
+        Drained::Progress
+    }
+
+    fn idle(&self) -> bool {
+        self.last_progress.elapsed() > self.idle_timeout
+    }
+
+    /// Closed loop up to operation index `hi`: keep `window` operations
+    /// outstanding, refilling with one batched write per drained burst,
+    /// until all of them came back (or the connection idled out).
+    fn closed(
+        &mut self,
+        window: u64,
+        hi: u64,
+        mut done: impl FnMut(Instant, Instant),
+    ) -> io::Result<()> {
+        self.submit(window.min(hi.saturating_sub(self.next)), Instant::now(), Duration::ZERO)?;
+        while !self.pending.is_empty() {
+            match self.drain(Duration::from_millis(50), &mut done) {
+                Drained::Progress => {
+                    let room = window.saturating_sub(self.pending.len() as u64);
+                    let count = room.min(hi.saturating_sub(self.next));
+                    self.submit(count, Instant::now(), Duration::ZERO)?;
+                }
+                Drained::Quiet if self.idle() => break,
+                Drained::Quiet => {}
+                Drained::Closed => break,
+            }
+        }
+        Ok(())
+    }
+
+    /// Open loop up to operation index `hi`: one operation every `gap`,
+    /// regardless of deliveries. Each is timed from the instant it was
+    /// *due*, not the instant the batch carrying it was written — a
+    /// generator that fell behind its schedule charges the delay to the
+    /// operation instead of omitting it.
+    fn open(
+        &mut self,
+        gap: Duration,
+        hi: u64,
+        mut done: impl FnMut(Instant, Instant),
+    ) -> io::Result<()> {
+        let mut due = Instant::now();
+        while self.next < hi || !self.pending.is_empty() {
+            // Everything that has come due since the last pass goes out
+            // as one batch — at high offered rates this is the
+            // difference between one syscall per op and one per tick.
+            let (first_due, now) = (due, Instant::now());
+            let mut burst = 0u64;
+            while self.next + burst < hi && now >= due {
+                burst += 1;
+                due += gap;
+            }
+            self.submit(burst, first_due, gap)?;
+            match self.drain(Duration::from_millis(1), &mut done) {
+                Drained::Progress => {}
+                Drained::Quiet if self.next >= hi && self.idle() => break,
+                Drained::Quiet => {}
+                Drained::Closed => break,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Runs one load generation session for `cfg.group` against the member
+/// at `addr`.
 ///
-/// The generator submits `Value::from_u64(value_base + i)` for each
-/// operation and measures the time until the watched node pushes the
-/// matching `Deliver` frame back — i.e. full submit→total-order→deliver
-/// latency through the ring, as observed at that node.
-pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> io::Result<LoadReport> {
+/// The generator submits `value(i)` as its `i`-th operation (warm-up
+/// first) and measures the time until the watched node pushes the
+/// matching delivery back — i.e. full submit→total-order→deliver
+/// latency through the ring, as observed at that node. Deliveries are
+/// matched by [`Value::fingerprint`], the same identity the runtime
+/// stamps into its trace events, so concurrent generators against one
+/// cluster must submit values with distinct fingerprints (for
+/// [`Value::from_u64`] payloads: disjoint integer ranges).
+pub fn run_load(
+    addr: SocketAddr,
+    cfg: &LoadConfig,
+    value: impl FnMut(u64) -> Value,
+) -> io::Result<LoadReport> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     write_frame(
         &mut stream,
         &Frame::Hello { node: ProcId(u32::MAX), generation: 0, kind: HelloKind::Client },
     )?;
-
-    // Reader thread: forward delivered u64 values with their arrival
-    // instant; exits on EOF/error. Deliveries arrive in bursts (the node
-    // writes one vectored batch per flush), so the reader drains every
-    // frame already buffered and crosses the channel once per burst —
-    // one timestamp, one send, one receiver wakeup — instead of once
-    // per operation.
-    let (tx, rx) = mpsc::channel::<(Vec<u64>, Instant)>();
+    let (tx, rx) = mpsc::channel();
     let read_half = stream.try_clone()?;
-    let reader = std::thread::spawn(move || {
-        let mut read_half = io::BufReader::with_capacity(256 * 1024, read_half);
-        let mut burst: Vec<u64> = Vec::new();
-        loop {
-            match read_frame(&mut read_half) {
-                Ok(Some(f)) => {
-                    match f {
-                        Frame::Deliver { a, .. } => {
-                            if let Some(x) = a.as_u64() {
-                                burst.push(x);
-                            }
-                        }
-                        Frame::DeliverBatch(batch) => {
-                            burst.extend(batch.iter().filter_map(|(_, a)| a.as_u64()));
-                        }
-                        // Skipped frames (e.g. pushed `View` notifications)
-                        // must still flush a pending burst below, or
-                        // completions collected just before one strand
-                        // until the next delivery arrives.
-                        _ => {}
-                    }
-                    if burst.is_empty() || buffer_has_frame(&read_half) {
-                        continue;
-                    }
-                    if tx.send((std::mem::take(&mut burst), Instant::now())).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) | Err(_) => return,
-            }
-        }
-    });
+    let group = cfg.group;
+    let reader = std::thread::spawn(move || read_deliveries(read_half, group, tx));
 
-    // Whether the reader's buffer already holds one complete frame (so
-    // draining it cannot block on the socket).
-    fn buffer_has_frame(r: &io::BufReader<TcpStream>) -> bool {
-        let buf = r.buffer();
-        let Some(hdr) = buf.get(..4) else { return false };
-        let Ok(hdr) = <[u8; 4]>::try_from(hdr) else { return false };
-        let len = u32::from_be_bytes(hdr) as usize;
-        buf.len() >= 4usize.saturating_add(len)
-    }
-
-    // Submits `count` fresh operations as one coalesced batch: every
-    // `Submit` frame is encoded into a reused buffer and the whole batch
-    // lands on the socket in a single vectored write.
-    fn submit_batch(
-        stream: &mut TcpStream,
-        fw: &mut FrameWriter,
-        pending: &mut BTreeMap<u64, Instant>,
-        next: &mut u64,
-        submitted: &mut u64,
-        count: u64,
-    ) -> io::Result<()> {
-        if count == 0 {
-            return Ok(());
-        }
-        fw.clear();
-        let now = Instant::now();
-        let mut batch = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let x = *next;
-            *next += 1;
-            pending.insert(x, now);
-            *submitted += 1;
-            batch.push(Value::from_u64(x));
-        }
-        fw.push(&Frame::SubmitBatch(batch));
-        fw.write_to(stream)
-    }
-
-    let mut fw = FrameWriter::new();
-    let mut pending: BTreeMap<u64, Instant> = BTreeMap::new();
-    let mut next = cfg.value_base;
-    let mut submitted = 0u64;
+    let mut s = Session {
+        stream,
+        fw: FrameWriter::new(),
+        rx,
+        group,
+        value,
+        next: 0,
+        pending: BTreeMap::new(),
+        last_progress: Instant::now(),
+        idle_timeout: cfg.idle_timeout,
+    };
 
     // Warm-up phase: drive the ring through its first rotations before
     // any sample is taken.
     if cfg.warmup > 0 {
-        let warm_hi = cfg.value_base + cfg.warmup;
         let window = match cfg.mode {
-            LoadMode::Closed { window } => window.max(1),
+            LoadMode::Closed { window } => window.max(1) as u64,
             LoadMode::Open { .. } => 32,
-        } as u64;
-        let count = window.min(warm_hi - next);
-        submit_batch(&mut stream, &mut fw, &mut pending, &mut next, &mut submitted, count)?;
-        let mut last_progress = Instant::now();
-        let mut done = 0u64;
-        while done < cfg.warmup {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok((xs, _)) => {
-                    for x in xs {
-                        if pending.remove(&x).is_some() {
-                            done += 1;
-                        }
-                    }
-                    while let Ok((ys, _)) = rx.try_recv() {
-                        for y in ys {
-                            if pending.remove(&y).is_some() {
-                                done += 1;
-                            }
-                        }
-                    }
-                    last_progress = Instant::now();
-                    let room = window.saturating_sub(pending.len() as u64);
-                    let count = room.min(warm_hi.saturating_sub(next));
-                    submit_batch(
-                        &mut stream,
-                        &mut fw,
-                        &mut pending,
-                        &mut next,
-                        &mut submitted,
-                        count,
-                    )?;
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if last_progress.elapsed() > cfg.idle_timeout {
-                        break;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
+        };
+        s.closed(window, cfg.warmup, |_, _| {})?;
         // Anything still outstanding belongs to the warm-up: forget it,
         // so a straggling delivery finds no pending entry and cannot
         // leak a cold-start latency into the timed histogram.
-        pending.clear();
-        submitted = 0;
+        s.pending.clear();
+        s.next = cfg.warmup;
     }
 
-    let hi = cfg.value_base + cfg.warmup + cfg.ops;
+    let hi = cfg.warmup + cfg.ops;
     let latency: Histogram = Histogram::new();
     let started = Instant::now();
-    let mut last_progress = Instant::now();
     let mut finished_at = started;
-
+    s.last_progress = started;
+    let done = |t0: Instant, at: Instant| {
+        latency.record(at.saturating_duration_since(t0).as_micros() as u64);
+        finished_at = at;
+    };
     match cfg.mode {
-        LoadMode::Closed { window } => {
-            let window = window.max(1) as u64;
-            let count = window.min(hi.saturating_sub(next));
-            submit_batch(&mut stream, &mut fw, &mut pending, &mut next, &mut submitted, count)?;
-            while !pending.is_empty() {
-                match rx.recv_timeout(Duration::from_millis(50)) {
-                    Ok((xs, at)) => {
-                        for x in xs {
-                            if let Some(t0) = pending.remove(&x) {
-                                latency.record(at.duration_since(t0).as_micros() as u64);
-                                finished_at = at;
-                            }
-                        }
-                        // Batched tokens complete operations in bursts:
-                        // drain every completion already queued, then
-                        // refill the window with one batched write.
-                        while let Ok((ys, at2)) = rx.try_recv() {
-                            for y in ys {
-                                if let Some(t0) = pending.remove(&y) {
-                                    latency.record(at2.duration_since(t0).as_micros() as u64);
-                                    finished_at = at2;
-                                }
-                            }
-                        }
-                        last_progress = Instant::now();
-                        let room = window.saturating_sub(pending.len() as u64);
-                        let count = room.min(hi.saturating_sub(next));
-                        submit_batch(
-                            &mut stream,
-                            &mut fw,
-                            &mut pending,
-                            &mut next,
-                            &mut submitted,
-                            count,
-                        )?;
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if last_progress.elapsed() > cfg.idle_timeout {
-                            break;
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        }
+        LoadMode::Closed { window } => s.closed(window.max(1) as u64, hi, done)?,
         LoadMode::Open { rate } => {
-            let rate = rate.max(1);
-            let gap = Duration::from_nanos(1_000_000_000 / rate);
-            let mut due = Instant::now();
-            while next < hi || !pending.is_empty() {
-                // Everything that has come due since the last pass goes
-                // out as one batch — at high offered rates this is the
-                // difference between one syscall per op and one per tick.
-                let mut burst = 0u64;
-                while next + burst < hi && Instant::now() >= due {
-                    burst += 1;
-                    due += gap;
-                }
-                submit_batch(&mut stream, &mut fw, &mut pending, &mut next, &mut submitted, burst)?;
-                match rx.recv_timeout(Duration::from_millis(1)) {
-                    Ok((xs, at)) => {
-                        for x in xs {
-                            if let Some(t0) = pending.remove(&x) {
-                                latency.record(at.duration_since(t0).as_micros() as u64);
-                                finished_at = at;
-                            }
-                        }
-                        while let Ok((ys, at2)) = rx.try_recv() {
-                            for y in ys {
-                                if let Some(t0) = pending.remove(&y) {
-                                    latency.record(at2.duration_since(t0).as_micros() as u64);
-                                    finished_at = at2;
-                                }
-                            }
-                        }
-                        last_progress = Instant::now();
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if next >= hi && last_progress.elapsed() > cfg.idle_timeout {
-                            break;
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
+            s.open(Duration::from_nanos(1_000_000_000 / rate.max(1)), hi, done)?
         }
     }
 
+    let submitted = s.next - cfg.warmup;
     let delivered = latency.count();
     let elapsed =
         if delivered > 0 { finished_at.duration_since(started) } else { started.elapsed() };
-    let _ = stream.shutdown(Shutdown::Both);
+    let _ = s.stream.shutdown(Shutdown::Both);
     let _ = reader.join();
     Ok(LoadReport { submitted, delivered, elapsed, latency_us: latency })
 }
@@ -346,6 +351,76 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> io::Result<LoadReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+
+    /// A one-connection stand-in for a node: every submitted batch comes
+    /// straight back as a delivery batch under the same group tag.
+    fn echo_server() -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut reader = io::BufReader::new(stream.try_clone().expect("clone"));
+            while let Ok(Some(f)) = read_frame(&mut reader) {
+                let own = |batch: Vec<Value>| batch.into_iter().map(|a| (ProcId(0), a)).collect();
+                let reply = match f {
+                    Frame::SubmitBatch(batch) => Frame::DeliverBatch(own(batch)),
+                    Frame::SubmitGroup { group, batch } => {
+                        Frame::DeliverGroup { group, batch: own(batch) }
+                    }
+                    _ => continue,
+                };
+                if write_frame(&mut stream, &reply).is_err() {
+                    return;
+                }
+            }
+        });
+        addr
+    }
+
+    fn config(group: u32, ops: u64, mode: LoadMode, warmup: u64) -> LoadConfig {
+        LoadConfig { group, ops, mode, idle_timeout: Duration::from_secs(5), warmup }
+    }
+
+    #[test]
+    fn closed_loop_completes_every_op_on_tagged_and_untagged_groups() {
+        for group in [0, 3] {
+            let cfg = config(group, 300, LoadMode::Closed { window: 16 }, 40);
+            let mut asked = Vec::new();
+            let report = run_load(echo_server(), &cfg, |i| {
+                asked.push(i);
+                Value::from(format!("op-{i}").as_str())
+            })
+            .expect("run");
+            assert_eq!((report.submitted, report.delivered), (300, 300), "group {group}");
+            // Warm-up takes values 0..40, the timed range follows.
+            assert_eq!(asked, (0..340).collect::<Vec<_>>());
+        }
+    }
+
+    /// Coordinated omission: a generator that stalls (here: its value
+    /// source sleeps) sends the operations that came due meanwhile late.
+    /// Their latency counts from the instant they were due, so the stall
+    /// shows up in full instead of vanishing from the histogram.
+    #[test]
+    fn open_loop_latency_counts_from_the_due_instant_across_a_stall() {
+        let pause = Duration::from_millis(150);
+        let cfg = config(0, 100, LoadMode::Open { rate: 1000 }, 0);
+        let report = run_load(echo_server(), &cfg, |i| {
+            if i == 20 {
+                std::thread::sleep(pause);
+            }
+            Value::from_u64(i + 1)
+        })
+        .expect("run");
+        assert_eq!(report.delivered, 100);
+        let h = &report.latency_us;
+        assert!(h.max() >= pause.as_micros() as u64, "stall hidden: max {} us", h.max());
+        // Every operation that came due during the stall waited for its
+        // remainder: at 1 ms spacing that is far more than the one
+        // operation a write-time stamp would have charged.
+        assert!(h.percentile(75.0) >= 50_000, "p75 {} us", h.percentile(75.0));
+    }
 
     #[test]
     fn histogram_percentiles() {

@@ -1,29 +1,28 @@
 //! The node runtime: hosts the same [`VsNode`]`<`[`TimedVsToTo`]`>` state
-//! machine as the simulator and the threaded runtime, with any
-//! [`Transport`] implementation as the event sink.
+//! machine as the simulator, with any [`Transport`] implementation as
+//! the event sink.
 //!
-//! This is the third event source for the one protocol implementation —
-//! the "mapping of the abstract algorithm to the target platform" the
-//! paper anticipates. The protocol-facing half lives in [`NodeCore`]: a
-//! plain state machine (flush effects, handle one [`Incoming`], fire due
-//! timers) with **no threads and no sockets**, so the deterministic
-//! simulation harness (`gcs-sim`) can drive the exact code the TCP
-//! deployment runs. [`NetNode`] wraps a `NodeCore` in a thread fed by a
-//! [`TcpTransport`] event channel. Emitted events are recorded with a
-//! (time, sequence) stamp from a [`Clock`] shared across a cluster, so
-//! per-node traces can be merged into one nondecreasing timed trace for
-//! the safety checkers.
+//! This is the "mapping of the abstract algorithm to the target
+//! platform" the paper anticipates. The protocol-facing half lives in
+//! [`NodeCore`]: a plain state machine (flush effects, handle one
+//! [`Incoming`], fire due timers) with **no threads and no sockets**, so
+//! the deterministic simulation harness (`gcs-sim`) can drive the exact
+//! code the TCP deployment runs. [`NetNode`] is the one real-threads
+//! host: a [`TcpTransport`] plus one [`run_core_loop`] thread per hosted
+//! group. Emitted events are recorded with a (time, sequence) stamp from
+//! a [`Clock`] shared across a cluster, so per-node traces can be merged
+//! into one nondecreasing timed trace for the safety checkers.
 //!
 //! Crash/recovery: [`NodeCore::stable_state`] snapshots the state assumed
 //! to survive on stable storage ([`StableState`]) and
-//! [`NodeCore::recover`]/[`NetNode::start_recovered`] rebuild a fresh
+//! [`NodeCore::recover`]/[`HostedGroup::stable`] rebuild a fresh
 //! incarnation from it — no installed view, volatile token/buffers gone,
 //! but view-identifier watermarks, the message-id counter, and the
 //! `VStoTO` client layer intact, which is exactly what the VS/TO safety
 //! specs need across a restart.
 
 use crate::transport::{
-    Incoming, LockExt, ShutdownReport, TcpTransport, Transport, TransportConfig,
+    GroupEndpoint, Incoming, LockExt, ShutdownReport, TcpTransport, Transport, TransportConfig,
 };
 use gcs_ioa::TimedTrace;
 use gcs_model::{Majority, ProcId, Time, Value, View};
@@ -34,7 +33,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -149,8 +148,8 @@ pub fn merge_recordings(per_node: &[Vec<Recorded>]) -> TimedTrace<TraceEvent<Imp
 /// collector, and recording sinks. Drive it by calling [`NodeCore::boot`]
 /// once, then [`NodeCore::handle`] per incoming event and
 /// [`NodeCore::tick`] whenever [`NodeCore::next_timer_due`] falls due —
-/// the threaded [`NetNode`] and the deterministic `gcs-sim` world both do
-/// exactly this.
+/// [`run_core_loop`] (under [`NetNode`]) and the deterministic `gcs-sim`
+/// world both do exactly this.
 pub struct NodeCore {
     id: ProcId,
     node: VsNode<TimedVsToTo>,
@@ -467,10 +466,10 @@ impl NodeCore {
 /// Drives a [`NodeCore`] on the current thread until it stops: boot,
 /// then alternate between channel events and due timers, draining hot
 /// channels in bounded batches so timers are not starved under load.
-/// This is the event loop [`NetNode`] runs on its node thread; a sharded
-/// node runs one such loop per hosted group, each against its own
-/// grouped transport endpoint. Returns the core on exit so callers can
-/// snapshot [`NodeCore::stable_state`] for crash/recovery modeling.
+/// [`NetNode`] runs one such loop per hosted group, each on its own
+/// thread against its own grouped transport endpoint. Returns the core
+/// on exit so callers can snapshot [`NodeCore::stable_state`] for
+/// crash/recovery modeling.
 pub fn run_core_loop(
     mut core: NodeCore,
     events_rx: mpsc::Receiver<Incoming>,
@@ -513,110 +512,151 @@ pub fn run_core_loop(
     }
 }
 
-/// A running VS/TO node behind a TCP endpoint.
-pub struct NetNode {
-    id: ProcId,
-    transport: Arc<TcpTransport>,
+/// One group instance a [`NetNode`] hosts.
+pub struct HostedGroup {
+    /// The group's protocol configuration; `proto.procs` is its member
+    /// set.
+    pub proto: ProtoConfig,
+    /// `Some`: one group among several behind the transport — the core
+    /// records into this sink (the b/d monitors need one ring's event
+    /// stream, not an interleaving of independent rings) and its
+    /// counters carry a `group` label. `None`: the group *is* the
+    /// deployment — a single ring sharing the transport's sink,
+    /// unlabeled.
+    pub obs: Option<Obs>,
+    /// The [`StableState`] a previous incarnation persisted, to recover
+    /// from; `None` boots a fresh node.
+    pub stable: Option<StableState<TimedVsToTo>>,
+}
+
+/// A hosted group's running half: its event channel, its protocol
+/// thread, and shared handles onto what the core has recorded so far.
+pub struct GroupHandle {
     events_tx: Sender<Incoming>,
-    clock: Arc<Clock>,
+    thread: JoinHandle<NodeCore>,
     recorded: Arc<Mutex<Vec<Recorded>>>,
     delivered: Arc<Mutex<Vec<(ProcId, Value)>>>,
     views: Arc<Mutex<Vec<View>>>,
-    handle: Mutex<Option<JoinHandle<NodeCore>>>,
-    final_core: Mutex<Option<NodeCore>>,
+}
+
+impl GroupHandle {
+    /// Submits a client value locally (same path a TCP client's `Submit`
+    /// frame takes).
+    pub fn submit(&self, a: Value) {
+        let _ = self.events_tx.send(Incoming::Submit { batch: vec![a] });
+    }
+
+    /// What this group has delivered to its client so far.
+    pub fn delivered(&self) -> Vec<(ProcId, Value)> {
+        self.delivered.lock_clean().clone()
+    }
+
+    /// How many values this group has delivered so far. Cheap (no
+    /// clone), for progress polling against a live high-throughput node.
+    pub fn delivered_count(&self) -> usize {
+        self.delivered.lock_clean().len()
+    }
+
+    /// Every view this group has installed, in order.
+    pub fn views(&self) -> Vec<View> {
+        self.views.lock_clean().clone()
+    }
+}
+
+/// What one hosted group leaves behind when its node stops.
+#[derive(Default)]
+pub struct GroupExit {
+    /// The recorded (stamped) trace events.
+    pub recorded: Vec<Recorded>,
+    /// The client deliveries, in order.
+    pub delivered: Vec<(ProcId, Value)>,
+    /// The installed views, in order.
+    pub views: Vec<View>,
+    /// The stable-storage snapshot a restart recovers from
+    /// ([`HostedGroup::stable`]); `None` if the group's loop panicked.
+    pub stable: Option<StableState<TimedVsToTo>>,
+}
+
+/// A running VS/TO node: **one** TCP endpoint and, behind it, one
+/// [`run_core_loop`] thread per hosted group, each wired to the shared
+/// [`TcpTransport`] through a [`GroupEndpoint`] that tags outbound
+/// frames with the group id. Peers keep a single connection per node
+/// pair no matter how many groups the two co-host. Group 0 rides the
+/// untagged frames, so a node hosting only group 0 is the plain
+/// single-ring deployment, byte-identical on the wire.
+pub struct NetNode {
+    id: ProcId,
+    transport: Arc<TcpTransport>,
+    groups: BTreeMap<u32, GroupHandle>,
+    /// Keeps the group-0 route receiver alive when this node does not
+    /// host group 0 (the transport pre-registers group 0 at start;
+    /// dropping the receiver would turn misrouted frames into reader
+    /// disconnects instead of harmless drops).
+    _park_rx: Option<Receiver<Incoming>>,
 }
 
 impl NetNode {
-    /// Boots node `id`: binds nothing itself — the caller provides the
-    /// already-bound `listener` (so ephemeral ports can be collected
-    /// before any node starts) and the full peer address map.
+    /// Boots node `id` hosting `groups` (group id → instance). Binds
+    /// nothing itself — the caller provides the already-bound `listener`
+    /// (so ephemeral ports can be collected before any node starts) and
+    /// the full peer address map. The transport records into `obs`.
+    ///
+    /// When any group recovers from a [`StableState`], pass a
+    /// `transport_cfg` whose `generation_base` exceeds every generation
+    /// the old incarnation used (e.g. `incarnation << 32`), or peers
+    /// will refuse the new connections as stale.
     pub fn start(
         id: ProcId,
-        proto: ProtoConfig,
-        listener: TcpListener,
-        peers: &BTreeMap<ProcId, SocketAddr>,
-        transport_cfg: TransportConfig,
-        clock: Arc<Clock>,
-    ) -> io::Result<NetNode> {
-        NetNode::start_with_obs(id, proto, listener, peers, transport_cfg, clock, Obs::new())
-    }
-
-    /// Like [`NetNode::start`], but records metrics and trace events into
-    /// the caller's `obs` (shared across a cluster so the merged event
-    /// stream sits on one clock).
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_with_obs(
-        id: ProcId,
-        proto: ProtoConfig,
         listener: TcpListener,
         peers: &BTreeMap<ProcId, SocketAddr>,
         transport_cfg: TransportConfig,
         clock: Arc<Clock>,
         obs: Obs,
+        groups: BTreeMap<u32, HostedGroup>,
     ) -> io::Result<NetNode> {
-        let core = NodeCore::new(id, proto, clock.clone(), &obs);
-        NetNode::launch(core, listener, peers, transport_cfg, clock, obs)
-    }
-
-    /// Boots a *recovered* incarnation of node `id` from the
-    /// [`StableState`] its previous incarnation persisted. Pass a
-    /// `transport_cfg` whose `generation_base` exceeds every generation
-    /// the old incarnation used (e.g. `incarnation << 32`), or peers will
-    /// refuse the new connections as stale.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_recovered(
-        id: ProcId,
-        proto: ProtoConfig,
-        listener: TcpListener,
-        peers: &BTreeMap<ProcId, SocketAddr>,
-        transport_cfg: TransportConfig,
-        clock: Arc<Clock>,
-        obs: Obs,
-        stable: StableState<TimedVsToTo>,
-    ) -> io::Result<NetNode> {
-        let core = NodeCore::recover(id, proto, clock.clone(), &obs, stable);
-        NetNode::launch(core, listener, peers, transport_cfg, clock, obs)
-    }
-
-    fn launch(
-        core: NodeCore,
-        listener: TcpListener,
-        peers: &BTreeMap<ProcId, SocketAddr>,
-        transport_cfg: TransportConfig,
-        clock: Arc<Clock>,
-        obs: Obs,
-    ) -> io::Result<NetNode> {
-        let id = core.id();
-        let (events_tx, events_rx) = mpsc::channel::<Incoming>();
+        let (tx0, rx0) = mpsc::channel::<Incoming>();
         let transport = TcpTransport::start_with_obs(
             id,
             listener,
             peers,
             transport_cfg,
-            events_tx.clone(),
+            tx0.clone(),
             obs.clone(),
         )?;
-        let recorded = core.recorded_handle();
-        let delivered = core.delivered_handle();
-        let views = core.views_handle();
-
-        let handle = {
-            let transport = transport.clone();
+        let mut rx0 = Some(rx0);
+        let mut handles = BTreeMap::new();
+        for (g, hosted) in groups {
+            let (sink, label) = match &hosted.obs {
+                Some(own) => (own, Some(g)),
+                None => (&obs, None),
+            };
+            let core = match hosted.stable {
+                Some(stable) => {
+                    NodeCore::recover_in_group(id, hosted.proto, clock.clone(), sink, stable, label)
+                }
+                None => NodeCore::new_in_group(id, hosted.proto, clock.clone(), sink, label),
+            };
+            // Group 0 rides the route the transport pre-registered at
+            // start; local submissions reuse the same channel.
+            let (events_tx, events_rx) = match (g, rx0.take()) {
+                (0, Some(rx)) => (tx0.clone(), rx),
+                (_, keep) => {
+                    rx0 = keep;
+                    let (tx, rx) = mpsc::channel::<Incoming>();
+                    transport.register_group(g, tx.clone());
+                    (tx, rx)
+                }
+            };
+            let recorded = core.recorded_handle();
+            let delivered = core.delivered_handle();
+            let views = core.views_handle();
+            let endpoint = GroupEndpoint::new(g, transport.clone());
             let clock = clock.clone();
-            std::thread::spawn(move || run_core_loop(core, events_rx, &*transport, &clock))
-        };
-
-        Ok(NetNode {
-            id,
-            transport,
-            events_tx,
-            clock,
-            recorded,
-            delivered,
-            views,
-            handle: Mutex::new(Some(handle)),
-            final_core: Mutex::new(None),
-        })
+            let thread =
+                std::thread::spawn(move || run_core_loop(core, events_rx, &endpoint, &clock));
+            handles.insert(g, GroupHandle { events_tx, thread, recorded, delivered, views });
+        }
+        Ok(NetNode { id, transport, groups: handles, _park_rx: rx0 })
     }
 
     /// This node's identifier.
@@ -630,69 +670,40 @@ impl NetNode {
         &self.transport
     }
 
-    /// The shared clock.
-    pub fn clock(&self) -> &Arc<Clock> {
-        &self.clock
+    /// The hosted group `g`, if this node hosts it.
+    pub fn group(&self, g: u32) -> Option<&GroupHandle> {
+        self.groups.get(&g)
     }
 
-    /// Submits a client value locally (same path a TCP client's `Submit`
-    /// frame takes).
-    pub fn submit(&self, a: Value) {
-        let _ = self.events_tx.send(Incoming::Submit { batch: vec![a] });
-    }
-
-    /// What this node has delivered to its client so far.
-    pub fn delivered(&self) -> Vec<(ProcId, Value)> {
-        self.delivered.lock_clean().clone()
-    }
-
-    /// How many values this node has delivered so far. Cheap (no clone),
-    /// for progress polling against a live high-throughput node.
+    /// How many values this node has delivered so far, over all the
+    /// groups it hosts.
     pub fn delivered_count(&self) -> usize {
-        self.delivered.lock_clean().len()
+        self.groups.values().map(GroupHandle::delivered_count).sum()
     }
 
-    /// Every view this node has installed, in order.
-    pub fn views(&self) -> Vec<View> {
-        self.views.lock_clean().clone()
-    }
-
-    /// A snapshot of this node's recorded (stamped) trace events.
-    pub fn recorded(&self) -> Vec<Recorded> {
-        self.recorded.lock_clean().clone()
-    }
-
-    /// Stops the node loop and the transport; returns the final recording.
-    pub fn stop(&self) -> Vec<Recorded> {
-        self.stop_report().0
-    }
-
-    /// Like [`NetNode::stop`], but also reports whether every transport
-    /// thread was joined within the shutdown deadline.
-    pub fn stop_report(&self) -> (Vec<Recorded>, ShutdownReport) {
-        let _ = self.events_tx.send(Incoming::Stop);
-        if let Some(h) = self.handle.lock_clean().take() {
-            if let Ok(core) = h.join() {
-                *self.final_core.lock_clean() = Some(core);
-            }
+    /// Stops every group loop and then the transport; returns what each
+    /// group leaves behind and whether every transport thread was joined
+    /// within the shutdown deadline. This is also the crash model: the
+    /// volatile state (installed view, token, buffers) is discarded with
+    /// the loops, and [`GroupExit::stable`] is what a restart recovers
+    /// from.
+    pub fn stop(self) -> (BTreeMap<u32, GroupExit>, ShutdownReport) {
+        for rt in self.groups.values() {
+            let _ = rt.events_tx.send(Incoming::Stop);
         }
-        let report = self.transport.stop();
-        (self.recorded.lock_clean().clone(), report)
-    }
-
-    /// Models a crash: stops this incarnation (volatile state — installed
-    /// view, token, buffers — is discarded with it) and returns the
-    /// [`StableState`] snapshot a restart recovers from, plus the final
-    /// recording. Restart with [`NetNode::start_recovered`].
-    pub fn crash(&self) -> (StableState<TimedVsToTo>, Vec<Recorded>) {
-        let (recorded, _) = self.stop_report();
-        let stable = self
-            .final_core
-            .lock_clean()
-            .take()
-            // gcs-lint: allow(panic_path, reason = "harness crash API with a documented contract: stop_report() stores the core before returning, so absence means the node loop itself panicked — surface that loudly in the test")
-            .expect("node loop exited cleanly")
-            .stable_state();
-        (stable, recorded)
+        let mut exits = BTreeMap::new();
+        for (g, rt) in self.groups {
+            let stable = rt.thread.join().ok().map(|core| core.stable_state());
+            exits.insert(
+                g,
+                GroupExit {
+                    recorded: std::mem::take(&mut *rt.recorded.lock_clean()),
+                    delivered: std::mem::take(&mut *rt.delivered.lock_clean()),
+                    views: std::mem::take(&mut *rt.views.lock_clean()),
+                    stable,
+                },
+            );
+        }
+        (exits, self.transport.stop())
     }
 }

@@ -9,7 +9,7 @@
 use gcs_core::cause::check_trace;
 use gcs_core::to_trace::check_to_trace;
 use gcs_model::{ProcId, Value, View, ViewId};
-use gcs_net::cluster::{ClusterConfig, LoopbackCluster};
+use gcs_net::cluster::{wait_for, ClusterConfig, LoopbackCluster};
 use gcs_net::transport::{Incoming, TcpTransport, TransportConfig, COALESCE_FRAMES};
 use gcs_obs::{DropReason, EventKind, Obs};
 use gcs_vsimpl::convert::{to_obs, vs_actions};
@@ -17,18 +17,7 @@ use gcs_vsimpl::Wire;
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
-
-fn wait_for(deadline: Duration, mut pred: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if pred() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
-}
+use std::time::Duration;
 
 /// A writer facing a peer that accepts connections but never reads:
 /// once the socket buffers fill, the writer blocks mid-frame, the

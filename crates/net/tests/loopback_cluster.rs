@@ -6,22 +6,10 @@
 use gcs_core::cause::check_trace;
 use gcs_core::to_trace::check_to_trace;
 use gcs_model::{ProcId, Value, View};
-use gcs_net::cluster::{ClusterConfig, LoopbackCluster};
+use gcs_net::cluster::{wait_for, ClusterConfig, LoopbackCluster};
 use gcs_net::load::{run_load, LoadConfig, LoadMode};
 use gcs_vsimpl::convert::{to_obs, vs_actions};
-use std::time::{Duration, Instant};
-
-/// Polls until `pred` holds or the deadline passes.
-fn wait_for(deadline: Duration, mut pred: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if pred() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
-}
+use std::time::Duration;
 
 /// Every node has installed a view containing exactly the full set.
 fn full_view_everywhere(cluster: &LoopbackCluster) -> bool {
@@ -78,12 +66,13 @@ fn tcp_client_load_generator_round_trips() {
     let report = run_load(
         cluster.addr(ProcId(0)),
         &LoadConfig {
+            group: 0,
             ops: 200,
-            value_base: 1,
             mode: LoadMode::Closed { window: 16 },
             idle_timeout: Duration::from_secs(30),
             warmup: 0,
         },
+        |i| Value::from_u64(i + 1),
     )
     .expect("client connects");
     assert_eq!(report.submitted, 200);

@@ -7,23 +7,12 @@
 use gcs_core::cause::check_trace;
 use gcs_core::to_trace::check_to_trace;
 use gcs_model::{ProcId, Value};
-use gcs_net::cluster::{ClusterConfig, LoopbackCluster};
+use gcs_net::cluster::{wait_for, ClusterConfig, LoopbackCluster};
 use gcs_net::transport::TransportConfig;
 use gcs_obs::{BoundParams, EventKind, Obs, StabilizationMonitor, TokenRoundMonitor};
 use gcs_vsimpl::convert::{to_obs, vs_actions};
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
-
-fn wait_for(deadline: Duration, mut pred: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if pred() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
-}
 
 fn full_view_everywhere(cluster: &LoopbackCluster) -> bool {
     let n = cluster.n();

@@ -6,19 +6,8 @@
 //! slow-consumer problem from every later assertion.
 
 use gcs_model::{ProcId, Value};
-use gcs_net::cluster::{ClusterConfig, LoopbackCluster};
-use std::time::{Duration, Instant};
-
-fn wait_for(deadline: Duration, mut pred: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if pred() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
-}
+use gcs_net::cluster::{wait_for, ClusterConfig, LoopbackCluster};
+use std::time::Duration;
 
 #[test]
 fn calm_cluster_stops_clean_with_no_queue_full_drops() {

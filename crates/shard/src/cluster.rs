@@ -1,33 +1,22 @@
-//! The sharded loopback cluster harness: `n` nodes on ephemeral
-//! localhost ports, each hosting every group whose member set contains
-//! it, with per-group observability sinks and group-aware fault
-//! injection.
-//!
-//! The per-group [`Obs`] split matters: the b/d monitors assume they are
-//! watching *one* group's event stream (one ring, one membership), so a
-//! node hosting three groups records each core's events into that
-//! group's sink. The transport's frame counters go to a separate
-//! network sink. Fault injection writes the corresponding `Fault` trace
-//! event into the sink of every group the fault can disturb — a severed
-//! (p, q) pair disturbs exactly the groups containing both endpoints,
-//! a crash of p disturbs every group containing p — which is what lets
-//! the stabilization monitor excuse the disturbed interval per group,
-//! exactly as Theorem 8.1's premise does.
+//! The sharded face of the loopback cluster harness: a
+//! [`ShardClusterConfig`] (member sets per group, per-group protocol
+//! timers, the shard map it denotes) and [`ShardCluster`], which boots
+//! [`gcs_net::LoopbackCluster`] with one labelled group per shard — each
+//! with its own [`Obs`] so the b/d monitors see one ring's event stream —
+//! and speaks for it group by group. Everything a cluster *does*
+//! (binding, hosting, fault injection and its per-group recording,
+//! crash/restart, trace merging) lives in `gcs_net::cluster`.
 
 use crate::ShardMap;
-use gcs_ioa::TimedTrace;
 use gcs_model::{ProcId, Time, Value, View};
-use gcs_net::runtime::{merge_recordings, Clock, Recorded};
+use gcs_net::cluster::{ClusterTrace, GroupSpec, LoopbackCluster};
 use gcs_net::transport::{ShutdownReport, TransportConfig};
-use gcs_netsim::TraceEvent;
-use gcs_obs::{EventKind, FaultKind, Obs};
-use gcs_vsimpl::{DetectorPolicy, ImplEvent, MembershipMode, ProtoConfig};
+use gcs_obs::Obs;
+use gcs_vsimpl::{DetectorPolicy, MembershipMode, ProtoConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
-use std::net::{SocketAddr, TcpListener};
-use std::time::{Duration, Instant};
-
-use crate::node::ShardNode;
+use std::net::SocketAddr;
+use std::time::Duration;
 
 /// Sharded cluster parameters.
 #[derive(Clone, Debug)]
@@ -82,59 +71,24 @@ impl ShardClusterConfig {
 
 /// A running sharded loopback cluster.
 pub struct ShardCluster {
-    nodes: Vec<Option<ShardNode>>,
-    /// Recordings of stopped (crashed) nodes, per node per group.
-    past: Vec<BTreeMap<u32, Vec<Recorded>>>,
-    /// Deliveries and views of stopped nodes, per node per group.
-    past_delivered: Vec<BTreeMap<u32, Vec<(ProcId, Value)>>>,
-    addrs: BTreeMap<ProcId, SocketAddr>,
-    group_obs: Vec<Obs>,
-    net_obs: Obs,
+    inner: LoopbackCluster,
     config: ShardClusterConfig,
 }
 
 impl ShardCluster {
-    /// Binds `n` ephemeral listeners and boots every node with the
-    /// groups it belongs to. Each group gets a fresh [`Obs`] with the
-    /// given trace capacity; the transports share one network sink.
+    /// Boots `config.n` loopback nodes, each hosting the groups it
+    /// belongs to. Each group gets a fresh [`Obs`] with the given trace
+    /// capacity; the transports share one network sink.
     pub fn start(config: ShardClusterConfig, trace_capacity: usize) -> io::Result<ShardCluster> {
-        let n = config.n;
-        let mut listeners = Vec::new();
-        let mut addrs = BTreeMap::new();
-        for i in 0..n {
-            let l = TcpListener::bind("127.0.0.1:0")?;
-            addrs.insert(ProcId(i), l.local_addr()?);
-            listeners.push(l);
-        }
-        let clock = Clock::new();
-        let group_obs: Vec<Obs> =
-            (0..config.groups.len()).map(|_| Obs::with_trace_capacity(trace_capacity)).collect();
-        let net_obs = Obs::new();
-
-        let mut nodes = Vec::new();
-        for (i, listener) in listeners.into_iter().enumerate() {
-            let id = ProcId(i as u32);
-            let hosted: BTreeMap<u32, (ProtoConfig, Obs)> = config
-                .groups
-                .iter()
-                .enumerate()
-                .filter(|(_, members)| members.contains(&id))
-                .map(|(g, _)| (g as u32, (config.proto(g), group_obs[g].clone())))
-                .collect();
-            let node = ShardNode::start(
-                id,
-                listener,
-                &addrs,
-                config.transport.clone(),
-                clock.clone(),
-                net_obs.clone(),
-                &hosted,
-            )?;
-            nodes.push(Some(node));
-        }
-        let past = (0..n as usize).map(|_| BTreeMap::new()).collect();
-        let past_delivered = (0..n as usize).map(|_| BTreeMap::new()).collect();
-        Ok(ShardCluster { nodes, past, past_delivered, addrs, group_obs, net_obs, config })
+        let groups = (0..config.groups.len())
+            .map(|g| GroupSpec {
+                proto: config.proto(g),
+                obs: Some(Obs::with_trace_capacity(trace_capacity)),
+            })
+            .collect();
+        let inner =
+            LoopbackCluster::start_groups(config.n, config.transport.clone(), Obs::new(), groups)?;
+        Ok(ShardCluster { inner, config })
     }
 
     /// The configuration this cluster was started with.
@@ -144,164 +98,49 @@ impl ShardCluster {
 
     /// The observability sink of group `g`.
     pub fn group_obs(&self, g: u32) -> &Obs {
-        &self.group_obs[g as usize]
+        self.inner.group_obs(g)
     }
 
     /// The shared network (transport) observability sink.
     pub fn net_obs(&self) -> &Obs {
-        &self.net_obs
+        self.inner.obs()
     }
 
     /// The bound address of node `p` (for external TCP clients).
     pub fn addr(&self, p: ProcId) -> SocketAddr {
-        self.addrs[&p]
+        self.inner.addr(p)
     }
 
-    /// The group ids whose member sets contain `p`.
-    pub fn groups_of(&self, p: ProcId) -> Vec<u32> {
-        self.config
-            .groups
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.contains(&p))
-            .map(|(g, _)| g as u32)
-            .collect()
-    }
-
-    fn node(&self, p: ProcId) -> &ShardNode {
-        self.nodes[p.index()].as_ref().expect("node is crashed")
-    }
-
-    /// Whether node `p` is currently running.
-    pub fn is_up(&self, p: ProcId) -> bool {
-        self.nodes[p.index()].is_some()
-    }
-
-    /// Submits a value into group `g` at member `p`.
-    pub fn submit(&self, g: u32, p: ProcId, a: Value) -> bool {
-        self.node(p).submit(g, a)
-    }
-
-    /// Per-member delivered streams of group `g` (live nodes only,
-    /// keyed by member id; crashed members report their final stream).
+    /// Per-member delivered streams of group `g`.
     pub fn delivered(&self, g: u32) -> BTreeMap<ProcId, Vec<(ProcId, Value)>> {
-        let mut out = BTreeMap::new();
-        for p in &self.config.groups[g as usize] {
-            match &self.nodes[p.index()] {
-                Some(node) => {
-                    out.insert(*p, node.delivered(g));
-                }
-                None => {
-                    if let Some(d) = self.past_delivered[p.index()].get(&g) {
-                        out.insert(*p, d.clone());
-                    }
-                }
-            }
-        }
-        out
+        self.inner.delivered_in(g)
     }
 
-    /// Per-member installed-view histories of group `g` (live members).
+    /// Per-member installed-view histories of group `g`.
     pub fn views(&self, g: u32) -> BTreeMap<ProcId, Vec<View>> {
-        self.config.groups[g as usize]
-            .iter()
-            .filter(|p| self.is_up(**p))
-            .map(|p| (*p, self.node(*p).views(g)))
-            .collect()
+        self.inner.views_in(g)
     }
 
     /// Blocks until every live member of group `g` has delivered at
     /// least `count` values, or the deadline passes.
     pub fn await_group_deliveries(&self, g: u32, count: usize, deadline: Duration) -> bool {
-        let start = Instant::now();
-        while start.elapsed() < deadline {
-            let ok = self.config.groups[g as usize]
-                .iter()
-                .filter(|p| self.is_up(**p))
-                .all(|p| self.node(*p).delivered_count(g) >= count);
-            if ok {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        false
+        self.inner.await_deliveries_in(g, count, deadline)
     }
 
-    /// Records a fault event into the sink of every group in `groups`.
-    fn record_fault(&self, groups: &[u32], node: u32, peer: u32, kind: FaultKind) {
-        for &g in groups {
-            self.group_obs[g as usize].trace.record(EventKind::Fault { node, peer, kind });
-        }
-    }
-
-    /// Severs the (p, q) link pair in both directions. The fault is
-    /// recorded into every group containing *both* endpoints — those
-    /// are exactly the groups whose communication the cut can disturb.
+    /// Severs the (p, q) link pair in both directions; the fault is
+    /// recorded into every group containing both endpoints.
     pub fn sever_pair(&self, p: ProcId, q: ProcId) {
-        self.node(p).transport().sever(q);
-        self.node(q).transport().sever(p);
-        let disturbed: Vec<u32> =
-            self.groups_of(p).into_iter().filter(|g| self.groups_of(q).contains(g)).collect();
-        self.record_fault(&disturbed, p.0, q.0, FaultKind::Sever);
+        self.inner.sever_pair(p, q);
     }
 
     /// Heals the (p, q) link pair.
     pub fn heal_pair(&self, p: ProcId, q: ProcId) {
-        self.node(p).transport().heal(q);
-        self.node(q).transport().heal(p);
-        let disturbed: Vec<u32> =
-            self.groups_of(p).into_iter().filter(|g| self.groups_of(q).contains(g)).collect();
-        self.record_fault(&disturbed, p.0, q.0, FaultKind::Heal);
-    }
-
-    /// Stops node `p` abruptly (no restart in this harness — the
-    /// deterministic simulator covers crash/recovery). Every group the
-    /// node hosts records the crash as a fault; the node's recordings
-    /// are kept for the final merged traces.
-    pub fn crash(&mut self, p: ProcId) {
-        let node = self.nodes[p.index()].take().expect("node already crashed");
-        let hosted = node.hosted_groups();
-        self.record_fault(&hosted, p.0, p.0, FaultKind::Crash);
-        for &g in &hosted {
-            self.past_delivered[p.index()].insert(g, node.delivered(g));
-        }
-        let (recordings, _) = node.stop();
-        self.past[p.index()] = recordings;
-    }
-
-    /// The merged recorded trace of group `g` across its members (and
-    /// any crashed member's final recording).
-    pub fn merged_trace(&self, g: u32) -> TimedTrace<TraceEvent<ImplEvent>> {
-        let per_member: Vec<Vec<Recorded>> = self.config.groups[g as usize]
-            .iter()
-            .map(|p| match &self.nodes[p.index()] {
-                Some(node) => node.recorded(g),
-                None => self.past[p.index()].get(&g).cloned().unwrap_or_default(),
-            })
-            .collect();
-        merge_recordings(&per_member)
+        self.inner.heal_pair(p, q);
     }
 
     /// Stops every node; returns the merged per-group traces and the
     /// aggregated shutdown report.
-    pub fn stop(mut self) -> (BTreeMap<u32, TimedTrace<TraceEvent<ImplEvent>>>, ShutdownReport) {
-        let mut report = ShutdownReport::default();
-        // Collect final recordings into `past`, then merge per group.
-        for i in 0..self.nodes.len() {
-            if let Some(node) = self.nodes[i].take() {
-                let (recordings, r) = node.stop();
-                report.absorb(r);
-                self.past[i] = recordings;
-            }
-        }
-        let mut traces = BTreeMap::new();
-        for g in 0..self.config.groups.len() {
-            let per_member: Vec<Vec<Recorded>> = self.config.groups[g]
-                .iter()
-                .map(|p| self.past[p.index()].get(&(g as u32)).cloned().unwrap_or_default())
-                .collect();
-            traces.insert(g as u32, merge_recordings(&per_member));
-        }
-        (traces, report)
+    pub fn stop(self) -> (BTreeMap<u32, ClusterTrace>, ShutdownReport) {
+        self.inner.stop_groups()
     }
 }

@@ -19,20 +19,20 @@
 //! - [`router`] — [`RouterCore`]: the client-side routing policy
 //!   (preferred member per group, down-set, cyclic retry on stale maps,
 //!   redirect on view change) as a pure state machine.
-//! - [`node`] — [`ShardNode`]: several [`gcs_net::NodeCore`] group
-//!   instances behind **one** TCP transport, demultiplexed by the group
-//!   tag in the wire codec.
-//! - [`cluster`] — [`ShardCluster`]: the loopback harness booting `n`
-//!   nodes hosting overlapping groups, with per-group observability and
-//!   group-aware fault injection.
-//! - [`load`] — [`run_shard_load`]: a keyed open/closed-loop load
-//!   generator submitting KV commands (`gcs_apps::KvCmd`) to their
-//!   owning group over the tagged client protocol.
+//! - [`cluster`] — [`ShardClusterConfig`] and [`ShardCluster`]: the
+//!   sharded face of `gcs_net::LoopbackCluster`, which boots `n` nodes
+//!   each hosting several [`gcs_net::NodeCore`] group instances behind
+//!   **one** TCP transport (demultiplexed by the group tag in the wire
+//!   codec), with per-group observability and group-aware fault
+//!   injection.
+//! - [`load`] — [`kv_values`]: the keyed KV command (`gcs_apps::KvCmd`)
+//!   value source that points `gcs_net::run_load` at one group.
 //!
-//! The `gcs-shard-bench` binary drives a 5-node, 4-group loopback
-//! deployment through load and a one-group partition/merge, gates on
-//! aggregate throughput, and feeds every group's trace through the VS/TO
-//! checkers, the b/d monitors, and the per-key linearizability checker.
+//! `gcs-benchmark`'s `shard2_sat` workload measures a sharded
+//! deployment; `tests/shard_cluster.rs` drives one through load and a
+//! one-group partition/merge and feeds every group's trace through the
+//! VS/TO checkers, the b/d monitors, and the per-key linearizability
+//! checker.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,11 +40,9 @@
 pub mod cluster;
 pub mod load;
 pub mod map;
-pub mod node;
 pub mod router;
 
 pub use cluster::{ShardCluster, ShardClusterConfig};
-pub use load::{run_shard_load, ShardLoadConfig};
+pub use load::{kv_values, plan_seeds};
 pub use map::ShardMap;
-pub use node::ShardNode;
 pub use router::RouterCore;

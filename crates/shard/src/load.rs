@@ -1,346 +1,56 @@
-//! A keyed load-generating client for one group of a sharded
-//! deployment: submits encoded [`KvCmd`]s whose keys hash to the target
-//! group, tagged [`Frame::SubmitGroup`], and matches them against the
-//! [`Frame::DeliverGroup`] push stream.
-//!
-//! The untagged single-group generator (`gcs_net::run_load`) matches
-//! deliveries by their `u64` payload; KV commands are structured values,
-//! so this one matches by [`Value::fingerprint`] — the same collision-free
-//! identity the runtime stamps into its trace events. One generator
-//! instance drives one group; the benchmark runs one per group
-//! concurrently and sums the throughputs.
+//! The keyed value source for one group of a sharded deployment: the
+//! encoded [`KvCmd`]s whose keys hash to the target group, in seed
+//! order. `gcs_net::run_load` is the generator — it tags the group's
+//! frames and matches deliveries by fingerprint; this only decides
+//! *what* it submits.
 
 use crate::map::ShardMap;
 use gcs_apps::KvCmd;
-use gcs_model::ProcId;
-use gcs_net::codec::{read_frame, write_frame, Frame, FrameWriter, HelloKind};
-use gcs_net::{Histogram, LoadMode, LoadReport};
-use std::collections::BTreeMap;
-use std::io;
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use gcs_model::Value;
 
-/// Keyed load parameters for one group.
-#[derive(Clone, Debug)]
-pub struct ShardLoadConfig {
-    /// The group this generator drives. Only seeds whose derived key
-    /// hashes to this group are submitted.
-    pub group: u32,
-    /// Timed operations to submit.
-    pub ops: u64,
-    /// Size of the keyspace the seed → command mapping draws from.
-    pub keys: u64,
-    /// Seeds are scanned upward from here; distinct generators against
-    /// one cluster must use disjoint seed ranges so fingerprints (and
-    /// KV tags) stay unique.
-    pub seed_base: u64,
-    /// Driving discipline (closed window or open rate).
-    pub mode: LoadMode,
-    /// Give up waiting for deliveries after this long with no progress.
-    pub idle_timeout: Duration,
-    /// Operations submitted and completed before the timed window opens
-    /// (excluded from the histogram and elapsed time).
-    pub warmup: u64,
-}
-
-/// Plans the seed sequence for a run: the first `warmup + ops` seeds at
-/// or above `seed_base` whose derived key belongs to `cfg.group` under
-/// `map`. Scanning (rather than striding) keeps the mapping honest for
-/// any group count.
-fn plan_seeds(map: &ShardMap, cfg: &ShardLoadConfig) -> Vec<u64> {
-    let want = (cfg.warmup + cfg.ops) as usize;
-    let mut seeds = Vec::with_capacity(want);
-    let mut seed = cfg.seed_base;
-    while seeds.len() < want {
-        if map.key_group(KvCmd::from_seed(seed, cfg.keys).key()) == cfg.group {
-            seeds.push(seed);
-        }
-        seed += 1;
-    }
-    seeds
-}
-
-/// Runs one keyed load session for `cfg.group` against the group member
-/// at `addr`. Reports full submit→total-order→deliver latency as
-/// observed at that member.
-pub fn run_shard_load(
-    addr: SocketAddr,
+/// The seeds at or above `seed_base`, in order, whose derived key (over
+/// a keyspace of `keys`) belongs to `group` under `map`. Scanning
+/// (rather than striding) keeps the mapping honest for any group count.
+/// Distinct generators against one cluster must use disjoint seed ranges
+/// so fingerprints (and KV tags) stay unique.
+pub fn plan_seeds(
     map: &ShardMap,
-    cfg: &ShardLoadConfig,
-) -> io::Result<LoadReport> {
-    let seeds = plan_seeds(map, cfg);
-    let group = cfg.group;
+    group: u32,
+    keys: u64,
+    seed_base: u64,
+) -> impl Iterator<Item = u64> + '_ {
+    (seed_base..).filter(move |&seed| map.key_group(KvCmd::from_seed(seed, keys).key()) == group)
+}
 
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    write_frame(
-        &mut stream,
-        &Frame::Hello { node: ProcId(u32::MAX), generation: 0, kind: HelloKind::Client },
-    )?;
-
-    // Reader thread: forward the fingerprints of values delivered by our
-    // group, one channel send per burst. View pushes and other groups'
-    // deliveries are skipped, not errors — the node multiplexes every
-    // subscription onto this socket.
-    let (tx, rx) = mpsc::channel::<(Vec<u64>, Instant)>();
-    let read_half = stream.try_clone()?;
-    let reader = std::thread::spawn(move || {
-        let mut read_half = io::BufReader::with_capacity(256 * 1024, read_half);
-        let mut burst: Vec<u64> = Vec::new();
-        loop {
-            match read_frame(&mut read_half) {
-                Ok(Some(f)) => {
-                    match f {
-                        Frame::Deliver { a, .. } if group == 0 => burst.push(a.fingerprint()),
-                        Frame::DeliverBatch(batch) if group == 0 => {
-                            burst.extend(batch.iter().map(|(_, a)| a.fingerprint()));
-                        }
-                        Frame::DeliverGroup { group: g, batch } if g == group => {
-                            burst.extend(batch.iter().map(|(_, a)| a.fingerprint()));
-                        }
-                        // Other groups' deliveries and view pushes are
-                        // skipped — but they must still flush a pending
-                        // burst below, or completions collected before a
-                        // foreign frame strand until the next read.
-                        _ => {}
-                    }
-                    if burst.is_empty() || buffer_has_frame(&read_half) {
-                        continue;
-                    }
-                    if tx.send((std::mem::take(&mut burst), Instant::now())).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) | Err(_) => return,
-            }
-        }
-    });
-
-    // Whether the reader's buffer already holds one complete frame (so
-    // draining it cannot block on the socket).
-    fn buffer_has_frame(r: &io::BufReader<TcpStream>) -> bool {
-        let buf = r.buffer();
-        let Some(hdr) = buf.get(..4) else { return false };
-        let Ok(hdr) = <[u8; 4]>::try_from(hdr) else { return false };
-        let len = u32::from_be_bytes(hdr) as usize;
-        buf.len() >= 4usize.saturating_add(len)
-    }
-
-    // Submits the next `count` planned commands as one coalesced tagged
-    // batch.
-    struct Submitter<'a> {
-        seeds: &'a [u64],
-        keys: u64,
-        group: u32,
-        next: usize,
-        submitted: u64,
-    }
-    impl Submitter<'_> {
-        fn submit_batch(
-            &mut self,
-            stream: &mut TcpStream,
-            fw: &mut FrameWriter,
-            pending: &mut BTreeMap<u64, Instant>,
-            count: u64,
-        ) -> io::Result<()> {
-            if count == 0 {
-                return Ok(());
-            }
-            fw.clear();
-            let now = Instant::now();
-            let mut batch = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let Some(&seed) = self.seeds.get(self.next) else { break };
-                self.next += 1;
-                self.submitted += 1;
-                let v = KvCmd::from_seed(seed, self.keys).encode();
-                pending.insert(v.fingerprint(), now);
-                batch.push(v);
-            }
-            if batch.is_empty() {
-                return Ok(());
-            }
-            let frame = if self.group == 0 {
-                Frame::SubmitBatch(batch)
-            } else {
-                Frame::SubmitGroup { group: self.group, batch }
-            };
-            fw.push(&frame);
-            fw.write_to(stream)
-        }
-        fn remaining_until(&self, hi: usize) -> u64 {
-            hi.saturating_sub(self.next) as u64
-        }
-    }
-
-    let mut fw = FrameWriter::new();
-    let mut pending: BTreeMap<u64, Instant> = BTreeMap::new();
-    let mut sub = Submitter { seeds: &seeds, keys: cfg.keys, group, next: 0, submitted: 0 };
-
-    // Warm-up phase: drive the group's ring through its first rotations
-    // before any sample is taken.
-    if cfg.warmup > 0 {
-        let warm_hi = cfg.warmup as usize;
-        let window = match cfg.mode {
-            LoadMode::Closed { window } => window.max(1),
-            LoadMode::Open { .. } => 32,
-        } as u64;
-        let count = window.min(sub.remaining_until(warm_hi));
-        sub.submit_batch(&mut stream, &mut fw, &mut pending, count)?;
-        let mut last_progress = Instant::now();
-        let mut done = 0u64;
-        while done < cfg.warmup {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok((xs, _)) => {
-                    for x in xs {
-                        if pending.remove(&x).is_some() {
-                            done += 1;
-                        }
-                    }
-                    while let Ok((ys, _)) = rx.try_recv() {
-                        for y in ys {
-                            if pending.remove(&y).is_some() {
-                                done += 1;
-                            }
-                        }
-                    }
-                    last_progress = Instant::now();
-                    let room = window.saturating_sub(pending.len() as u64);
-                    let count = room.min(sub.remaining_until(warm_hi));
-                    sub.submit_batch(&mut stream, &mut fw, &mut pending, count)?;
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if last_progress.elapsed() > cfg.idle_timeout {
-                        break;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        // Straggling warm-up deliveries must not leak cold-start
-        // latencies into the timed histogram.
-        pending.clear();
-        sub.submitted = 0;
-    }
-
-    let hi = seeds.len();
-    let latency: Histogram = Histogram::new();
-    let started = Instant::now();
-    let mut last_progress = Instant::now();
-    let mut finished_at = started;
-
-    match cfg.mode {
-        LoadMode::Closed { window } => {
-            let window = window.max(1) as u64;
-            let count = window.min(sub.remaining_until(hi));
-            sub.submit_batch(&mut stream, &mut fw, &mut pending, count)?;
-            while !pending.is_empty() {
-                match rx.recv_timeout(Duration::from_millis(50)) {
-                    Ok((xs, at)) => {
-                        for x in xs {
-                            if let Some(t0) = pending.remove(&x) {
-                                latency.record(at.duration_since(t0).as_micros() as u64);
-                                finished_at = at;
-                            }
-                        }
-                        while let Ok((ys, at2)) = rx.try_recv() {
-                            for y in ys {
-                                if let Some(t0) = pending.remove(&y) {
-                                    latency.record(at2.duration_since(t0).as_micros() as u64);
-                                    finished_at = at2;
-                                }
-                            }
-                        }
-                        last_progress = Instant::now();
-                        let room = window.saturating_sub(pending.len() as u64);
-                        let count = room.min(sub.remaining_until(hi));
-                        sub.submit_batch(&mut stream, &mut fw, &mut pending, count)?;
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if last_progress.elapsed() > cfg.idle_timeout {
-                            break;
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        }
-        LoadMode::Open { rate } => {
-            let rate = rate.max(1);
-            let gap = Duration::from_nanos(1_000_000_000 / rate);
-            let mut due = Instant::now();
-            while sub.next < hi || !pending.is_empty() {
-                let mut burst = 0u64;
-                while (sub.next as u64 + burst) < hi as u64 && Instant::now() >= due {
-                    burst += 1;
-                    due += gap;
-                }
-                sub.submit_batch(&mut stream, &mut fw, &mut pending, burst)?;
-                match rx.recv_timeout(Duration::from_millis(1)) {
-                    Ok((xs, at)) => {
-                        for x in xs {
-                            if let Some(t0) = pending.remove(&x) {
-                                latency.record(at.duration_since(t0).as_micros() as u64);
-                                finished_at = at;
-                            }
-                        }
-                        while let Ok((ys, at2)) = rx.try_recv() {
-                            for y in ys {
-                                if let Some(t0) = pending.remove(&y) {
-                                    latency.record(at2.duration_since(t0).as_micros() as u64);
-                                    finished_at = at2;
-                                }
-                            }
-                        }
-                        last_progress = Instant::now();
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if sub.next >= hi && last_progress.elapsed() > cfg.idle_timeout {
-                            break;
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        }
-    }
-
-    let delivered = latency.count();
-    let elapsed =
-        if delivered > 0 { finished_at.duration_since(started) } else { started.elapsed() };
-    let _ = stream.shutdown(Shutdown::Both);
-    let _ = reader.join();
-    Ok(LoadReport { submitted: sub.submitted, delivered, elapsed, latency_us: latency })
+/// The value source to hand `gcs_net::run_load` for `group`: its
+/// successive calls yield the commands of [`plan_seeds`], encoded.
+pub fn kv_values(
+    map: &ShardMap,
+    group: u32,
+    keys: u64,
+    seed_base: u64,
+) -> impl FnMut(u64) -> Value + '_ {
+    let mut seeds = plan_seeds(map, group, keys, seed_base);
+    move |_| seeds.next().map(|seed| KvCmd::from_seed(seed, keys).encode()).unwrap_or_default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardClusterConfig;
     use std::collections::BTreeSet;
 
     fn ring_map() -> ShardMap {
-        let groups = (0..4u32)
-            .map(|i| (0..3u32).map(|j| ProcId((i + j) % 5)).collect::<BTreeSet<_>>())
-            .collect();
-        ShardMap::new(groups)
+        ShardClusterConfig::ring(5, 4, 3, 20).shard_map()
     }
 
     #[test]
     fn planned_seeds_all_route_to_the_target_group() {
         let map = ring_map();
         for g in 0..4 {
-            let cfg = ShardLoadConfig {
-                group: g,
-                ops: 40,
-                keys: 16,
-                seed_base: 1000,
-                mode: LoadMode::Closed { window: 8 },
-                idle_timeout: Duration::from_secs(1),
-                warmup: 10,
-            };
-            let seeds = plan_seeds(&map, &cfg);
+            let seeds: Vec<u64> = plan_seeds(&map, g, 16, 1000).take(50).collect();
             assert_eq!(seeds.len(), 50);
+            assert!(seeds.windows(2).all(|w| w[0] < w[1]) && seeds[0] >= 1000);
             for s in seeds {
                 assert_eq!(map.key_group(KvCmd::from_seed(s, 16).key()), g);
             }
@@ -352,18 +62,12 @@ mod tests {
         let map = ring_map();
         let mut seen = BTreeSet::new();
         for g in 0..4u32 {
-            let cfg = ShardLoadConfig {
-                group: g,
-                ops: 30,
-                keys: 16,
-                seed_base: u64::from(g) * 1_000_000,
-                mode: LoadMode::Closed { window: 8 },
-                idle_timeout: Duration::from_secs(1),
-                warmup: 0,
-            };
-            for s in plan_seeds(&map, &cfg) {
-                let fp = KvCmd::from_seed(s, 16).encode().fingerprint();
-                assert!(seen.insert(fp), "fingerprint collision across generators");
+            let mut values = kv_values(&map, g, 16, u64::from(g) * 1_000_000);
+            for i in 0..30 {
+                assert!(
+                    seen.insert(values(i).fingerprint()),
+                    "fingerprint collision across generators"
+                );
             }
         }
     }

@@ -44,7 +44,6 @@ pub mod node;
 pub mod sequencer;
 pub mod service;
 pub mod stats;
-pub mod threaded;
 pub mod timed_vstoto;
 pub mod wire;
 
@@ -56,7 +55,6 @@ pub use node::{MembershipMode, ProtoConfig, StableState, VsNode};
 pub use sequencer::{SeqWire, SequencerNode};
 pub use service::{RunOutcome, Stack, StackConfig};
 pub use stats::{stack_stats, TraceStats};
-pub use threaded::{ThreadedConfig, ThreadedStack};
 pub use timed_vstoto::TimedVsToTo;
 pub use wire::{ImplEvent, Token, TokenMsg, Wire};
 

@@ -13,17 +13,6 @@ cargo bench -p gcs-bench --bench micro -- --quick "$@"
 # the gcs-obs counter bump + trace-ring event a real frame pays; the
 # delta is the per-frame observability cost (expect low tens of ns).
 cargo bench -p gcs-bench --bench micro -- --quick obs_overhead
-# Loopback TCP cluster throughput (gcs-net): boots real sockets on
-# 127.0.0.1 and measures delivery of 100-op batches through the ring.
-cargo bench -p gcs-bench --bench loopback -- --quick "$@"
-# Sharded multi-group throughput (gcs-shard): 4 keyed KV groups over 5
-# loopback nodes, aggregate ops/s across all shards (quick sizing; the
-# gated run with the partition/merge phase lives in ci.sh).
-cargo build --release -p gcs-shard --quiet
-./target/release/gcs-shard-bench --ops 1000 --warmup 200 --window 64 --delta-ms 60 --no-partition --out /tmp/BENCH_shard_smoke.json
-# Batched-token wire codec: Token encode/decode at batch sizes
-# 1/16/256/4096; per-element cost should fall as the batch grows.
-cargo bench -p gcs-bench --bench token_codec -- --quick "$@"
 # Lint runtime: a full workspace scan must stay interactive (budget ~2 s)
 # so the tier-1 gcs-lint stage never becomes the slow part of ci.sh.
 cargo build --release -p gcs-lint --quiet
