@@ -150,7 +150,7 @@ impl StateMachine for LockTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rsm::{replay_and_check, Replica};
+    use crate::rsm::replay_and_check;
 
     fn acq(name: &str, who: u32, tag: u64) -> Value {
         LockOp::Acquire { name: name.into(), who, tag }.encode()
@@ -207,36 +207,5 @@ mod tests {
         assert_eq!(replicas[1].state().grants().len(), 2);
         // Common prefix of grants agrees.
         assert_eq!(&replicas[0].state().grants()[..2], replicas[1].state().grants());
-    }
-
-    /// Over the real stack: acquires from all three processors; the
-    /// grants come back identical everywhere, in one FIFO order.
-    #[test]
-    fn lock_service_over_the_stack() {
-        use gcs_vsimpl::{Stack, StackConfig};
-        let mut stack = Stack::new(StackConfig::standard(3, 5, 61));
-        let pi = stack.config().pi;
-        let t0 = 4 * pi;
-        stack.schedule_value(t0, ProcId(0), acq("m", 0, 1));
-        stack.schedule_value(t0 + 10, ProcId(1), acq("m", 1, 2));
-        stack.schedule_value(t0 + 20, ProcId(2), acq("m", 2, 3));
-        stack.schedule_value(t0 + 200, ProcId(0), rel("m", 0));
-        stack.run_until(t0 + 60 * pi);
-        let mut tables = Vec::new();
-        for i in 0..3 {
-            let mut r = Replica::new(LockTable::default());
-            for (_, a) in stack.delivered(ProcId(i)) {
-                r.apply_payload(a);
-            }
-            tables.push(r);
-        }
-        for t in &tables {
-            assert_eq!(t.applied(), 4, "all four ops must be delivered");
-        }
-        let g0 = tables[0].state().grants().to_vec();
-        assert_eq!(g0.len(), 2, "initial grant plus one handoff");
-        for t in &tables[1..] {
-            assert_eq!(t.state().grants(), &g0[..], "grant histories diverge");
-        }
     }
 }

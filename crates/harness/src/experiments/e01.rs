@@ -53,7 +53,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         let report = check_to_trace(&stack.to_obs().untimed());
         impl_table.row(row![
             sc.name,
-            sc.config.n,
+            sc.config.n(),
             report.bcasts,
             report.brcvs,
             report.violations.len()

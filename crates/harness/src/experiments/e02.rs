@@ -11,22 +11,21 @@ use crate::par::par_seeds;
 use crate::scenarios::{self, Scenario};
 use crate::{row, Table};
 use gcs_core::properties::{check_to_property, PropertyParams};
-use gcs_model::ProcId;
 use gcs_vsimpl::bounds;
 
 fn check(sc: &Scenario) -> Vec<String> {
     let nq = sc.q.len();
-    let cfg = &sc.config;
+    let cfg = &sc.config.proto;
     let b = bounds::b(nq, cfg.delta, cfg.pi, cfg.mu);
     let d = bounds::d(nq, cfg.delta, cfg.pi);
     let stack = sc.run();
     let r = check_to_property(
         &stack.to_obs(),
-        &PropertyParams { b: b + d, d, q: sc.q.clone(), ambient: ProcId::range(cfg.n) },
+        &PropertyParams { b: b + d, d, q: sc.q.clone(), ambient: cfg.procs.clone() },
     );
     row![
         sc.name,
-        cfg.n,
+        sc.config.n(),
         nq,
         cfg.delta,
         cfg.pi,

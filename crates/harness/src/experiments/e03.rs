@@ -27,10 +27,10 @@ pub fn run(quick: bool) -> Vec<Table> {
         let sc = &scs[i as usize];
         let stack = sc.run();
         let actions = stack.vs_actions();
-        let r = check_trace(&actions, &sc.config.p0);
+        let r = check_trace(&actions, &sc.config.proto.p0);
         row![
             sc.name,
-            sc.config.n,
+            sc.config.n(),
             r.gprcv_checked,
             r.safe_checked,
             r.newview_checked,

@@ -11,19 +11,18 @@ use crate::par::par_seeds;
 use crate::scenarios;
 use crate::{row, Table};
 use gcs_core::properties::{check_vs_property, PropertyParams};
-use gcs_model::ProcId;
 use gcs_vsimpl::bounds;
 
 fn series_row(n: u32, left: u32, delta: u64, msgs: usize, seed: u64) -> Vec<String> {
     let sc = scenarios::partition(n, left, delta, msgs, seed);
     let nq = sc.q.len();
-    let cfg = &sc.config;
+    let cfg = &sc.config.proto;
     let b = bounds::b(nq, cfg.delta, cfg.pi, cfg.mu);
     let d = bounds::d(nq, cfg.delta, cfg.pi);
     let stack = sc.run();
     let r = check_vs_property(
         &stack.vs_obs(),
-        &PropertyParams { b, d, q: sc.q.clone(), ambient: ProcId::range(cfg.n) },
+        &PropertyParams { b, d, q: sc.q.clone(), ambient: cfg.procs.clone() },
     );
     row![
         n,

@@ -8,12 +8,12 @@
 
 use crate::par::par_seeds;
 use crate::scenarios;
+use crate::{check_figure11, Figure11Params, Stack};
 use crate::{row, Table};
 use gcs_core::msg::AppMsg;
+use gcs_ioa::TraceEvent;
 use gcs_model::Time;
-use gcs_netsim::TraceEvent;
 use gcs_vsimpl::ImplEvent;
-use gcs_vsimpl::{check_figure11, Figure11Params};
 
 struct Phases {
     views_done: Option<Time>,
@@ -21,7 +21,7 @@ struct Phases {
     first_delivery: Option<Time>,
 }
 
-fn phases_after(stack: &gcs_vsimpl::Stack, t0: Time) -> Phases {
+fn phases_after(stack: &Stack, t0: Time) -> Phases {
     let mut views_done = None;
     let mut exchange_safe = None;
     let mut first_delivery = None;
@@ -71,15 +71,19 @@ pub fn run(quick: bool) -> Vec<Table> {
         let exch = ph.exchange_safe.map(|t| t - t_heal);
         let deliver = ph.first_delivery.map(|t| t - t_heal);
         let fmt = |x: Option<Time>| x.map(|v| v.to_string()).unwrap_or("—".into());
-        let d = gcs_vsimpl::bounds::d(sc.q.len(), sc.config.delta, sc.config.pi);
+        let d = gcs_vsimpl::bounds::d(sc.q.len(), sc.config.proto.delta, sc.config.proto.pi);
         let f11 = check_figure11(
             stack.trace(),
-            &Figure11Params { d, q: sc.q.clone(), ambient: gcs_model::ProcId::range(sc.config.n) },
+            &Figure11Params {
+                d,
+                q: sc.q.clone(),
+                ambient: gcs_model::ProcId::range(sc.config.n()),
+            },
         );
         row![
             n,
-            sc.config.delta,
-            sc.config.pi,
+            sc.config.proto.delta,
+            sc.config.proto.pi,
             fmt(views),
             fmt(exch.zip(views).map(|(e, v)| e.saturating_sub(v))),
             fmt(deliver.zip(exch).map(|(d, e)| d.saturating_sub(e))),

@@ -12,11 +12,12 @@
 
 use crate::par::par_seeds;
 use crate::{row, Table};
+use crate::{Stack, StackConfig};
 use gcs_core::cause::check_trace;
 use gcs_core::to_trace::check_to_trace;
+use gcs_ioa::TraceEvent;
 use gcs_model::{ProcId, Time};
-use gcs_netsim::TraceEvent;
-use gcs_vsimpl::{ImplEvent, Stack, StackConfig};
+use gcs_vsimpl::ImplEvent;
 use std::collections::BTreeMap;
 
 struct Measured {
@@ -29,8 +30,8 @@ struct Measured {
 
 fn measure(safe_delivery: bool, n: u32, msgs: usize, seed: u64) -> Measured {
     let mut cfg = StackConfig::standard(n, 5, seed);
-    cfg.safe_delivery = safe_delivery;
-    let pi = cfg.pi;
+    cfg.proto.safe_delivery = safe_delivery;
+    let pi = cfg.proto.pi;
     let mut stack = Stack::new(cfg);
     let start = 4 * pi;
     let mut sent_at: BTreeMap<gcs_model::Value, Time> = BTreeMap::new();

@@ -10,10 +10,11 @@
 
 use crate::par::par_seeds;
 use crate::{row, Table};
+use crate::{Stack, StackConfig};
+use gcs_ioa::TraceEvent;
 use gcs_model::failure::FailureScript;
 use gcs_model::{ProcId, Time};
-use gcs_netsim::TraceEvent;
-use gcs_vsimpl::{ImplEvent, MembershipMode, Stack, StackConfig};
+use gcs_vsimpl::{ImplEvent, MembershipMode};
 use std::collections::BTreeSet;
 
 struct Outcome {
@@ -23,8 +24,8 @@ struct Outcome {
 
 fn run_merge(mode: MembershipMode, n: u32, seed: u64) -> Outcome {
     let mut cfg = StackConfig::standard(n, 5, seed);
-    cfg.mode = mode;
-    let pi = cfg.pi;
+    cfg.proto.mode = mode;
+    let pi = cfg.proto.pi;
     let ambient = ProcId::range(n);
     let left = ProcId::range(n / 2 + 1);
     let right: BTreeSet<ProcId> = ambient.difference(&left).copied().collect();

@@ -11,9 +11,9 @@
 
 use crate::par::par_seeds;
 use crate::{row, Table};
+use crate::{Stack, StackConfig};
 use gcs_model::failure::FailureScript;
 use gcs_model::{Majority, ProcId, QuorumSystem, Weighted};
-use gcs_vsimpl::{Stack, StackConfig};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -87,7 +87,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         let (name, q) = &systems[i as usize];
         let mut cfg = StackConfig::standard(n, 5, 901);
         cfg.quorums = q.clone();
-        let pi = cfg.pi;
+        let pi = cfg.proto.pi;
         let ambient = ProcId::range(n);
         let left: BTreeSet<ProcId> = [ProcId(0), ProcId(1)].into();
         let right: BTreeSet<ProcId> = ambient.difference(&left).copied().collect();

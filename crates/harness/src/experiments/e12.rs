@@ -16,10 +16,10 @@
 
 use crate::par::par_seeds;
 use crate::{row, Table};
+use crate::{Stack, StackConfig};
 use gcs_apps::seqmem::{check_sequential_consistency, SeqMemory};
 use gcs_apps::{AtomicMemory, KvOp};
 use gcs_model::{ProcId, Time, Value};
-use gcs_vsimpl::{Stack, StackConfig};
 use std::collections::BTreeMap;
 
 fn mean(v: &[Time]) -> f64 {
@@ -38,7 +38,7 @@ fn seqmem_row(quick: bool) -> Vec<String> {
 
     let config = StackConfig::standard(n, 5, 1201);
     let mut stack = Stack::new(config);
-    let pi = stack.config().pi;
+    let pi = stack.config().proto.pi;
     let start = 4 * pi;
     let mut write_time: BTreeMap<Value, Time> = BTreeMap::new();
     for i in 0..writes {
@@ -98,7 +98,7 @@ fn atomic_row(quick: bool) -> Vec<String> {
 
     let config = StackConfig::standard(n, 5, 1301);
     let mut stack = Stack::new(config);
-    let pi = stack.config().pi;
+    let pi = stack.config().proto.pi;
     let start = 4 * pi;
     let mut read_time: BTreeMap<Value, Time> = BTreeMap::new();
     for i in 0..ops {

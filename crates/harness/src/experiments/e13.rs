@@ -11,11 +11,12 @@
 
 use crate::par::par_seeds;
 use crate::{row, Table};
+use crate::{Stack, StackConfig};
 use gcs_core::msg::AppMsg;
+use gcs_ioa::TraceEvent;
 use gcs_model::failure::FailureScript;
 use gcs_model::{ProcId, Time};
-use gcs_netsim::TraceEvent;
-use gcs_vsimpl::{ImplEvent, Stack, StackConfig};
+use gcs_vsimpl::ImplEvent;
 use std::collections::BTreeSet;
 
 /// Runs the experiment: for increasing pre-reconfiguration traffic,
@@ -36,7 +37,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     let rows = par_seeds(&sizes.iter().map(|&m| m as u64).collect::<Vec<_>>(), |m64| {
         let msgs = m64 as usize;
         let mut stack = Stack::new(StackConfig::standard(n, 5, 77));
-        let pi = stack.config().pi;
+        let pi = stack.config().proto.pi;
         let start = 4 * pi;
         for i in 0..msgs {
             stack.schedule_bcast(start + i as Time * 5, ProcId(i as u32 % n));

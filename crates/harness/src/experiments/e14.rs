@@ -11,11 +11,10 @@
 
 use crate::par::par_seeds;
 use crate::{row, Table};
+use crate::{stack_stats, SequencerNode, Stack, StackConfig, TraceStats};
 use gcs_model::failure::FailureScript;
 use gcs_model::{ProcId, Time, Value};
 use gcs_netsim::{Engine, NetConfig};
-use gcs_vsimpl::stats::TraceStats;
-use gcs_vsimpl::{SequencerNode, Stack, StackConfig};
 use std::collections::BTreeSet;
 
 struct Cost {
@@ -26,7 +25,7 @@ struct Cost {
 
 fn token_ring_cost(n: u32, msgs: usize, crash_leader: bool, seed: u64) -> Cost {
     let mut stack = Stack::new(StackConfig::standard(n, 5, seed));
-    let pi = stack.config().pi;
+    let pi = stack.config().proto.pi;
     let t0 = 4 * pi;
     if crash_leader {
         let ambient = ProcId::range(n);
@@ -45,7 +44,7 @@ fn token_ring_cost(n: u32, msgs: usize, crash_leader: bool, seed: u64) -> Cost {
     // case needs the long horizon for reformation.
     let horizon = if crash_leader { t0 + 400 * pi } else { t0 + msgs as Time * 10 + 12 * pi };
     stack.run_until(horizon);
-    let stats = gcs_vsimpl::stack_stats(&stack);
+    let stats = stack_stats(&stack);
     let routed = stack.net_stats().routed;
     let survivors = if crash_leader { n - 1 } else { n };
     let complete = (0..n)

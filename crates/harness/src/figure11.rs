@@ -19,10 +19,9 @@
 //! measured as the minimal extra slack that satisfies every delivery
 //! deadline — the property holds iff that slack is at most d.
 
-use crate::wire::ImplEvent;
-use gcs_ioa::TimedTrace;
+use gcs_ioa::{TimedTrace, TraceEvent};
 use gcs_model::{FailureMap, ProcId, Time, Value, View};
-use gcs_netsim::TraceEvent;
+use gcs_vsimpl::ImplEvent;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Parameters: the safe-delivery bound d of the VS layer and the
@@ -246,12 +245,12 @@ mod tests {
     #[test]
     fn stable_run_satisfies_figure11() {
         let mut stack = Stack::new(StackConfig::standard(3, 5, 13));
-        let pi = stack.config().pi;
+        let pi = stack.config().proto.pi;
         for i in 0..8u64 {
             stack.schedule_bcast(4 * pi + i * 10, ProcId((i % 3) as u32));
         }
         stack.run_until(4 * pi + 80 * pi);
-        let d = crate::bounds::d(3, 5, pi);
+        let d = gcs_vsimpl::bounds::d(3, 5, pi);
         let r = check_figure11(
             stack.trace(),
             &Figure11Params { d, q: ProcId::range(3), ambient: ProcId::range(3) },
@@ -264,7 +263,7 @@ mod tests {
     #[test]
     fn partitioned_q_satisfies_figure11() {
         let mut stack = Stack::new(StackConfig::standard(5, 5, 19));
-        let pi = stack.config().pi;
+        let pi = stack.config().proto.pi;
         let ambient = ProcId::range(5);
         let q = ProcId::range(3);
         let rest: BTreeSet<ProcId> = ambient.difference(&q).copied().collect();
@@ -275,7 +274,7 @@ mod tests {
             stack.schedule_bcast(8 * pi + 10 + i * 20, ProcId((i % 3) as u32));
         }
         stack.run_until(8 * pi + 200 * pi);
-        let d = crate::bounds::d(3, 5, pi);
+        let d = gcs_vsimpl::bounds::d(3, 5, pi);
         let r = check_figure11(stack.trace(), &Figure11Params { d, q, ambient });
         assert!(r.premises_hold, "{:?}", r.premise_failure);
         assert!(r.holds, "alpha3={} d={d} {:?}", r.measured_alpha3, r.violations);

@@ -1,37 +1,42 @@
-//! The experiment harness: every formal artifact and analytical claim of
-//! the paper, regenerated as a measured table or series.
+//! The paper-experiment apparatus: every formal artifact and analytical
+//! claim of the paper, regenerated as a measured table or series.
 //!
-//! One binary per experiment (`cargo run -p gcs-harness --bin exp_<id>`),
-//! with the experiment logic in [`experiments`] so tests and benches can
-//! drive reduced versions of the same code. See `DESIGN.md` for the
-//! experiment index and `EXPERIMENTS.md` for captured results.
+//! Everything that exists only to run the paper's experiments lives
+//! here, and nothing the deployable stack links does: [`Stack`] (the
+//! Section 8 protocol hosted on the `gcs-netsim` discrete-event engine,
+//! Figure 1 end to end), the Figure 11 checker ([`check_figure11`]),
+//! trace statistics ([`TraceStats`]), the fixed-sequencer baseline of
+//! E14 ([`SequencerNode`]), the failure [`scenarios`], the E-series
+//! [`experiments`] and the checker-path [`micro`] timings.
 //!
-//! | id | paper artifact | binary |
-//! |----|----------------|--------|
-//! | E1 | Fig 3 / §3.1 — TO-machine trace conformance | `exp_e1_to_conformance` |
-//! | E2 | Fig 5, Thm 7.1/7.2 — TO bounds | `exp_e2_to_bounds` |
-//! | E3 | Fig 6, Lemma 4.2 — VS conformance | `exp_e3_vs_conformance` |
-//! | E4 | Fig 7, §8 bounds — VS bounds | `exp_e4_vs_bounds` |
-//! | E5 | Figs 8–10, Thm 6.26 — simulation relation | `exp_e5_simulation` |
-//! | E6 | Lemma 4.1, §6.1 — invariant suite | `exp_e6_invariants` |
-//! | E7 | Fig 11/12 — recovery decomposition | `exp_e7_recovery` |
-//! | E8 | §4.1 remark — WeakVS equivalence | `exp_e8_weakvs` |
-//! | E9 | intro #5 / fn.5 — safe-delivery ablation | `exp_e9_gap_ablation` |
-//! | E10 | §8 fn.7 — membership ablation | `exp_e10_membership` |
-//! | E11 | §5 — quorum systems ablation | `exp_e11_quorum` |
-//! | E12 | §3 fn.3 — sequentially consistent memory | `exp_e12_seqmem` |
-//! | E13 | extension — state-exchange cost growth | `exp_e13_exchange_cost` |
-//! | E14 | extension — baseline comparison (fixed sequencer) | `exp_e14_baseline` |
+//! One front end, `exp_all`:
+//!
+//! ```text
+//! exp_all [--quick] [--metrics ADDR] [e01 … e14 | micro | scenario <name> …]
+//! ```
+//!
+//! No id runs every experiment ([`experiments::ALL`]). See `DESIGN.md`
+//! for the experiment index (id → paper artifact) and `EXPERIMENTS.md`
+//! for captured results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod figure11;
+pub mod micro;
 pub mod par;
 pub mod scenarios;
+pub mod sequencer;
+pub mod stack;
+pub mod stats;
 pub mod table;
 
+pub use figure11::{check_figure11, Figure11Params, Figure11Report};
 pub use par::{par_seeds, par_seeds_with};
+pub use sequencer::{SeqWire, SequencerNode};
+pub use stack::{Stack, StackConfig};
+pub use stats::{stack_stats, TraceStats};
 pub use table::Table;
 
 /// The process-wide observability sink for harness runs. The fan-out

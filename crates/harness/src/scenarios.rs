@@ -1,9 +1,9 @@
 //! Reusable failure/workload scenarios over the implementation stack.
 
+use crate::{Stack, StackConfig};
 use gcs_apps::Workload;
 use gcs_model::failure::FailureScript;
 use gcs_model::{ProcId, Time};
-use gcs_vsimpl::{Stack, StackConfig};
 use std::collections::BTreeSet;
 
 /// A named scenario: a stack configuration plus a failure script and a
@@ -43,11 +43,12 @@ impl Scenario {
 /// so this scenario is used for throughput/latency and safety checks.
 pub fn stable(n: u32, delta: Time, msgs: usize, seed: u64) -> Scenario {
     let config = StackConfig::standard(n, delta, seed);
-    let start = 4 * config.pi;
+    let pi = config.proto.pi;
+    let start = 4 * pi;
     Scenario {
         name: "stable",
         workload: Workload::uniform(n, msgs, start, delta.max(2)),
-        horizon: start + msgs as Time * delta.max(2) + 60 * config.pi,
+        horizon: start + msgs as Time * delta.max(2) + 60 * pi,
         script: FailureScript::new(),
         q: ProcId::range(n),
         config,
@@ -60,16 +61,17 @@ pub fn stable(n: u32, delta: Time, msgs: usize, seed: u64) -> Scenario {
 pub fn partition(n: u32, left: u32, delta: Time, msgs: usize, seed: u64) -> Scenario {
     assert!(left < n && 2 * left > n, "left side must be a strict majority");
     let config = StackConfig::standard(n, delta, seed);
+    let pi = config.proto.pi;
     let ambient = ProcId::range(n);
     let q = ProcId::range(left);
     let rest: BTreeSet<ProcId> = ambient.difference(&q).copied().collect();
-    let t_part = 8 * config.pi;
+    let t_part = 8 * pi;
     let mut script = FailureScript::new();
     script.partition(t_part, &[q.clone(), rest], &ambient);
     let start = t_part + 1;
-    let mut workload = Workload::uniform(left, msgs, start, config.pi / 2);
+    let mut workload = Workload::uniform(left, msgs, start, pi / 2);
     workload.seed = seed;
-    Scenario { name: "partition", horizon: t_part + 200 * config.pi, workload, script, q, config }
+    Scenario { name: "partition", horizon: t_part + 200 * pi, workload, script, q, config }
 }
 
 /// Partition at `t_part`, heal at `t_heal`; traffic from both sides
@@ -77,24 +79,18 @@ pub fn partition(n: u32, left: u32, delta: Time, msgs: usize, seed: u64) -> Scen
 pub fn merge(n: u32, left: u32, delta: Time, msgs: usize, seed: u64) -> Scenario {
     assert!(left < n);
     let config = StackConfig::standard(n, delta, seed);
+    let pi = config.proto.pi;
     let ambient = ProcId::range(n);
     let lhs = ProcId::range(left);
     let rhs: BTreeSet<ProcId> = ambient.difference(&lhs).copied().collect();
-    let t_part = 8 * config.pi;
-    let t_heal = t_part + 60 * config.pi;
+    let t_part = 8 * pi;
+    let t_heal = t_part + 60 * pi;
     let mut script = FailureScript::new();
     script.partition(t_part, &[lhs, rhs], &ambient);
     script.heal(t_heal, &ambient);
-    let mut workload = Workload::uniform(n, msgs, t_part + 1, config.pi / 2);
+    let mut workload = Workload::uniform(n, msgs, t_part + 1, pi / 2);
     workload.seed = seed;
-    Scenario {
-        name: "merge",
-        horizon: t_heal + 300 * config.pi,
-        workload,
-        script,
-        q: ambient,
-        config,
-    }
+    Scenario { name: "merge", horizon: t_heal + 300 * pi, workload, script, q: ambient, config }
 }
 
 /// One processor crashes at `t_crash` and recovers much later; the
@@ -103,17 +99,18 @@ pub fn merge(n: u32, left: u32, delta: Time, msgs: usize, seed: u64) -> Scenario
 pub fn crash(n: u32, delta: Time, msgs: usize, seed: u64) -> Scenario {
     assert!(n >= 3);
     let config = StackConfig::standard(n, delta, seed);
+    let pi = config.proto.pi;
     let ambient = ProcId::range(n);
     let dead = ProcId(n - 1);
     let q: BTreeSet<ProcId> = ambient.iter().copied().filter(|&p| p != dead).collect();
-    let t_crash = 8 * config.pi;
+    let t_crash = 8 * pi;
     let mut script = FailureScript::new();
     // The survivors' side stays good; the crashed processor and all its
     // links go bad — exactly the property hypothesis for Q = survivors.
     script.partition(t_crash, &[q.clone(), BTreeSet::new()], &ambient);
-    let mut workload = Workload::uniform(n - 1, msgs, t_crash + 1, config.pi / 2);
+    let mut workload = Workload::uniform(n - 1, msgs, t_crash + 1, pi / 2);
     workload.seed = seed;
-    Scenario { name: "crash", horizon: t_crash + 200 * config.pi, workload, script, q, config }
+    Scenario { name: "crash", horizon: t_crash + 200 * pi, workload, script, q, config }
 }
 
 /// Repeated partition churn (three reconfigurations), then stabilization
@@ -124,7 +121,7 @@ pub fn cascade(n: u32, delta: Time, msgs: usize, seed: u64) -> Scenario {
     let config = StackConfig::standard(n, delta, seed);
     let ambient = ProcId::range(n);
     let mut script = FailureScript::new();
-    let p = config.pi;
+    let p = config.proto.pi;
     let half: BTreeSet<ProcId> = ProcId::range(n / 2);
     let other: BTreeSet<ProcId> = ambient.difference(&half).copied().collect();
     let third: BTreeSet<ProcId> = ProcId::range(n - 1);
@@ -148,6 +145,19 @@ pub fn battery(seed: u64) -> Vec<Scenario> {
         crash(4, 5, 12, seed + 4),
         cascade(5, 5, 15, seed + 5),
     ]
+}
+
+/// The scenario called `name` at the sizes `exp_all scenario` takes
+/// (majority side `n/2 + 1` where a side is needed).
+pub fn by_name(name: &str, n: u32, delta: Time, msgs: usize, seed: u64) -> Option<Scenario> {
+    Some(match name {
+        "stable" => stable(n, delta, msgs, seed),
+        "partition" => partition(n, n / 2 + 1, delta, msgs, seed),
+        "merge" => merge(n, n / 2 + 1, delta, msgs, seed),
+        "crash" => crash(n, delta, msgs, seed),
+        "cascade" => cascade(n.max(4), delta, msgs, seed),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]

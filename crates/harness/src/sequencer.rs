@@ -13,9 +13,9 @@
 //! The baseline emits the same `Bcast`/`Brcv` trace events as the real
 //! stack, so the `TO-machine` trace checker applies to it unchanged.
 
-use crate::wire::ImplEvent;
+use gcs_ioa::{Context, Process};
 use gcs_model::{ProcId, Value};
-use gcs_netsim::{Context, Process};
+use gcs_vsimpl::ImplEvent;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A wire message of the sequencer protocol.
@@ -140,7 +140,7 @@ mod tests {
         for i in 1..3 {
             assert_eq!(engine.process(ProcId(i)).delivered(), &d0[..]);
         }
-        let to = check_to_trace(&crate::convert::to_obs(engine.trace()).untimed());
+        let to = check_to_trace(&gcs_vsimpl::convert::to_obs(engine.trace()).untimed());
         assert!(to.ok(), "{:?}", to.violations.first());
     }
 

@@ -1,58 +1,42 @@
 //! Assembly of the full TO service stack (Figure 1): clients → `VStoTO`
 //! layer → VS service (membership + token ring) → simulated network.
 
-use crate::detector::DetectorPolicy;
-use crate::node::{MembershipMode, ProtoConfig, VsNode};
-use crate::timed_vstoto::TimedVsToTo;
-use crate::wire::ImplEvent;
 use gcs_core::properties::{ToObs, VsObs};
 use gcs_core::vs_machine::VsAction;
 use gcs_core::AppMsg;
-use gcs_ioa::TimedTrace;
+use gcs_ioa::{TimedTrace, TraceEvent};
 use gcs_model::failure::FailureScript;
 use gcs_model::{Majority, ProcId, QuorumSystem, Time, Value};
-use gcs_netsim::{Engine, NetConfig, TraceEvent};
-use std::collections::BTreeSet;
+use gcs_netsim::{Engine, NetConfig};
+use gcs_vsimpl::{convert, ImplEvent, ProtoConfig, TimedVsToTo, VsNode};
 use std::sync::Arc;
 
 /// Configuration of a full stack simulation.
 #[derive(Clone)]
 pub struct StackConfig {
-    /// Number of processors (the ambient set is `{p0..p(n-1)}`).
-    pub n: u32,
-    /// The initial membership *P₀* (defaults to everyone).
-    pub p0: BTreeSet<ProcId>,
+    /// The protocol parameters every node runs with (ambient set, *P₀*,
+    /// δ, π, μ, membership variant, safe delivery, detector policy).
+    pub proto: ProtoConfig,
     /// The quorum system (defaults to majority of *n*).
     pub quorums: Arc<dyn QuorumSystem>,
-    /// Good-channel delay δ.
-    pub delta: Time,
-    /// Token period π.
-    pub pi: Time,
-    /// Probe period μ.
-    pub mu: Time,
-    /// Membership protocol variant.
-    pub mode: MembershipMode,
-    /// Totem-style safe delivery (ablation E9).
-    pub safe_delivery: bool,
     /// RNG seed for the network simulation.
     pub seed: u64,
 }
 
 impl StackConfig {
-    /// A standard configuration: everyone in *P₀*, majority quorums,
-    /// `π = 2nδ`, `μ = 4nδ`.
+    /// [`ProtoConfig::standard`] (everyone in *P₀*, `π = 2nδ`,
+    /// `μ = 4nδ`) with majority quorums.
     pub fn standard(n: u32, delta: Time, seed: u64) -> Self {
         StackConfig {
-            n,
-            p0: ProcId::range(n),
+            proto: ProtoConfig::standard(n, delta),
             quorums: Arc::new(Majority::new(n as usize)),
-            delta,
-            pi: 2 * n as Time * delta,
-            mu: 4 * n as Time * delta,
-            mode: MembershipMode::ThreeRound,
-            safe_delivery: false,
             seed,
         }
+    }
+
+    /// Number of processors (the ambient set is `{p0..p(n-1)}`).
+    pub fn n(&self) -> u32 {
+        self.proto.procs.len() as u32
     }
 }
 
@@ -67,22 +51,11 @@ pub struct Stack {
 impl Stack {
     /// Builds the stack.
     pub fn new(config: StackConfig) -> Self {
-        let procs = ProcId::range(config.n);
-        let proto = ProtoConfig {
-            procs: procs.clone(),
-            p0: config.p0.clone(),
-            delta: config.delta,
-            pi: config.pi,
-            mu: config.mu,
-            mode: config.mode,
-            safe_delivery: config.safe_delivery,
-            pipeline: 4,
-            detector: DetectorPolicy::Fixed,
-        };
-        let nodes = procs.iter().map(|&p| {
-            VsNode::new(p, proto.clone(), TimedVsToTo::new(p, &config.p0, config.quorums.clone()))
+        let proto = &config.proto;
+        let nodes = proto.procs.iter().map(|&p| {
+            VsNode::new(p, proto.clone(), TimedVsToTo::new(p, &proto.p0, config.quorums.clone()))
         });
-        let net = NetConfig { delta_min: 1, delta: config.delta, ..NetConfig::default() };
+        let net = NetConfig { delta_min: 1, delta: proto.delta, ..NetConfig::default() };
         let engine = Engine::new(nodes, net, config.seed);
         Stack { engine, config, next_value: 0 }
     }
@@ -124,17 +97,17 @@ impl Stack {
 
     /// The untimed `VS` action sequence (for the cause checker).
     pub fn vs_actions(&self) -> Vec<VsAction<AppMsg>> {
-        crate::convert::vs_actions(self.trace())
+        convert::vs_actions(self.trace())
     }
 
     /// The timed `VsObs` trace (for `VS-property`).
     pub fn vs_obs(&self) -> TimedTrace<VsObs> {
-        crate::convert::vs_obs(self.trace())
+        convert::vs_obs(self.trace())
     }
 
     /// The timed `ToObs` trace (for `TO-property` and trace conformance).
     pub fn to_obs(&self) -> TimedTrace<ToObs> {
-        crate::convert::to_obs(self.trace())
+        convert::to_obs(self.trace())
     }
 
     /// What the TO client at `p` has been delivered, in order.
@@ -163,36 +136,12 @@ impl Stack {
     }
 }
 
-/// A convenience record of a completed run, used by experiments.
-pub struct RunOutcome {
-    /// The timed `ToObs` trace.
-    pub to_obs: TimedTrace<ToObs>,
-    /// The timed `VsObs` trace.
-    pub vs_obs: TimedTrace<VsObs>,
-    /// The untimed `VS` actions.
-    pub vs_actions: Vec<VsAction<AppMsg>>,
-    /// Total deliveries across all clients.
-    pub total_delivered: usize,
-}
-
-impl Stack {
-    /// Consumes the stack and packages its traces.
-    pub fn into_outcome(self) -> RunOutcome {
-        let total_delivered = (0..self.config.n).map(|i| self.delivered(ProcId(i)).len()).sum();
-        RunOutcome {
-            to_obs: self.to_obs(),
-            vs_obs: self.vs_obs(),
-            vs_actions: self.vs_actions(),
-            total_delivered,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gcs_core::cause::check_trace;
     use gcs_core::to_trace::check_to_trace;
+    use std::collections::BTreeSet;
 
     #[test]
     fn stable_group_delivers_everything_in_order() {
@@ -282,7 +231,7 @@ mod tests {
     #[test]
     fn safe_delivery_mode_still_delivers_correctly() {
         let mut cfg = StackConfig::standard(3, 5, 21);
-        cfg.safe_delivery = true;
+        cfg.proto.safe_delivery = true;
         let mut stack = Stack::new(cfg);
         for i in 0..8u32 {
             stack.schedule_bcast(50 + 20 * i as Time, ProcId(i % 3));
@@ -320,5 +269,41 @@ mod tests {
             format!("{:?}", stack.trace())
         };
         assert_eq!(run(9), run(9));
+    }
+
+    /// Over the real stack: lock acquires from all three processors; the
+    /// grants come back identical everywhere, in one FIFO order.
+    #[test]
+    fn lock_service_over_the_stack() {
+        use gcs_apps::{LockOp, LockTable, Replica};
+        let acq = |who: u32, tag: u64| LockOp::Acquire { name: "m".into(), who, tag }.encode();
+        let mut stack = Stack::new(StackConfig::standard(3, 5, 61));
+        let pi = stack.config().proto.pi;
+        let t0 = 4 * pi;
+        stack.schedule_value(t0, ProcId(0), acq(0, 1));
+        stack.schedule_value(t0 + 10, ProcId(1), acq(1, 2));
+        stack.schedule_value(t0 + 20, ProcId(2), acq(2, 3));
+        stack.schedule_value(
+            t0 + 200,
+            ProcId(0),
+            LockOp::Release { name: "m".into(), who: 0 }.encode(),
+        );
+        stack.run_until(t0 + 60 * pi);
+        let mut tables = Vec::new();
+        for i in 0..3 {
+            let mut r = Replica::new(LockTable::default());
+            for (_, a) in stack.delivered(ProcId(i)) {
+                r.apply_payload(a);
+            }
+            tables.push(r);
+        }
+        for t in &tables {
+            assert_eq!(t.applied(), 4, "all four ops must be delivered");
+        }
+        let g0 = tables[0].state().grants().to_vec();
+        assert_eq!(g0.len(), 2, "initial grant plus one handoff");
+        for t in &tables[1..] {
+            assert_eq!(t.state().grants(), &g0[..], "grant histories diverge");
+        }
     }
 }

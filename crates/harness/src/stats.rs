@@ -1,13 +1,12 @@
 //! Trace statistics: aggregate metrics extracted from a recorded
-//! implementation trace, shared by the experiments, benches, and the CLI.
+//! implementation trace, shared by the experiments.
 
-use crate::wire::ImplEvent;
 use gcs_core::msg::AppMsg;
-use gcs_ioa::TimedTrace;
+use gcs_ioa::{TimedTrace, TraceEvent};
 #[cfg(test)]
 use gcs_model::ProcId;
 use gcs_model::{Time, Value};
-use gcs_netsim::TraceEvent;
+use gcs_vsimpl::ImplEvent;
 use std::collections::BTreeMap;
 
 /// Aggregate metrics of one run.
@@ -106,7 +105,7 @@ impl TraceStats {
 
 /// Convenience over a [`crate::Stack`] after a run.
 pub fn stack_stats(stack: &crate::Stack) -> TraceStats {
-    TraceStats::from_trace(stack.trace(), stack.config().n)
+    TraceStats::from_trace(stack.trace(), stack.config().n())
 }
 
 #[cfg(test)]
@@ -117,7 +116,7 @@ mod tests {
     #[test]
     fn stats_of_a_stable_run() {
         let mut stack = Stack::new(StackConfig::standard(3, 5, 3));
-        let pi = stack.config().pi;
+        let pi = stack.config().proto.pi;
         for i in 0..5u64 {
             stack.schedule_bcast(4 * pi + i * 10, ProcId((i % 3) as u32));
         }

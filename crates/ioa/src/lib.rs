@@ -21,7 +21,11 @@
 //!   sequence of abstract actions with the same external projection;
 //! - *timed executions* (Section 7) are sequences of time-stamped actions;
 //!   [`timed::TimedTrace`] provides the windows-and-stabilization analysis
-//!   that the conditional performance properties need.
+//!   that the conditional performance properties need;
+//! - the Section 8 implementation is an event-driven state machine
+//!   *mapped onto* a platform: [`host`] is that seam ([`Process`] written
+//!   against [`Context`]), shared by every host — simulator, TCP runtime,
+//!   deterministic harness — so the protocol depends on none of them.
 //!
 //! # Example
 //!
@@ -53,12 +57,14 @@
 
 pub mod automaton;
 pub mod explore;
+pub mod host;
 pub mod run;
 pub mod sim;
 pub mod timed;
 
 pub use automaton::{ActionKind, Automaton, Environment, NullEnvironment};
 pub use explore::{explore, ExploreLimits, ExploreStats};
+pub use host::{CollectedEffects, Context, Process, TraceEvent};
 pub use run::{Execution, InvariantViolation, Runner};
 pub use sim::{ForwardSimulation, SimulationError};
 pub use timed::{TimedEvent, TimedTrace};

@@ -49,7 +49,7 @@ pub use ids::{ProcId, ViewId};
 pub use label::Label;
 pub use quorum::{Explicit, Majority, QuorumSystem, Weighted};
 pub use summary::{GotState, Summary};
-pub use value::Value;
+pub use value::{fnv1a, Value, FNV1A_OFFSET};
 pub use view::View;
 
 /// Virtual time, in abstract ticks.

@@ -21,9 +21,8 @@
 
 use crate::runtime::{merge_recordings, Clock, GroupExit, GroupHandle, HostedGroup, NetNode};
 use crate::transport::{ShutdownReport, TransportConfig};
-use gcs_ioa::TimedTrace;
+use gcs_ioa::{TimedTrace, TraceEvent};
 use gcs_model::{ProcId, Time, Value, View};
-use gcs_netsim::TraceEvent;
 use gcs_obs::{EventKind, FaultKind, Obs};
 use gcs_vsimpl::{ImplEvent, ProtoConfig, StableState, TimedVsToTo};
 use std::collections::BTreeMap;

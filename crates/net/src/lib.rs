@@ -3,12 +3,13 @@
 //! The paper's implementation sketch assumes a timed asynchronous
 //! network: messages may be lost or delayed, and good channels deliver
 //! within δ. Elsewhere in this repository that network is a
-//! deterministic simulator (`gcs-netsim`, `gcs-sim`). This crate
-//! supplies the deployable event source — `std::net` TCP sockets on a
-//! real host — and the one real-threads host of the protocol, with
-//! nothing swapped but the transport, exactly the layering the paper's
-//! Section 1 anticipates ("mapping of the abstract algorithm to the
-//! target platform").
+//! deterministic simulator (`gcs-netsim`, `gcs-sim`); this crate links
+//! neither. It supplies the deployable event source — `std::net` TCP
+//! sockets on a real host — and the one real-threads host of the
+//! protocol (a [`gcs_ioa::Process`] driven through the host seam of
+//! `gcs-ioa`), with nothing swapped but the transport, exactly the
+//! layering the paper's Section 1 anticipates ("mapping of the abstract
+//! algorithm to the target platform").
 //!
 //! The pieces:
 //!

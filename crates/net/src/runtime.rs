@@ -24,9 +24,8 @@
 use crate::transport::{
     GroupEndpoint, Incoming, LockExt, ShutdownReport, TcpTransport, Transport, TransportConfig,
 };
-use gcs_ioa::TimedTrace;
+use gcs_ioa::{CollectedEffects, Process, TimedTrace, TraceEvent};
 use gcs_model::{Majority, ProcId, Time, Value, View};
-use gcs_netsim::{CollectedEffects, Process, TraceEvent};
 use gcs_obs::{trace::TraceBuf, Counter, EventKind, Gauge, Obs, Registry};
 use gcs_vsimpl::{DetectorBounds, ImplEvent, ProtoConfig, StableState, TimedVsToTo, VsNode, Wire};
 use std::collections::BTreeMap;

@@ -25,7 +25,7 @@ fn assert_total_order_prefix(delivered: &[Vec<(ProcId, Value)>], count: usize) {
 }
 
 fn assert_checkers_pass(
-    trace: &gcs_ioa::TimedTrace<gcs_netsim::TraceEvent<gcs_vsimpl::ImplEvent>>,
+    trace: &gcs_ioa::TimedTrace<gcs_ioa::TraceEvent<gcs_vsimpl::ImplEvent>>,
     n: u32,
 ) {
     let to = check_to_trace(&to_obs(trace).untimed());

@@ -20,7 +20,7 @@ fn full_view_everywhere(cluster: &LoopbackCluster) -> bool {
 }
 
 fn assert_checkers_pass(
-    cluster_trace: &gcs_ioa::TimedTrace<gcs_netsim::TraceEvent<gcs_vsimpl::ImplEvent>>,
+    cluster_trace: &gcs_ioa::TimedTrace<gcs_ioa::TraceEvent<gcs_vsimpl::ImplEvent>>,
     n: u32,
 ) {
     let to = check_to_trace(&to_obs(cluster_trace).untimed());

@@ -23,6 +23,12 @@
 //! is also recorded into the simulation's timed trace, which is what the
 //! property checkers of `gcs-core` consume.
 //!
+//! What a simulated process is ([`Process`], [`Context`],
+//! [`CollectedEffects`], [`TraceEvent`]) is defined in `gcs_ioa::host`
+//! and re-exported here: the protocol and the TCP runtime are written
+//! against that seam and never link this crate, which serves the
+//! paper-experiment apparatus (`gcs-harness`) only.
+//!
 //! All randomness is drawn from a single seeded ChaCha8 stream and the
 //! event queue breaks time ties deterministically, so a run is a pure
 //! function of `(processes, scripts, seed)`.
@@ -68,4 +74,8 @@
 
 mod engine;
 
-pub use engine::{CollectedEffects, Context, Engine, NetConfig, NetStats, Process, TraceEvent};
+pub use engine::{Engine, NetConfig, NetStats};
+// The host seam lives in `gcs-ioa` (the protocol and the TCP runtime use
+// it without linking this simulator); re-exported so these names keep
+// resolving to the same types for engine users.
+pub use gcs_ioa::{CollectedEffects, Context, Process, TraceEvent};

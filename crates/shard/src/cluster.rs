@@ -63,7 +63,6 @@ impl ShardClusterConfig {
             mu: 4 * k * self.delta_ms,
             mode: MembershipMode::ThreeRound,
             safe_delivery: false,
-            pipeline: 4,
             detector: DetectorPolicy::Fixed,
         }
     }

@@ -9,19 +9,8 @@
 //! router folds them into its cached map, bumping a version so staleness
 //! is observable.
 
-use gcs_model::{ProcId, View};
+use gcs_model::{fnv1a, ProcId, View, FNV1A_OFFSET};
 use std::collections::BTreeSet;
-
-/// FNV-1a over the key bytes: deterministic, dependency-free, identical
-/// on every platform — the same construction the simulator's run digest
-/// uses.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A client-side snapshot of the sharded deployment: group → member
 /// set, with a version that advances on every fold of a view change.
@@ -52,7 +41,7 @@ impl ShardMap {
         if self.groups.is_empty() {
             return 0;
         }
-        (fnv1a(key.as_bytes()) % self.groups.len() as u64) as u32
+        (fnv1a(FNV1A_OFFSET, key.as_bytes()) % self.groups.len() as u64) as u32
     }
 
     /// The current member set of `group` (empty for unknown groups).
@@ -92,10 +81,10 @@ mod tests {
     #[test]
     fn key_group_is_stable_and_in_range() {
         let m = map3();
-        for key in ["a", "b", "account/7", "k013", ""] {
-            let g = m.key_group(key);
-            assert!(g < m.group_count());
-            assert_eq!(g, m.key_group(key), "same key, same group");
+        // Placement is part of the deployment's identity (a key never
+        // moves): the groups are pinned, not just in range.
+        for (key, group) in [("a", 1), ("b", 1), ("account/7", 2), ("k013", 1), ("", 2)] {
+            assert_eq!(m.key_group(key), group, "placement of {key:?} moved");
         }
     }
 

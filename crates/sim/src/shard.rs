@@ -27,9 +27,9 @@
 //! run is bit-for-bit reproducible like a single-group one.
 
 use crate::scenario::{FaultOp, Scenario, ScheduledFault, ScheduledSubmit, SimConfig};
-use crate::world::{run_with_deliveries, RunReport};
+use crate::world::{fold_digest, run_with_deliveries, RunReport};
 use gcs_apps::kv::{check_per_key_linearizable, KvCmd};
-use gcs_model::Time;
+use gcs_model::{Time, FNV1A_OFFSET};
 use std::collections::BTreeMap;
 
 /// How many distinct keys the derived key-value workload spreads each
@@ -62,8 +62,8 @@ pub struct ShardRunReport {
     /// Violations from the per-key key-value consistency check, labeled
     /// with their group.
     pub kv_violations: Vec<String>,
-    /// FNV-1a fold of every group digest: the cross-shard determinism
-    /// digest.
+    /// Fold of every group digest (the run digest's own byte fold): the
+    /// cross-shard determinism digest.
     pub digest: u64,
 }
 
@@ -197,7 +197,7 @@ pub fn project_group(sc: &ShardScenario, g: usize) -> Scenario {
 pub fn run_shard(sc: &ShardScenario) -> ShardRunReport {
     let mut per_group = Vec::new();
     let mut kv_violations = Vec::new();
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut digest = FNV1A_OFFSET;
     for g in 0..sc.groups.len() {
         let scenario = project_group(sc, g);
         let (report, delivered) = run_with_deliveries(&scenario);
@@ -218,9 +218,7 @@ pub fn run_shard(sc: &ShardScenario) -> ShardRunReport {
             kv_violations.push(format!("group {g}: kv: {e}"));
         }
 
-        for b in report.digest.to_le_bytes() {
-            digest = (digest ^ u64::from(b)).wrapping_mul(0x1_0000_01b3);
-        }
+        digest = fold_digest(digest, &report.digest.to_le_bytes());
         per_group.push(report);
     }
     ShardRunReport { per_group, kv_violations, digest }

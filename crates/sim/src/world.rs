@@ -26,7 +26,7 @@
 
 use crate::scenario::{FaultOp, Scenario, SimConfig};
 use gcs_core::check_conformance;
-use gcs_model::{ProcId, Time, Value};
+use gcs_model::{ProcId, Time, Value, FNV1A_OFFSET};
 use gcs_net::{
     decode_payload, encode_payload, Clock, Frame, Incoming, NodeCore, Recorded, Transport,
 };
@@ -452,9 +452,6 @@ impl<'a> World<'a> {
                     && self.links[li].dup_token_armed
                     && matches!(wire, Wire::Token(_));
                 let dup_stale = !dup_live && self.links[li].dup_armed;
-                if std::env::var_os("SIM_TRACE").is_some() {
-                    eprintln!("t={:>6}  send {}->{}  {:?}", self.now, from.0, to.0, wire);
-                }
                 let bytes = encode_payload(&Frame::Peer(wire));
                 let mut delay =
                     if self.sc.config.fixed_delay { delta } else { self.rng.gen_range(1..=delta) };
@@ -738,9 +735,6 @@ impl<'a> World<'a> {
                         return;
                     }
                 };
-                if std::env::var_os("SIM_TRACE").is_some() {
-                    eprintln!("t={:>6}  {}->{}  {:?}", self.now, from.0, to.0, wire);
-                }
                 self.obs.trace.record(EventKind::Recv { node: to.0, from: from.0 });
                 let ep = self.endpoints[to.index()].clone();
                 let core = self.slots[to.index()].core.as_mut().expect("checked above");
@@ -914,15 +908,15 @@ impl<'a> World<'a> {
 
         // Determinism digest over the merged protocol trace and the
         // delivery sequences.
-        let mut digest = Fnv::new();
+        let mut digest = FNV1A_OFFSET;
         for (t, e) in merged.iter() {
-            digest.write_u64(*t);
-            digest.write_str(&format!("{e:?}"));
+            digest = fold_digest(digest, &t.to_le_bytes());
+            digest = fold_digest(digest, format!("{e:?}").as_bytes());
         }
         for d in &delivered {
             for (src, v) in d {
-                digest.write_u64(src.0 as u64);
-                digest.write_u64(v.as_u64().unwrap_or(0));
+                digest = fold_digest(digest, &u64::from(src.0).to_le_bytes());
+                digest = fold_digest(digest, &v.as_u64().unwrap_or(0).to_le_bytes());
             }
         }
 
@@ -960,7 +954,7 @@ impl<'a> World<'a> {
         let report = RunReport {
             seed: cfg.seed,
             violations: self.violations,
-            digest: digest.finish(),
+            digest,
             horizon_ms: self.horizon,
             events: merged.len(),
             frames_sent: self.frames_sent,
@@ -976,25 +970,11 @@ impl<'a> World<'a> {
     }
 }
 
-/// Minimal FNV-1a, so the digest needs no hasher dependencies and is
-/// identical on every platform.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1_0000_01b3);
-        }
-    }
-    fn write_str(&mut self, s: &str) {
-        for b in s.bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// The run digest's byte fold: FNV-1a in shape, from the FNV offset
+/// basis, but with the multiplier `2³² + 0x1b3` this digest has always
+/// used rather than the FNV prime `2⁴⁰ + 0x1b3` — so it is *not*
+/// [`gcs_model::fnv1a`], and switching would change every recorded
+/// digest. Dependency-free and identical on every platform.
+pub(crate) fn fold_digest(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x1_0000_01b3))
 }

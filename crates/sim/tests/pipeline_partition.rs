@@ -1,5 +1,5 @@
 //! Pipelined-token coverage: a submit burst dense enough to keep
-//! several rounds in flight (`ProtoConfig::pipeline` tokens ahead of
+//! several rounds in flight (the pipeline depth's worth of tokens ahead of
 //! the ack cursor), driven through a partition/merge cycle. The split
 //! lands while the ring is mid-pipeline, so in-flight rounds die with
 //! the view and their batches must survive into the merged view via

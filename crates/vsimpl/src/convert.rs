@@ -5,8 +5,7 @@ use crate::wire::ImplEvent;
 use gcs_core::msg::AppMsg;
 use gcs_core::properties::{ToObs, VsObs};
 use gcs_core::vs_machine::VsAction;
-use gcs_ioa::TimedTrace;
-use gcs_netsim::TraceEvent;
+use gcs_ioa::{TimedTrace, TraceEvent};
 
 /// The untimed `VS` action sequence of a trace (for the Lemma 4.2 cause
 /// checker, [`gcs_core::cause::check_trace`]).

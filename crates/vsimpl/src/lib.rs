@@ -1,6 +1,12 @@
-//! An implementation of the VS service (Section 8) and the timed `VStoTO`
-//! stack providing totally ordered broadcast end to end, over the
-//! discrete-event network simulator of `gcs-netsim`.
+//! The Section 8 protocol: an implementation of the VS service and the
+//! timed `VStoTO` layer providing totally ordered broadcast end to end.
+//!
+//! This crate is the protocol and nothing else. A [`VsNode`] is a
+//! [`gcs_ioa::Process`]: an event-driven state machine written against
+//! the host seam of `gcs-ioa`, which the discrete-event simulator
+//! (`gcs-netsim`, via `gcs-harness`'s `Stack`), the TCP runtime
+//! (`gcs-net`) and the deterministic harness (`gcs-sim`) each host
+//! unchanged. It depends on `gcs-model`, `gcs-ioa` and `gcs-core` only.
 //!
 //! The implementation follows the paper's sketch:
 //!
@@ -28,33 +34,24 @@
 //! ([`bounds`]); experiments E2/E4 measure the simulated stack against
 //! them.
 //!
-//! [`service`] assembles the full stack and returns recorded timed traces
-//! in the three shapes the checkers of `gcs-core` consume: raw `VS`
-//! actions (for the Lemma 4.2 cause checker), `VsObs` (for
-//! `VS-property`), and `ToObs` (for `TO-property` and `TO-machine` trace
-//! conformance).
+//! [`convert`] turns a recorded implementation trace into the three
+//! shapes the checkers of `gcs-core` consume: raw `VS` actions (for the
+//! Lemma 4.2 cause checker), `VsObs` (for `VS-property`), and `ToObs`
+//! (for `TO-property` and `TO-machine` trace conformance).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod convert;
 pub mod detector;
-pub mod figure11;
 pub mod node;
-pub mod sequencer;
-pub mod service;
-pub mod stats;
 pub mod timed_vstoto;
 pub mod wire;
 
 pub use detector::{
     AccrualConfig, AccrualEstimator, AdaptiveDetector, DetectorBounds, DetectorPolicy,
 };
-pub use figure11::{check_figure11, Figure11Params, Figure11Report};
 pub use node::{MembershipMode, ProtoConfig, StableState, VsNode};
-pub use sequencer::{SeqWire, SequencerNode};
-pub use service::{RunOutcome, Stack, StackConfig};
-pub use stats::{stack_stats, TraceStats};
 pub use timed_vstoto::TimedVsToTo;
 pub use wire::{ImplEvent, Token, TokenMsg, Wire};
 

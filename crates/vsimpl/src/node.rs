@@ -1,11 +1,11 @@
 //! The VS service node: Cristian–Schmuck membership plus the token ring
-//! (Section 8), as a [`gcs_netsim::Process`].
+//! (Section 8), as a [`gcs_ioa::Process`].
 
 use crate::detector::{AdaptiveDetector, DetectorBounds, DetectorPolicy};
 use crate::timed_vstoto::{ClientEffects, VsClient};
 use crate::wire::{ImplEvent, Token, TokenMsg, Wire};
+use gcs_ioa::{Context, Process};
 use gcs_model::{ProcId, Time, Value, View, ViewId};
-use gcs_netsim::{Context, Process};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Which membership protocol to run.
@@ -42,11 +42,6 @@ pub struct ProtoConfig {
     /// VS), delivery happens as soon as the token brings the message and
     /// the safe indication follows separately.
     pub safe_delivery: bool,
-    /// Maximum number of token rounds the leader keeps in flight at
-    /// once. 1 reproduces the classic single circulating token; larger
-    /// values pipeline the ring so newly sequenced batches ship without
-    /// waiting for the previous rotation to complete.
-    pub pipeline: u32,
     /// Failure-detection policy: the paper's fixed `π + (n+3)δ` token
     /// timeout, or the adaptive accrual detector whose timeout tracks
     /// measured inter-arrival gaps (see [`crate::detector`]). Fixed is
@@ -67,11 +62,15 @@ impl ProtoConfig {
             mu: 4 * n as Time * delta,
             mode: MembershipMode::ThreeRound,
             safe_delivery: false,
-            pipeline: 4,
             detector: DetectorPolicy::Fixed,
         }
     }
 }
+
+/// Maximum number of token rounds the leader keeps in flight at once, so
+/// newly sequenced batches ship without waiting for the previous
+/// rotation to complete.
+const PIPELINE_DEPTH: u64 = 4;
 
 // Timer kinds: low 3 bits tag, rest the install generation (the
 // formation deadline timer carries the formation attempt instead).
@@ -82,7 +81,7 @@ const TAG_FORM: u64 = 3;
 const TAG_MASK: u64 = 0b111;
 
 /// Upper bound on entries a member will hold from rounds that overtook a
-/// gap. At most `pipeline` rounds are ever in flight, so a healthy ring
+/// gap. At most [`PIPELINE_DEPTH`] rounds are ever in flight, so a healthy ring
 /// never comes close; the cap only guards memory against a hostile peer.
 const STASH_MAX: usize = 4096;
 
@@ -302,19 +301,6 @@ impl<C: VsClient> VsNode<C> {
     /// The currently installed view, if any.
     pub fn current_view(&self) -> Option<&View> {
         self.view.as_ref()
-    }
-
-    /// A one-line rendering of the membership-protocol state, for
-    /// diagnostics and experiments.
-    pub fn membership_debug(&self) -> String {
-        format!(
-            "view={:?} accepted={} max_seen={} forming={:?} last_form={:?}",
-            self.view.as_ref().map(|v| v.to_string()),
-            self.accepted,
-            self.max_seen,
-            self.forming.as_ref().map(|(vid, r)| format!("{vid}:{r:?}")),
-            self.last_form,
-        )
     }
 
     fn current_id(&self) -> Option<ViewId> {
@@ -722,9 +708,8 @@ impl<C: VsClient> VsNode<C> {
             self.last_token = ctx.now();
             return;
         }
-        let k = self.cfg.pipeline.max(1) as u64;
         let in_flight = (self.next_round - 1).saturating_sub(self.last_returned);
-        if in_flight >= k {
+        if in_flight >= PIPELINE_DEPTH {
             return;
         }
         let unsent = self.log_end() > self.sent_high;

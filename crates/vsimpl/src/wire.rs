@@ -24,7 +24,7 @@ pub struct TokenMsg {
 /// absolute positions `seq_start..`), picks up members' pending sends in
 /// `collect` for the leader to sequence on return, and prunes everyone's
 /// retained log with the `acked` high-water cursor. Rounds are numbered
-/// so the leader can keep up to `ProtoConfig::pipeline` tokens in flight
+/// so the leader can keep several tokens (`PIPELINE_DEPTH` in `node`) in flight
 /// at once; per-member counts still record receipt, and the safe prefix
 /// is still their minimum.
 #[derive(Clone, PartialEq, Eq, Debug)]

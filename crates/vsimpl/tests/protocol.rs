@@ -2,8 +2,8 @@
 //! directly with a [`CollectedEffects`] context: token handling across
 //! view changes, membership races, and join refusal.
 
+use gcs_ioa::{CollectedEffects, Process};
 use gcs_model::{ProcId, View, ViewId};
-use gcs_netsim::{CollectedEffects, Process};
 use gcs_vsimpl::timed_vstoto::EchoClient;
 use gcs_vsimpl::VsNode;
 use gcs_vsimpl::{ImplEvent, ProtoConfig, Token, Wire};

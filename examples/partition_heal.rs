@@ -9,10 +9,10 @@
 //!
 //! Run with: `cargo run --example partition_heal`
 
+use pgcs::harness::{Stack, StackConfig};
 use pgcs::model::failure::FailureScript;
 use pgcs::model::ProcId;
 use pgcs::spec::to_trace::check_to_trace;
-use pgcs::vsimpl::{Stack, StackConfig};
 use std::collections::BTreeSet;
 
 fn show_views(stack: &Stack, label: &str) {
@@ -28,7 +28,7 @@ fn show_views(stack: &Stack, label: &str) {
 
 fn main() {
     let mut stack = Stack::new(StackConfig::standard(5, 5, 7));
-    let pi = stack.config().pi;
+    let pi = stack.config().proto.pi;
     let ambient = ProcId::range(5);
     let majority = ProcId::range(3);
     let minority: BTreeSet<ProcId> = ambient.difference(&majority).copied().collect();

@@ -8,15 +8,15 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use pgcs::harness::{Stack, StackConfig};
 use pgcs::model::ProcId;
 use pgcs::spec::cause::check_trace;
 use pgcs::spec::to_trace::check_to_trace;
-use pgcs::vsimpl::{Stack, StackConfig};
 
 fn main() {
     // Three processors, channel delay δ = 5 ticks, seeded determinism.
     let mut stack = Stack::new(StackConfig::standard(3, 5, 42));
-    let t0 = 4 * stack.config().pi;
+    let t0 = 4 * stack.config().proto.pi;
 
     println!("submitting 6 values from alternating processors…");
     for i in 0..6u64 {

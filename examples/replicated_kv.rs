@@ -11,14 +11,14 @@
 
 use pgcs::apps::seqmem::{check_sequential_consistency, SeqMemory};
 use pgcs::apps::KvOp;
+use pgcs::harness::{Stack, StackConfig};
 use pgcs::model::failure::FailureScript;
 use pgcs::model::{ProcId, Value};
-use pgcs::vsimpl::{Stack, StackConfig};
 
 fn main() {
     let n = 3u32;
     let mut stack = Stack::new(StackConfig::standard(n, 5, 99));
-    let pi = stack.config().pi;
+    let pi = stack.config().proto.pi;
     let t0 = 4 * pi;
 
     // p2 crashes for a while in the middle of the write stream, then

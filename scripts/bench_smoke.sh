@@ -1,18 +1,15 @@
 #!/usr/bin/env bash
-# Smoke-run the micro benchmark suite in quick mode (short measurement
-# windows, a few samples per bench). Exercises the checker-path benches
-# added with the derived-state snapshot work — invariant_suite_one_state,
-# simulation_abstraction_one_state, derived_state_snapshot — alongside
-# the rest of the suite. Extra arguments are forwarded to the bench
-# harness (e.g. a substring filter: `scripts/bench_smoke.sh derived`).
+# Smoke-run the micro timing table in quick mode (iteration counts
+# divided by 20): the checker-path rows — invariant_suite_one_state,
+# simulation_abstraction_one_state, abstract_scheduler_steps,
+# derived_state_snapshot, the trace checkers — and the metrics-overhead
+# rows (registry on vs off): obs_overhead/frame_path_bare is the
+# uninstrumented hot path, obs_overhead/frame_path_instrumented adds the
+# gcs-obs counter bump + trace-ring event a real frame pays; the delta
+# is the per-frame observability cost (expect low tens of ns).
 set -euo pipefail
 cd "$(dirname "$0")/.."
-cargo bench -p gcs-bench --bench micro -- --quick "$@"
-# Metrics overhead (registry on vs off): obs_overhead/frame_path_bare is
-# the uninstrumented hot path, obs_overhead/frame_path_instrumented adds
-# the gcs-obs counter bump + trace-ring event a real frame pays; the
-# delta is the per-frame observability cost (expect low tens of ns).
-cargo bench -p gcs-bench --bench micro -- --quick obs_overhead
+cargo run --release --quiet -p gcs-harness --bin exp_all -- micro --quick
 # Lint runtime: a full workspace scan must stay interactive (budget ~2 s)
 # so the tier-1 gcs-lint stage never becomes the slow part of ci.sh.
 cargo build --release -p gcs-lint --quiet

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The full CI gate: release build and the complete test suite of every
 # workspace crate (the root manifest's `default-members`, so the plain
-# commands cover crates/* and their binaries), the gcs-mc
+# commands cover crates/* and their binaries), the crate-graph shape
+# gate (the deployable stack links no simulator), the gcs-mc
 # model-checking gate (bound-1 interleaving exploration + seeded-bug
 # detection), a deterministic-simulation smoke sweep, the repository
 # benchmark's smoke run with every checker on, and clippy with warnings
@@ -24,6 +25,27 @@ cargo build --release
 
 echo "==> gcs-lint --root . (project lints; see docs/LINTS.md)"
 ./target/release/gcs-lint --root .
+
+# Crate-graph shape: the normal-dependency closure of the deployable
+# stack (protocol, TCP runtime, sharding) is exactly the set below — so
+# it links neither simulator (gcs-netsim), nor the experiment apparatus
+# (gcs-harness), nor any bench framework, and a new edge has to be added
+# here on purpose. The protocol and the runtime name no RNG themselves;
+# `rand` still reaches them through gcs-ioa's seeded Runner and
+# gcs-core's adversary (the executable specification's scheduler), so
+# that check is on direct edges.
+echo "==> dependency shape (cargo tree -e normal: gcs-vsimpl, gcs-net, gcs-shard)"
+unexpected="$(cargo tree -e normal --prefix none -p gcs-vsimpl -p gcs-net -p gcs-shard \
+  | awk 'NF { print $1 }' | sort -u \
+  | grep -vxE 'bytes|rand|rand_chacha|gcs-(apps|core|ioa|mc|model|net|obs|shard|vsimpl)' || true)"
+if [[ -n "$unexpected" ]]; then
+  echo "the deployable stack links crates outside its allowed set:" $unexpected >&2
+  exit 1
+fi
+if cargo tree -e normal --depth 1 --prefix none -p gcs-vsimpl -p gcs-net | grep -E '^rand'; then
+  echo "gcs-vsimpl and gcs-net must not depend on rand directly" >&2
+  exit 1
+fi
 
 # Every crate's unit, integration and doc tests, gcs-lint's fixture
 # self-tests and its workspace-clean meta-test included. No test is

@@ -17,23 +17,26 @@
 //!   forward simulations, timed traces);
 //! - [`spec`] — the paper's contribution: `TO-machine`, `VS-machine`,
 //!   `VStoTO`, invariants, the simulation relation, property checkers;
+//! - [`vsimpl`] — the Section 8 protocol (membership, token ring, timed
+//!   `VStoTO`), a state machine independent of what hosts it;
 //! - [`netsim`] — the discrete-event network simulator;
-//! - [`vsimpl`] — the VS service implementation and the full TO stack;
 //! - [`net`] — the same stack over real TCP sockets: wire codec,
 //!   reconnecting peer transport, node daemon, load client, loopback
 //!   cluster harness;
 //! - [`apps`] — replicated state machines and memories over TO;
-//! - [`harness`] — the experiments (E1–E14).
+//! - [`harness`] — the paper-experiment apparatus: the simulated
+//!   [`harness::Stack`], the experiments (E1–E14) and their one front
+//!   end, `exp_all`.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use pgcs::vsimpl::{Stack, StackConfig};
+//! use pgcs::harness::{Stack, StackConfig};
 //! use pgcs::model::ProcId;
 //!
 //! // Three processors, channel delay δ = 5, deterministic seed.
 //! let mut stack = Stack::new(StackConfig::standard(3, 5, 42));
-//! let t0 = 4 * stack.config().pi;
+//! let t0 = 4 * stack.config().proto.pi;
 //! for i in 0..5u64 {
 //!     stack.schedule_bcast(t0 + i * 10, ProcId((i % 3) as u32));
 //! }

@@ -22,12 +22,12 @@ fn battery_passes_all_specification_checkers() {
         assert!(to.ok(), "{name}: TO conformance: {:?}", to.violations.first());
         assert!(to.brcvs > 0, "{name}: nothing was delivered");
 
-        let procs = ProcId::range(sc.config.n);
+        let procs = ProcId::range(sc.config.n());
         let vs_actions = stack.vs_actions();
-        let cause = check_trace(&vs_actions, &sc.config.p0);
+        let cause = check_trace(&vs_actions, &sc.config.proto.p0);
         assert!(cause.ok(), "{name}: Lemma 4.2: {:?}", cause.violations.first());
 
-        complete_and_replay(&vs_actions, procs, sc.config.p0.clone())
+        complete_and_replay(&vs_actions, procs, sc.config.proto.p0.clone())
             .unwrap_or_else(|(i, e)| panic!("{name}: VS trace inclusion at event {i}: {e}"));
     }
 }
@@ -49,7 +49,7 @@ fn delivered_sequences_are_pairwise_prefixes() {
     for sc in scenarios::battery(77) {
         let stack = sc.run();
         let seqs: Vec<Vec<_>> =
-            (0..sc.config.n).map(|i| stack.delivered(ProcId(i)).to_vec()).collect();
+            (0..sc.config.n()).map(|i| stack.delivered(ProcId(i)).to_vec()).collect();
         for (i, a) in seqs.iter().enumerate() {
             for b in &seqs[i + 1..] {
                 let ok = pgcs::model::seq::is_prefix(a, b) || pgcs::model::seq::is_prefix(b, a);

@@ -4,12 +4,12 @@
 //! unconditionally; liveness must return once the failure status
 //! stabilizes, exactly as the conditional properties promise.
 
+use pgcs::harness::{Stack, StackConfig};
 use pgcs::model::failure::FailureScript;
 use pgcs::model::{ProcId, Status, Time};
 use pgcs::spec::cause::check_trace;
 use pgcs::spec::completion::complete_and_replay;
 use pgcs::spec::to_trace::check_to_trace;
-use pgcs::vsimpl::{Stack, StackConfig};
 use std::collections::BTreeSet;
 
 fn assert_safe(stack: &Stack, n: u32, what: &str) {
@@ -30,14 +30,14 @@ fn assert_safe(stack: &Stack, n: u32, what: &str) {
 fn crash_during_state_exchange_recovers() {
     let n = 4u32;
     let mut stack = Stack::new(StackConfig::standard(n, 5, 31));
-    let pi = stack.config().pi;
+    let pi = stack.config().proto.pi;
     let ambient = ProcId::range(n);
     let trio: BTreeSet<ProcId> = ProcId::range(3);
     let mut script = FailureScript::new();
     // Cut off p3, triggering reformation of {0,1,2}...
     script.partition(8 * pi, &[trio.clone(), [ProcId(3)].into()], &ambient);
     // ...and crash p1 a moment later, mid-exchange for most seeds.
-    script.crash(8 * pi + stack.config().delta, ProcId(1));
+    script.crash(8 * pi + stack.config().proto.delta, ProcId(1));
     stack.load_failures(&script);
     for i in 0..6u64 {
         stack.schedule_bcast(8 * pi + 5 + i * 30, ProcId((i % 2) as u32 * 2)); // p0, p2
@@ -70,7 +70,7 @@ fn crash_during_state_exchange_recovers() {
 fn leader_crash_loses_token_but_not_data() {
     let n = 3u32;
     let mut stack = Stack::new(StackConfig::standard(n, 5, 17));
-    let pi = stack.config().pi;
+    let pi = stack.config().proto.pi;
     let ambient = ProcId::range(n);
     let survivors: BTreeSet<ProcId> = [ProcId(1), ProcId(2)].into();
     // Traffic first, then kill the leader shortly after the messages go in.
@@ -99,7 +99,7 @@ fn leader_crash_loses_token_but_not_data() {
 fn flapping_link_is_only_a_delay() {
     let n = 3u32;
     let mut stack = Stack::new(StackConfig::standard(n, 5, 23));
-    let pi = stack.config().pi;
+    let pi = stack.config().proto.pi;
     let mut script = FailureScript::new();
     for k in 0..6u64 {
         let t = 4 * pi + k * 2 * pi;
@@ -124,7 +124,7 @@ fn flapping_link_is_only_a_delay() {
 fn ugly_period_then_stabilization() {
     let n = 3u32;
     let mut stack = Stack::new(StackConfig::standard(n, 5, 29));
-    let pi = stack.config().pi;
+    let pi = stack.config().proto.pi;
     let ambient = ProcId::range(n);
     let mut script = FailureScript::new();
     script.push(pgcs::model::FailureEvent::new(
@@ -153,7 +153,7 @@ fn ugly_period_then_stabilization() {
 fn rapid_reconfiguration_storm_is_safe() {
     let n = 5u32;
     let mut stack = Stack::new(StackConfig::standard(n, 5, 41));
-    let pi = stack.config().pi;
+    let pi = stack.config().proto.pi;
     let ambient = ProcId::range(n);
     let mut script = FailureScript::new();
     let splits: [&[u32]; 5] = [&[0, 1, 2], &[0, 1, 2, 3], &[2, 3, 4], &[0, 4], &[0, 1, 2, 3, 4]];

@@ -6,6 +6,7 @@
 //! `VStoTO` processor starting at ⊥ has no `highprimary` until its first
 //! establishment.
 
+use pgcs::harness::{Stack, StackConfig};
 use pgcs::ioa::Runner;
 use pgcs::model::{Majority, ProcId};
 use pgcs::spec::adversary::SystemAdversary;
@@ -15,7 +16,6 @@ use pgcs::spec::invariants::install_invariants;
 use pgcs::spec::simulation::install_simulation_check;
 use pgcs::spec::system::VsToToSystem;
 use pgcs::spec::to_trace::check_to_trace;
-use pgcs::vsimpl::{Stack, StackConfig};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -28,9 +28,9 @@ fn outsider_joins_and_catches_up() {
     let n = 4u32;
     let p0: BTreeSet<ProcId> = ProcId::range(3);
     let mut cfg = StackConfig::standard(n, 5, 71);
-    cfg.p0 = p0.clone();
+    cfg.proto.p0 = p0.clone();
     cfg.quorums = Arc::new(Majority::new(3)); // quorums over the founders
-    let pi = cfg.pi;
+    let pi = cfg.proto.pi;
     let mut stack = Stack::new(cfg);
     // Traffic among the founders before p3 is discovered.
     for i in 0..5u64 {
@@ -61,9 +61,9 @@ fn value_submitted_at_bottom_waits_for_first_view() {
     let n = 3u32;
     let p0: BTreeSet<ProcId> = ProcId::range(2);
     let mut cfg = StackConfig::standard(n, 5, 73);
-    cfg.p0 = p0;
+    cfg.proto.p0 = p0;
     cfg.quorums = Arc::new(Majority::new(2));
-    let pi = cfg.pi;
+    let pi = cfg.proto.pi;
     let mut stack = Stack::new(cfg);
     // p2 submits before it has any view.
     stack.schedule_bcast(1, ProcId(2));

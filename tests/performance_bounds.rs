@@ -4,17 +4,16 @@
 //! scenarios.
 
 use pgcs::harness::scenarios::{self, Scenario};
-use pgcs::model::ProcId;
 use pgcs::spec::properties::{check_to_property, check_vs_property, PropertyParams};
 use pgcs::vsimpl::bounds;
 
 fn assert_both_properties(sc: &Scenario) {
     let nq = sc.q.len();
-    let cfg = &sc.config;
+    let cfg = &sc.config.proto;
     let b = bounds::b(nq, cfg.delta, cfg.pi, cfg.mu);
     let d = bounds::d(nq, cfg.delta, cfg.pi);
     let stack = sc.run();
-    let ambient = ProcId::range(cfg.n);
+    let ambient = cfg.procs.clone();
 
     let vs = check_vs_property(
         &stack.vs_obs(),
@@ -76,14 +75,14 @@ fn cascade_scenario_meets_bounds_after_final_heal() {
 /// therefore `TO-property(b+d, d, Q)` holds — Theorem 7.1 end to end.
 #[test]
 fn figure12_composition_on_one_trace() {
-    use pgcs::vsimpl::{check_figure11, Figure11Params};
+    use pgcs::harness::{check_figure11, Figure11Params};
     for sc in [scenarios::partition(5, 3, 5, 12, 811), scenarios::merge(4, 3, 5, 12, 812)] {
         let nq = sc.q.len();
-        let cfg = &sc.config;
+        let cfg = &sc.config.proto;
         let b = bounds::b(nq, cfg.delta, cfg.pi, cfg.mu);
         let d = bounds::d(nq, cfg.delta, cfg.pi);
         let stack = sc.run();
-        let ambient = ProcId::range(cfg.n);
+        let ambient = cfg.procs.clone();
 
         let vs = check_vs_property(
             &stack.vs_obs(),
@@ -115,7 +114,7 @@ fn figure12_composition_on_one_trace() {
 #[test]
 fn tightened_bounds_are_violated() {
     let sc = scenarios::merge(4, 3, 5, 10, 901);
-    let cfg = &sc.config;
+    let cfg = &sc.config.proto;
     let stack = sc.run();
     let vs = check_vs_property(
         &stack.vs_obs(),
@@ -123,7 +122,7 @@ fn tightened_bounds_are_violated() {
             b: 1, // absurdly tight
             d: bounds::d(sc.q.len(), cfg.delta, cfg.pi),
             q: sc.q.clone(),
-            ambient: ProcId::range(cfg.n),
+            ambient: cfg.procs.clone(),
         },
     );
     assert!(vs.applicable);

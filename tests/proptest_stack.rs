@@ -2,12 +2,12 @@
 //! random workloads, and random protocol parameters must never violate
 //! safety (TO-machine trace membership, Lemma 4.2, VS trace inclusion).
 
+use pgcs::harness::{Stack, StackConfig};
 use pgcs::model::failure::FailureScript;
 use pgcs::model::{ProcId, Time};
 use pgcs::spec::cause::check_trace;
 use pgcs::spec::completion::complete_and_replay;
 use pgcs::spec::to_trace::check_to_trace;
-use pgcs::vsimpl::{Stack, StackConfig};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -73,9 +73,9 @@ proptest! {
     ) {
         let n = 3u32;
         let mut cfg = StackConfig::standard(n, delta, seed);
-        cfg.pi = pi_factor * n as Time * delta;
-        cfg.mu = mu_factor * n as Time * delta;
-        let pi = cfg.pi;
+        cfg.proto.pi = pi_factor * n as Time * delta;
+        cfg.proto.mu = mu_factor * n as Time * delta;
+        let pi = cfg.proto.pi;
         let mut stack = Stack::new(cfg);
         for i in 0..5u64 {
             stack.schedule_bcast(4 * pi + i * delta.max(2), ProcId((i % 3) as u32));

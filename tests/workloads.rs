@@ -3,14 +3,13 @@
 //! latency statistics that make sense.
 
 use pgcs::apps::{Workload, WorkloadKind};
+use pgcs::harness::{stack_stats, Stack, StackConfig, TraceStats};
 use pgcs::spec::to_trace::check_to_trace;
-use pgcs::vsimpl::stats::{stack_stats, TraceStats};
-use pgcs::vsimpl::{Stack, StackConfig};
 
 fn run_workload(kind: WorkloadKind, count: usize, seed: u64) -> (Stack, TraceStats) {
     let n = 3u32;
     let mut stack = Stack::new(StackConfig::standard(n, 5, seed));
-    let pi = stack.config().pi;
+    let pi = stack.config().proto.pi;
     let w = Workload { kind, n, count, start: 4 * pi, mean_gap: 8, seed };
     let end = w.end_time();
     for (t, p, a) in w.schedule() {
