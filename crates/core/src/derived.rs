@@ -9,10 +9,6 @@
 //! `gotstate`) exactly once and records `&Summary` borrows instead of
 //! clones, so a full invariant sweep costs one pass over the state
 //! rather than one quadratic reconstruction per check.
-//!
-//! The free functions ([`allstate_pg`], [`allstate_entries`],
-//! [`allcontent`], [`allconfirm`]) remain as thin wrappers for callers
-//! that need a one-off owned answer.
 
 use crate::msg::AppMsg;
 use crate::system::SysState;
@@ -100,7 +96,7 @@ impl<'a> SummaryRef<'a> {
     pub fn of_proc(p: &'a crate::vstoto::VsToToProc) -> Self {
         SummaryRef {
             con: ConRef::Content(&p.content),
-            ord: &p.order,
+            ord: p.order(),
             next: p.nextconfirm,
             high: p.highprimary,
         }
@@ -125,8 +121,7 @@ impl<'a> SummaryRef<'a> {
 pub struct DerivedState<'a> {
     /// All `(p, g, summary)` entries of `allstate`, sorted by `(p, g)`
     /// with each group in source order (own components, `pending`,
-    /// `queue`, `gotstate`) — the same order [`allstate_entries`]
-    /// produces.
+    /// `queue`, `gotstate`).
     pub entries: Vec<(ProcId, ViewId, SummaryRef<'a>)>,
     /// `allcontent`: the union of `x.con` over `allstate`, or the first
     /// label bound to two distinct values (a Lemma 6.5 violation).
@@ -145,7 +140,8 @@ impl<'a> DerivedState<'a> {
     pub fn new(s: &'a SysState) -> Self {
         // Group summaries by the (processor, view) they are attributed
         // to. Each source is walked once; the per-group push order (own,
-        // pending, queue, gotstate) reproduces allstate_pg's case order.
+        // pending, queue, gotstate) is the case order of the paper's
+        // definition of allstate[p,g].
         let mut buckets: BTreeMap<(ProcId, ViewId), Vec<SummaryRef<'a>>> = BTreeMap::new();
         // Case 1: p's own components, while p's current view is g.
         for (&p, proc) in &s.procs {
@@ -225,7 +221,11 @@ impl<'a> DerivedState<'a> {
         DerivedState { entries, allcontent, allconfirm, created_ids, quorum_views }
     }
 
-    /// The summaries attributed to `(p, g)` — `allstate[p,g]` as borrows.
+    /// `allstate[p,g]` as borrows: every summary attributable to
+    /// processor `p` in view `g` — its own state summary while its
+    /// current view is `g`, plus every state-exchange summary it sent in
+    /// `g` that is still held in `VS-machine`'s `pending`/`queue` or
+    /// recorded in some member's `gotstate`.
     ///
     /// `entries` is sorted by `(p, g)`, so the group is one contiguous
     /// run located by binary search.
@@ -234,39 +234,6 @@ impl<'a> DerivedState<'a> {
         let end = start + self.entries[start..].partition_point(|&(ep, eg, _)| (ep, eg) == (p, g));
         &self.entries[start..end]
     }
-}
-
-/// `allstate[p,g]`: every summary attributable to processor `p` in view
-/// `g` — its own state summary while its current view is `g`, plus every
-/// state-exchange summary it sent in `g` that is still held in
-/// `VS-machine`'s `pending`/`queue` or recorded in some member's
-/// `gotstate`.
-pub fn allstate_pg(s: &SysState, p: ProcId, g: ViewId) -> Vec<Summary> {
-    let d = DerivedState::new(s);
-    d.for_pg(p, g).iter().map(|(_, _, x)| x.to_summary()).collect()
-}
-
-/// All `(p, g, summary)` entries of `allstate` (each summary tagged with
-/// the processor and view it is attributed to).
-pub fn allstate_entries(s: &SysState) -> Vec<(ProcId, ViewId, Summary)> {
-    DerivedState::new(s).entries.iter().map(|&(p, g, x)| (p, g, x.to_summary())).collect()
-}
-
-/// `allcontent`: the union of `x.con` over all of `allstate` — everything
-/// anywhere that links a label with a data value.
-///
-/// Returns `Err` with the offending label if the union is not a function
-/// (that would violate Lemma 6.5).
-pub fn allcontent(s: &SysState) -> Result<BTreeMap<Label, Value>, Label> {
-    DerivedState::new(s).allcontent.map(|m| m.into_iter().map(|(l, a)| (l, a.clone())).collect())
-}
-
-/// `allconfirm`: the least upper bound of `x.confirm` over `allstate`.
-///
-/// Returns `None` if the confirm prefixes are not consistent (that would
-/// violate Corollary 6.24).
-pub fn allconfirm(s: &SysState) -> Option<Vec<Label>> {
-    DerivedState::new(s).allconfirm
 }
 
 #[cfg(test)]
@@ -286,13 +253,14 @@ mod tests {
     fn initial_allstate_contains_each_processor_summary() {
         let sys = system(3);
         let s = sys.initial();
+        let d = DerivedState::new(&s);
         for p in ProcId::range(3) {
-            let xs = allstate_pg(&s, p, ViewId::initial());
+            let xs = d.for_pg(p, ViewId::initial());
             assert_eq!(xs.len(), 1, "exactly the local summary for {p}");
-            assert_eq!(xs[0], s.proc(p).summary());
+            assert_eq!(xs[0].2.to_summary(), s.proc(p).summary());
         }
-        assert!(allcontent(&s).unwrap().is_empty());
-        assert_eq!(allconfirm(&s), Some(vec![]));
+        assert!(d.allcontent.unwrap().is_empty());
+        assert_eq!(d.allconfirm, Some(vec![]));
     }
 
     #[test]
@@ -306,18 +274,15 @@ mod tests {
         let m = s.proc(ProcId(0)).gpsnd_ready().unwrap();
         sys.apply(&mut s, &SysAction::GpSnd { p: ProcId(0), m: m.clone() });
         // Now p0's summary sits in pending[p0, g1] *and* in its own state.
-        let xs = allstate_pg(&s, ProcId(0), g1);
-        assert_eq!(xs.len(), 2);
+        assert_eq!(DerivedState::new(&s).for_pg(ProcId(0), g1).len(), 2);
         // Order it into the queue: still tracked (case 3).
         sys.apply(&mut s, &SysAction::VsOrder { p: ProcId(0), g: g1, m: m.clone() });
-        let xs = allstate_pg(&s, ProcId(0), g1);
-        assert_eq!(xs.len(), 2);
+        assert_eq!(DerivedState::new(&s).for_pg(ProcId(0), g1).len(), 2);
         // Deliver to p0 itself: recorded in gotstate (case 4), dequeued
         // from VS (next pointer moves but the queue keeps the element;
         // allstate intentionally counts the queue copy).
         sys.apply(&mut s, &SysAction::GpRcv { src: ProcId(0), dst: ProcId(0), m });
-        let xs = allstate_pg(&s, ProcId(0), g1);
-        assert_eq!(xs.len(), 3);
+        assert_eq!(DerivedState::new(&s).for_pg(ProcId(0), g1).len(), 3);
     }
 
     #[test]
@@ -325,48 +290,32 @@ mod tests {
         let sys = system(2);
         let mut s = sys.initial();
         sys.apply(&mut s, &SysAction::Bcast { p: ProcId(1), a: Value::from_u64(5) });
-        assert!(allcontent(&s).unwrap().is_empty(), "unlabelled values are not content");
+        let unlabelled = DerivedState::new(&s).allcontent.unwrap();
+        assert!(unlabelled.is_empty(), "unlabelled values are not content");
         sys.apply(&mut s, &SysAction::Label { p: ProcId(1) });
-        let ac = allcontent(&s).unwrap();
+        let ac = DerivedState::new(&s).allcontent.unwrap();
         assert_eq!(ac.len(), 1);
         let (l, a) = ac.iter().next().unwrap();
         assert_eq!(l.origin, ProcId(1));
-        assert_eq!(a, &Value::from_u64(5));
+        assert_eq!(*a, &Value::from_u64(5));
     }
 
-    /// The shared snapshot and the one-off wrappers must stay in
-    /// lockstep: same entries in the same order, same allcontent, same
-    /// allconfirm, on a state with churn in flight.
+    /// `for_pg` returns exactly the `(p, g)` runs of the entry list, on
+    /// a state with churn in flight.
     #[test]
-    fn snapshot_matches_free_functions_mid_execution() {
+    fn for_pg_groups_partition_the_entries_mid_execution() {
         use crate::adversary::SystemAdversary;
         use gcs_ioa::Runner;
         for seed in [2u64, 9] {
             let mut runner = Runner::new(system(3), SystemAdversary::default(), seed);
             let exec = runner.run(500).expect("no invariants installed");
-            let s = exec.final_state();
-            let d = DerivedState::new(s);
-            let owned = allstate_entries(s);
-            assert_eq!(owned.len(), d.entries.len());
-            for ((p1, g1, x1), &(p2, g2, x2)) in owned.iter().zip(d.entries.iter()) {
-                assert_eq!((p1, g1), (&p2, &g2));
-                assert_eq!(*x1, x2.to_summary());
-                assert_eq!(x1.confirm(), x2.confirm());
-            }
-            assert_eq!(
-                allcontent(s).ok(),
-                d.allcontent
-                    .as_ref()
-                    .ok()
-                    .map(|m| m.iter().map(|(l, a)| (*l, (*a).clone())).collect())
-            );
-            assert_eq!(allconfirm(s), d.allconfirm);
-            // for_pg returns exactly the (p, g) runs of the entry list.
+            let d = DerivedState::new(exec.final_state());
+            assert!(d.entries.windows(2).all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)));
             for &(p, g, _) in &d.entries {
                 let group = d.for_pg(p, g);
                 assert!(!group.is_empty());
                 assert!(group.iter().all(|&(ep, eg, _)| ep == p && eg == g));
-                let expected = owned.iter().filter(|(ep, eg, _)| (*ep, *eg) == (p, g)).count();
+                let expected = d.entries.iter().filter(|&&(ep, eg, _)| (ep, eg) == (p, g)).count();
                 assert_eq!(group.len(), expected);
             }
         }

@@ -371,7 +371,7 @@ fn lemma_6_9(s: &SysState, d: &DerivedState<'_>) -> Result<(), String> {
             if !x.con.keys().all(|l| proc.content.contains_key(&l)) {
                 return fail(format!("collect at {p}: summary con ⊄ content"));
             }
-            if x.ord != &proc.order[..] {
+            if x.ord != proc.order() {
                 return fail(format!("collect at {p}: summary ord differs from order"));
             }
             if x.next != proc.nextconfirm {
@@ -647,12 +647,12 @@ fn lemma_6_20(s: &SysState, _d: &DerivedState<'_>) -> Result<(), String> {
         }
         let view = proc.current.as_ref().expect("primary implies a view");
         for l in &proc.safe_labels {
-            let Some(idx) = proc.order.iter().position(|x| x == l) else {
+            let Some(idx) = proc.order().iter().position(|x| x == l) else {
                 // A safe label not yet in the local order carries no prefix
                 // obligation; confirm only fires for ordered labels.
                 continue;
             };
-            let sigma = &proc.order[..=idx];
+            let sigma = &proc.order()[..=idx];
             for &q in &view.set {
                 if !is_prefix(sigma, s.buildorder(q, view.id)) {
                     return fail(format!(

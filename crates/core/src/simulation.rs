@@ -87,7 +87,7 @@ pub fn correspondence(pre: &SysState, action: &SysAction) -> Vec<ToAction> {
                 // unchanged, so no abstract step.
                 Vec::new()
             } else {
-                let l = proc.order[proc.nextconfirm as usize - 1];
+                let l = proc.order()[proc.nextconfirm as usize - 1];
                 let content = d.allcontent.as_ref().expect("allcontent is a function");
                 let a = (*content.get(&l).expect("ordered label has content")).clone();
                 vec![ToAction::ToOrder { p: l.origin, a }]

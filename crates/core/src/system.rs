@@ -167,7 +167,7 @@ impl VsToToSystem {
     /// step of `p` that may assign to `order_p`).
     fn record_buildorder(s: &mut SysState, p: ProcId) {
         if let Some(g) = s.procs[&p].current_id() {
-            let order = s.procs[&p].order.clone();
+            let order = s.procs[&p].order().to_vec();
             s.buildorder.insert((p, g), order);
         }
     }
@@ -214,8 +214,8 @@ impl Automaton for VsToToSystem {
             if proc.confirm_ready() {
                 out.push(SysAction::Confirm { p });
             }
-            if let Some((src, a)) = proc.brcv_ready() {
-                out.push(SysAction::Brcv { src, dst: p, a });
+            if let Some((src, a)) = proc.brcv_ready_ref() {
+                out.push(SysAction::Brcv { src, dst: p, a: a.clone() });
             }
         }
         out
@@ -245,14 +245,16 @@ impl Automaton for VsToToSystem {
             SysAction::Bcast { p, a } => {
                 s.procs.get_mut(p).expect("unknown processor").bcast(a.clone());
             }
-            SysAction::Brcv { dst, .. } => {
-                s.procs.get_mut(dst).expect("unknown processor").do_brcv();
+            SysAction::Brcv { src, dst, a } => {
+                let done = s.procs.get_mut(dst).expect("unknown processor").brcv();
+                assert!(done.is_some_and(|(q, b)| q == *src && b == *a), "brcv not enabled");
             }
             SysAction::Label { p } => {
-                s.procs.get_mut(p).expect("unknown processor").do_label();
+                s.procs.get_mut(p).expect("unknown processor").label().expect("label not enabled");
             }
             SysAction::Confirm { p } => {
-                s.procs.get_mut(p).expect("unknown processor").do_confirm();
+                let proc = s.procs.get_mut(p).expect("unknown processor");
+                proc.confirm().expect("confirm not enabled");
             }
             SysAction::CreateView(v) => {
                 self.vs.apply(&mut s.vs, &VsAction::CreateView(v.clone()));
@@ -262,7 +264,8 @@ impl Automaton for VsToToSystem {
                 s.procs.get_mut(p).expect("unknown processor").newview(v.clone());
             }
             SysAction::GpSnd { p, m } => {
-                s.procs.get_mut(p).expect("unknown processor").do_gpsnd(m);
+                let sent = s.procs.get_mut(p).expect("unknown processor").gpsnd();
+                assert_eq!(sent.as_ref(), Some(m), "gpsnd of an unready message");
                 self.vs.apply(&mut s.vs, &VsAction::GpSnd { p: *p, m: m.clone() });
             }
             SysAction::VsOrder { p, g, m } => {

@@ -1,13 +1,21 @@
 //! The per-processor `VStoTO` algorithm (Figures 9 and 10).
 //!
 //! `VsToToProc` is the state of one `VStoTO_p` automaton together with its
-//! transition functions, written so that the same code drives both the
-//! abstract composed system ([`crate::system::VsToToSystem`], where a
+//! transition functions. There is exactly one implementation of each
+//! transition: the four locally controlled actions are
+//! [`VsToToProc::label`], [`VsToToProc::gpsnd`], [`VsToToProc::confirm`]
+//! and [`VsToToProc::brcv`], each testing its precondition and performing
+//! its effect in one walk, and both drivers call them — the abstract
+//! composed system ([`crate::system::VsToToSystem::apply`], where a
 //! scheduler resolves nondeterminism) and the timed implementation stack
-//! (`gcs-vsimpl`, where a good processor performs enabled actions
-//! immediately). Keeping a single implementation of the algorithm means
-//! the code that is model-checked against `TO-machine` is exactly the code
-//! that runs over the simulated network.
+//! (`gcs_vsimpl::TimedVsToTo::pump`, where a good processor performs
+//! enabled actions immediately). So the code that the 29 invariants and
+//! the forward simulation to `TO-machine` check is the code that runs on
+//! the network. Two things keep it that way: `gcs-lint`'s unsuppressible
+//! `spec_coverage` check fails unless both drivers call all four
+//! functions, and `tests/eager_schedule.rs` runs the checkers on the
+//! eager schedules the implementation lives in, which a uniform random
+//! scheduler almost never produces.
 //!
 //! ## Normal activity
 //!
@@ -72,21 +80,21 @@ pub struct VsToToProc {
     pub nextseqno: u64,
     /// `buffer`: labelled values not yet multicast.
     pub buffer: VecDeque<Label>,
-    /// `order ∈ L*`: the tentative total order.
-    pub order: Vec<Label>,
+    /// `order ∈ L*`: the tentative total order (read through
+    /// [`VsToToProc::order`]). Private because the two derived indexes
+    /// below must change with it: `gprcv` is the only writer.
+    order: Vec<Label>,
     /// Derived index over `order` for the duplicate-membership test in
     /// `gprcv` — a linear `order.contains` there makes every receipt
     /// O(|order|) and a long run quadratic. Not part of the automaton
-    /// state (excluded from `PartialEq`); rebuilt whenever `order` is
-    /// replaced wholesale at view establishment.
+    /// state (excluded from `PartialEq`).
     order_set: BTreeSet<Label>,
     /// Derived positional cache: `order_vals[i] = content[order[i]]`,
     /// `None` while that content has not arrived (a recovery order can
     /// run ahead of its values). Lets `brcv` read the next value by
     /// position instead of walking `content` — the map holds the whole
     /// delivered history, so that walk grows with run length. Like
-    /// `order_set`, not automaton state: excluded from `PartialEq`,
-    /// rebuilt when `order` is replaced at establishment.
+    /// `order_set`, not automaton state: excluded from `PartialEq`.
     order_vals: Vec<Option<Value>>,
     /// `nextconfirm ∈ ℕ⁺`.
     pub nextconfirm: u64,
@@ -196,6 +204,39 @@ impl VsToToProc {
         self.current.as_ref().map(|v| v.id)
     }
 
+    /// `order`: the tentative total order.
+    pub fn order(&self) -> &[Label] {
+        &self.order
+    }
+
+    /// Appends `l` (bound to `a`) to `order` unless already present.
+    fn append_order(&mut self, l: Label, a: &Value) {
+        if self.order_set.insert(l) {
+            self.order.push(l);
+            self.order_vals.push(Some(a.clone()));
+        }
+    }
+
+    /// Replaces `order` wholesale (view establishment).
+    fn replace_order(&mut self, order: Vec<Label>) {
+        self.order_set = order.iter().copied().collect();
+        self.order_vals = order.iter().map(|l| self.content.get(l).cloned()).collect();
+        self.order = order;
+    }
+
+    /// Everything reported to the client so far, in order: the first
+    /// `nextreport − 1` positions of `order` with their values. That
+    /// prefix lies inside the confirmed prefix, which establishment
+    /// preserves (Corollary 6.24), so it is the delivery history itself.
+    pub fn reported(&self) -> Vec<(ProcId, Value)> {
+        let n = self.nextreport as usize - 1;
+        self.order[..n]
+            .iter()
+            .zip(&self.order_vals[..n])
+            .map(|(l, a)| (l.origin, a.clone().expect("brcv caches every value it reports")))
+            .collect()
+    }
+
     /// This processor's state summary
     /// `⟨content, order, nextconfirm, highprimary⟩`.
     pub fn summary(&self) -> Summary {
@@ -243,18 +284,7 @@ impl VsToToProc {
                 // (Caught by the executable simulation check of
                 // Theorem 6.26; see DESIGN.md.)
                 if self.primary() {
-                    if self.order_set.len() == self.order.len() {
-                        // Index in sync: one walk both tests and inserts.
-                        if self.order_set.insert(*l) {
-                            self.order.push(*l);
-                            self.order_vals.push(Some(a.clone()));
-                        }
-                    } else if !self.order.contains(l) {
-                        // A test poked `order` directly; fall back to the
-                        // paper's scan and let establishment rebuild.
-                        self.order.push(*l);
-                        self.order_set.insert(*l);
-                    }
+                    self.append_order(*l, a);
                 }
                 GprcvOutcome { established: false }
             }
@@ -270,15 +300,12 @@ impl VsToToProc {
                 if complete && self.status == ProcStatus::Collect {
                     self.nextconfirm = maxnextconfirm(&self.gotstate);
                     if self.primary() {
-                        self.order = fullorder(&self.gotstate);
+                        self.replace_order(fullorder(&self.gotstate));
                         self.highprimary = self.current_id();
                     } else {
-                        self.order = shortorder(&self.gotstate);
+                        self.replace_order(shortorder(&self.gotstate));
                         self.highprimary = maxprimary(&self.gotstate);
                     }
-                    self.order_set = self.order.iter().copied().collect();
-                    self.order_vals =
-                        self.order.iter().map(|l| self.content.get(l).cloned()).collect();
                     self.status = ProcStatus::Normal;
                     GprcvOutcome { established: true }
                 } else {
@@ -310,7 +337,9 @@ impl VsToToProc {
     }
 
     // ------------------------------------------------------------------
-    // Locally controlled actions: precondition tests and effects
+    // Locally controlled actions: one function each (`None`, and nothing
+    // changed, when not enabled), plus the pure probes a scheduler needs
+    // to enumerate enabled actions without performing them.
     // ------------------------------------------------------------------
 
     /// Whether internal `label(a)_p` is enabled (head of `delay` exists and
@@ -324,19 +353,17 @@ impl VsToToProc {
         }
     }
 
-    /// Effect of `label(a)_p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if not enabled.
-    pub fn do_label(&mut self) -> Label {
-        let a = self.delay.pop_front().expect("label: delay empty");
-        let current = self.current.as_ref().expect("label: no current view");
-        let l = Label::new(current.id, self.nextseqno, self.id);
+    /// Internal `label(a)_p`: gives the head of `delay` the next label of
+    /// the current view, records the pair in `content` and queues the
+    /// label in `buffer`. Returns the label, or `None` if not enabled.
+    pub fn label(&mut self) -> Option<Label> {
+        let g = self.current.as_ref()?.id;
+        let a = self.delay.pop_front()?;
+        let l = Label::new(g, self.nextseqno, self.id);
         self.content.insert(l, a);
         self.buffer.push_back(l);
         self.nextseqno += 1;
-        l
+        Some(l)
     }
 
     /// Whether output `gpsnd(m)_p` is enabled, and for which message:
@@ -376,21 +403,19 @@ impl VsToToProc {
         }
     }
 
-    /// Effect of `gpsnd(m)_p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` does not match [`VsToToProc::gpsnd_ready`].
-    pub fn do_gpsnd(&mut self, m: &AppMsg) {
-        assert!(self.gpsnd_matches(m), "gpsnd of an unready message");
+    /// Output `gpsnd(m)_p`: with `status = send`, sends the state summary
+    /// and moves to `collect`; with `status = normal`, sends the head of
+    /// `buffer` with its value. Returns the message sent, or `None` if
+    /// not enabled.
+    pub fn gpsnd(&mut self) -> Option<AppMsg> {
+        let m = self.gpsnd_ready()?;
         match m {
             AppMsg::Val(..) => {
                 self.buffer.pop_front();
             }
-            AppMsg::Summary(_) => {
-                self.status = ProcStatus::Collect;
-            }
+            AppMsg::Summary(_) => self.status = ProcStatus::Collect,
         }
+        Some(m)
     }
 
     /// Whether internal `confirm_p` is enabled:
@@ -403,26 +428,34 @@ impl VsToToProc {
                 .is_some_and(|l| self.safe_labels.contains(l))
     }
 
-    /// Effect of `confirm_p`; returns the confirmed label.
+    /// Internal `confirm_p`: advances `nextconfirm` past
+    /// `order(nextconfirm)` when that label is safe. Returns the
+    /// confirmed label, or `None` if not enabled.
     ///
-    /// # Panics
-    ///
-    /// Panics if not enabled.
-    pub fn do_confirm(&mut self) -> Label {
-        assert!(self.confirm_ready(), "confirm not enabled");
-        let l = self.order[self.nextconfirm as usize - 1];
+    /// The confirmed label also leaves `safe-labels` (test and removal
+    /// are one walk), which keeps the set at the in-flight window instead
+    /// of the view's whole history. Figure 10 keeps it monotone within a
+    /// view, but nothing reads a confirmed label's membership again:
+    /// `confirm` only probes `order(nextconfirm)`, now past it; Lemma 6.20
+    /// quantifies over the members of `safe-labels`, so a smaller set
+    /// only weakens its antecedent; the simulation relation never reads
+    /// it. A later summary exchange may re-add confirmed labels — dead
+    /// weight until the next `newview` clears them.
+    pub fn confirm(&mut self) -> Option<Label> {
+        if !self.primary() {
+            return None;
+        }
+        let l = *self.order.get(self.nextconfirm as usize - 1)?;
+        if !self.safe_labels.remove(&l) {
+            return None;
+        }
         self.nextconfirm += 1;
-        l
+        Some(l)
     }
 
-    /// Whether output `brcv(a)_{q,p}` is enabled; returns
-    /// `(q, a)` = (origin of the next confirmed label, its value).
-    pub fn brcv_ready(&self) -> Option<(ProcId, Value)> {
-        self.brcv_ready_ref().map(|(q, a)| (q, a.clone()))
-    }
-
-    /// [`VsToToProc::brcv_ready`] without cloning the value — the form
-    /// the scheduler's enabledness test uses.
+    /// Whether output `brcv(a)_{q,p}` is enabled; returns `(q, a)` =
+    /// (origin of the next confirmed label, its value) without cloning
+    /// the value — the form the scheduler's enabledness test uses.
     pub fn brcv_ready_ref(&self) -> Option<(ProcId, &Value)> {
         if self.nextreport < self.nextconfirm {
             let l = self.order.get(self.nextreport as usize - 1)?;
@@ -433,121 +466,27 @@ impl VsToToProc {
         }
     }
 
-    /// Effect of `brcv(a)_{q,p}`.
+    /// Output `brcv(a)_{q,p}`: reports the value of `order(nextreport)`
+    /// to the client once that label is confirmed and its value known.
+    /// Returns `(q, a)`, or `None` if not enabled.
     ///
-    /// # Panics
-    ///
-    /// Panics if not enabled.
-    pub fn do_brcv(&mut self) -> (ProcId, Value) {
-        let out = self.brcv_ready().expect("brcv not enabled");
+    /// The value is read by position from `order_vals`, not by walking
+    /// `content`, which holds the whole delivered history.
+    pub fn brcv(&mut self) -> Option<(ProcId, Value)> {
+        if self.nextreport >= self.nextconfirm {
+            return None;
+        }
+        let idx = self.nextreport as usize - 1;
+        let l = self.order.get(idx)?;
+        let slot = self.order_vals.get_mut(idx)?;
+        if slot.is_none() {
+            // A recovery order ran ahead of its content; fill the cache
+            // the first time the value shows up.
+            *slot = Some(self.content.get(l)?.clone());
+        }
+        let a = slot.clone()?;
         self.nextreport += 1;
-        out
-    }
-
-    /// Runs every enabled `label` and `gpsnd` step in one pass,
-    /// appending each message to send to `out`; returns whether anything
-    /// fired. Equivalent to alternating
-    /// [`VsToToProc::do_label`]/[`VsToToProc::do_gpsnd`] until neither is
-    /// enabled, with the same redundancy argument as
-    /// [`VsToToProc::drain_confirm_brcv`]: the check-then-act pairs walk
-    /// `content` twice per sent value (once to materialize the message,
-    /// once to re-verify it); here a freshly labelled value is shipped
-    /// with the `content` walk skipped entirely, since its bytes are
-    /// still in hand.
-    pub fn drain_label_gpsnd(&mut self, out: &mut Vec<AppMsg>) -> bool {
-        let mut progressed = false;
-        let direct = self.status == ProcStatus::Normal && self.buffer.is_empty();
-        if let Some(vid) = self.current.as_ref().map(|v| v.id) {
-            while let Some(a) = self.delay.pop_front() {
-                let l = Label::new(vid, self.nextseqno, self.id);
-                self.nextseqno += 1;
-                if direct {
-                    // label + gpsnd fused: the buffer stays empty, the
-                    // message carries the value without a map walk.
-                    self.content.insert(l, a.clone());
-                    out.push(AppMsg::Val(l, a));
-                } else {
-                    self.content.insert(l, a);
-                    self.buffer.push_back(l);
-                }
-                progressed = true;
-            }
-        }
-        match self.status {
-            ProcStatus::Send => {
-                out.push(AppMsg::Summary(self.summary()));
-                self.status = ProcStatus::Collect;
-                progressed = true;
-            }
-            ProcStatus::Normal => {
-                while let Some(l) = self.buffer.front().copied() {
-                    let Some(a) = self.content.get(&l) else { break };
-                    out.push(AppMsg::Val(l, a.clone()));
-                    self.buffer.pop_front();
-                    progressed = true;
-                }
-            }
-            ProcStatus::Collect => {}
-        }
-        progressed
-    }
-
-    /// Runs every enabled `confirm` and `brcv` step in one pass,
-    /// appending each delivered `(origin, value)` to `out`; returns
-    /// whether anything fired. Equivalent to alternating
-    /// [`VsToToProc::do_confirm`]/[`VsToToProc::do_brcv`] until neither
-    /// is enabled, but each `order`/`safe-labels`/`content` lookup is
-    /// evaluated exactly once — the enabledness probe and the effect
-    /// share the walk. This is the per-delivery hot path: the separate
-    /// check-then-act calls re-walk three maps per delivered value, and
-    /// at ring throughput those redundant walks dominate client-layer
-    /// CPU.
-    pub fn drain_confirm_brcv(&mut self, out: &mut Vec<(ProcId, Value)>) -> bool {
-        let mut progressed = false;
-        if self.primary() {
-            while let Some(&l) = self.order.get(self.nextconfirm as usize - 1) {
-                // Membership test and prune in one walk: a confirmed
-                // label is never consulted again (`confirm` only ever
-                // probes `order[nextconfirm-1]`, which is past it), so
-                // dropping it keeps `safe-labels` at the in-flight
-                // window instead of the whole run's history. The spec
-                // path (`confirm_ready`/`do_confirm`) keeps the paper's
-                // monotone set; a view change's summary exchange may
-                // re-add confirmed labels, which is harmless — they are
-                // dead weight until the next establishment, nothing
-                // queries them.
-                if !self.safe_labels.remove(&l) {
-                    break;
-                }
-                self.nextconfirm += 1;
-                progressed = true;
-            }
-        }
-        let vals_synced = self.order_vals.len() == self.order.len();
-        while self.nextreport < self.nextconfirm {
-            let idx = self.nextreport as usize - 1;
-            let Some(&l) = self.order.get(idx) else { break };
-            let a = if vals_synced {
-                match self.order_vals.get_mut(idx) {
-                    Some(Some(a)) => a.clone(),
-                    Some(slot @ None) => {
-                        // Recovery order ran ahead of its content; fill
-                        // the cache the first time the value shows up.
-                        let Some(a) = self.content.get(&l) else { break };
-                        *slot = Some(a.clone());
-                        a.clone()
-                    }
-                    None => break,
-                }
-            } else {
-                let Some(a) = self.content.get(&l) else { break };
-                a.clone()
-            };
-            out.push((l.origin, a));
-            self.nextreport += 1;
-            progressed = true;
-        }
-        progressed
+        Some((l.origin, a))
     }
 }
 
@@ -563,9 +502,8 @@ mod tests {
     fn send_own(p: &mut VsToToProc, x: u64) -> (Label, Value) {
         let a = Value::from_u64(x);
         p.bcast(a.clone());
-        let l = p.do_label();
-        let m = AppMsg::Val(l, a.clone());
-        p.do_gpsnd(&m);
+        let l = p.label().expect("label enabled");
+        assert_eq!(p.gpsnd(), Some(AppMsg::Val(l, a.clone())));
         (l, a)
     }
 
@@ -591,11 +529,30 @@ mod tests {
         assert!(!p.confirm_ready()); // not yet safe
         p.safe(ProcId(0), &AppMsg::Val(l, a.clone()));
         assert!(p.confirm_ready());
-        p.do_confirm();
-        assert_eq!(p.brcv_ready(), Some((ProcId(0), a.clone())));
-        let (src, got) = p.do_brcv();
-        assert_eq!((src, got), (ProcId(0), a));
-        assert!(p.brcv_ready().is_none());
+        assert_eq!(p.confirm(), Some(l));
+        assert!(p.safe_labels.is_empty(), "a confirmed label leaves safe-labels");
+        assert_eq!(p.confirm(), None);
+        assert_eq!(p.brcv_ready_ref(), Some((ProcId(0), &a)));
+        assert_eq!(p.brcv(), Some((ProcId(0), a.clone())));
+        assert!(p.brcv_ready_ref().is_none());
+        assert_eq!(p.brcv(), None);
+        assert_eq!(p.reported(), vec![(ProcId(0), a)]);
+    }
+
+    #[test]
+    fn actions_that_are_not_enabled_change_nothing() {
+        let mut p = proc(0, 1);
+        let before = p.clone();
+        assert_eq!(p.label(), None);
+        assert_eq!(p.gpsnd(), None);
+        assert_eq!(p.confirm(), None);
+        assert_eq!(p.brcv(), None);
+        assert_eq!(p, before);
+        // No view: a queued value cannot be labelled and stays queued.
+        let mut q = VsToToProc::initial(ProcId(9), &ProcId::range(3), Arc::new(Majority::new(3)));
+        q.bcast(Value::from_u64(1));
+        assert_eq!(q.label(), None);
+        assert_eq!(q.delay.len(), 1);
     }
 
     #[test]
@@ -605,9 +562,8 @@ mod tests {
         p.newview(v);
         assert!(!p.primary());
         // Recover through the (solo) state exchange.
-        let x = p.gpsnd_ready().unwrap();
-        p.do_gpsnd(&x);
-        let out = p.gprcv(ProcId(0), &x.clone());
+        let x = p.gpsnd().unwrap();
+        let out = p.gprcv(ProcId(0), &x);
         assert!(out.established);
         let (l, a) = send_own(&mut p, 1);
         p.gprcv(ProcId(0), &AppMsg::Val(l, a.clone()));
@@ -623,7 +579,7 @@ mod tests {
         let (l, a) = send_own(&mut p, 3);
         p.gprcv(ProcId(0), &AppMsg::Val(l, a.clone()));
         p.safe(ProcId(0), &AppMsg::Val(l, a));
-        p.do_confirm();
+        p.confirm();
         let order_before = p.order.clone();
         let v = View::new(ViewId::new(1, ProcId(0)), [ProcId(0)].into());
         p.newview(v);
@@ -645,10 +601,8 @@ mod tests {
         let (l1, _a1) = send_own(&mut p1, 10);
         p0.newview(v.clone());
         p1.newview(v.clone());
-        let x0 = p0.gpsnd_ready().unwrap();
-        p0.do_gpsnd(&x0);
-        let x1 = p1.gpsnd_ready().unwrap();
-        p1.do_gpsnd(&x1);
+        let x0 = p0.gpsnd().unwrap();
+        let x1 = p1.gpsnd().unwrap();
         // Deliver both summaries to p0 (VS order).
         assert!(!p0.gprcv(ProcId(0), &x0).established);
         let out = p0.gprcv(ProcId(1), &x1);
@@ -676,13 +630,11 @@ mod tests {
         // p1 has a more advanced history: highprimary g0 with an order.
         let l = Label::new(ViewId::initial(), 1, ProcId(1));
         p1.content.insert(l, Value::from_u64(5));
-        p1.order.push(l);
+        p1.append_order(l, &Value::from_u64(5));
         p0.newview(v.clone());
         p1.newview(v.clone());
-        let x0 = p0.gpsnd_ready().unwrap();
-        p0.do_gpsnd(&x0);
-        let x1 = p1.gpsnd_ready().unwrap();
-        p1.do_gpsnd(&x1);
+        let x0 = p0.gpsnd().unwrap();
+        let x1 = p1.gpsnd().unwrap();
         p0.gprcv(ProcId(0), &x0);
         let out = p0.gprcv(ProcId(1), &x1);
         assert!(out.established);
@@ -699,13 +651,13 @@ mod tests {
         let v = View::new(ViewId::new(1, ProcId(0)), [ProcId(0)].into());
         p.newview(v);
         p.bcast(Value::from_u64(1));
-        p.do_label(); // labelling is allowed during recovery
-                      // status = Send: the only send allowed is the summary.
-        assert!(matches!(p.gpsnd_ready(), Some(AppMsg::Summary(_))));
-        let x = p.gpsnd_ready().unwrap();
-        p.do_gpsnd(&x);
+        p.label().expect("labelling is allowed during recovery");
+        // status = Send: the only send allowed is the summary.
+        let x = p.gpsnd().unwrap();
+        assert!(matches!(x, AppMsg::Summary(_)));
         // status = Collect: nothing may be sent.
         assert!(p.gpsnd_ready().is_none());
+        assert_eq!(p.gpsnd(), None);
         p.gprcv(ProcId(0), &x);
         // status = Normal again: the buffered label may go out.
         assert!(matches!(p.gpsnd_ready(), Some(AppMsg::Val(..))));
@@ -716,8 +668,8 @@ mod tests {
         let mut p = proc(0, 1);
         p.bcast(Value::from_u64(1));
         p.bcast(Value::from_u64(2));
-        let l1 = p.do_label();
-        let l2 = p.do_label();
+        let l1 = p.label().unwrap();
+        let l2 = p.label().unwrap();
         assert!(l1 < l2);
         assert_eq!(l1.seqno, 1);
         assert_eq!(l2.seqno, 2);

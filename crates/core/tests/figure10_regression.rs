@@ -65,7 +65,7 @@ fn value_labelled_during_recovery_is_delivered_exactly_once() {
     }
     for p in [ProcId(0), ProcId(1)] {
         assert_eq!(
-            runner.state().proc(p).order.len(),
+            runner.state().proc(p).order().len(),
             1,
             "establishment must order the exchanged label at {p}"
         );
@@ -81,7 +81,7 @@ fn value_labelled_during_recovery_is_delivered_exactly_once() {
     }
     for p in [ProcId(0), ProcId(1)] {
         assert_eq!(
-            runner.state().proc(p).order.len(),
+            runner.state().proc(p).order().len(),
             1,
             "no duplicate label in order at {p} (Figure 10 dedup guard)"
         );

@@ -131,7 +131,7 @@ fn atomic_row(quick: bool) -> Vec<String> {
     let mut outputs: Vec<Vec<(String, Option<i64>)>> = Vec::new();
     for i in 0..n {
         let mut replica = AtomicMemory::new();
-        for (_, a) in stack.delivered(ProcId(i)) {
+        for (_, a) in &stack.delivered(ProcId(i)) {
             replica.deliver(a);
         }
         outputs.push(replica.outputs().to_vec());

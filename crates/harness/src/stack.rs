@@ -111,7 +111,7 @@ impl Stack {
     }
 
     /// What the TO client at `p` has been delivered, in order.
-    pub fn delivered(&self, p: ProcId) -> &[(ProcId, Value)] {
+    pub fn delivered(&self, p: ProcId) -> Vec<(ProcId, Value)> {
         self.engine.process(p).client().delivered()
     }
 
@@ -292,7 +292,7 @@ mod tests {
         let mut tables = Vec::new();
         for i in 0..3 {
             let mut r = Replica::new(LockTable::default());
-            for (_, a) in stack.delivered(ProcId(i)) {
+            for (_, a) in &stack.delivered(ProcId(i)) {
                 r.apply_payload(a);
             }
             tables.push(r);

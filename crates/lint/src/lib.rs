@@ -14,8 +14,10 @@
 //! - [`lints::atomics`] — every atomic `Ordering::` use carries an
 //!   `// ordering: <why>` justification;
 //! - [`lints::spec_cov`] — every invariant defined in `crates/core` is
-//!   registered in `all_invariants()`, and the `Wire` enum's encode and
-//!   decode arms cover identical variant sets;
+//!   registered in `all_invariants()`, the `Wire` enum's encode and
+//!   decode arms cover identical variant sets, and the checked system
+//!   and the running stack both perform the four `VStoTO` actions
+//!   through the same `VsToToProc` functions;
 //! - [`lints::mc_shim`] — the modules certified by the gcs-mc model
 //!   checker must reach every sync primitive through the `Shims`
 //!   surface, never `std::sync` directly, so the structure the checker

@@ -1,7 +1,7 @@
 //! `spec_coverage` — the executable specification must stay fully
 //! wired.
 //!
-//! Two cross-checks, both over facts a lexical scan can establish:
+//! Three cross-checks, all over facts a lexical scan can establish:
 //!
 //! 1. **Invariant registration.** Every invariant predicate defined in
 //!    `crates/core/src/invariants.rs` (`fn lemma_*` / `fn corollary_*`)
@@ -15,6 +15,14 @@
 //!    `crates/net/src/codec.rs`. Rust's match exhaustiveness covers the
 //!    encoder only; a forgotten *decode* arm is a runtime `BadTag` for a
 //!    perfectly valid peer.
+//! 3. **One `VStoTO`.** Each locally controlled action of Figure 10 —
+//!    `label`, `gpsnd`, `confirm`, `brcv` on `VsToToProc` — must be
+//!    called in the body of both of its drivers: `apply` in
+//!    `crates/core/src/system.rs` (what the invariants and the forward
+//!    simulation check) and `pump` in `crates/vsimpl/src/timed_vstoto.rs`
+//!    (what runs). A driver that stops calling one of them has grown its
+//!    own copy of that transition, and the checkers have silently
+//!    stopped certifying the code that ships.
 //!
 //! These findings are not suppressible: a missing registration has no
 //! meaningful "allow" — fix the table.
@@ -23,9 +31,18 @@ use crate::scan::{find_word, SourceFile};
 use crate::Finding;
 use std::path::Path;
 
-/// Runs both cross-checks against their workspace locations. A missing
-/// or moved file is itself a finding, so a refactor cannot silently
-/// disable the check.
+/// The `VsToToProc` drivers that must each call every action in
+/// [`ACTIONS`]: `(file, function)`.
+const ACTION_DRIVERS: [(&str, &str); 2] =
+    [("crates/core/src/system.rs", "apply"), ("crates/vsimpl/src/timed_vstoto.rs", "pump")];
+
+/// The locally controlled actions of `VStoTO_p` (Figure 10), by the name
+/// of the one `VsToToProc` method that implements each.
+const ACTIONS: [&str; 4] = ["label", "gpsnd", "confirm", "brcv"];
+
+/// Runs every cross-check against its workspace location. A missing or
+/// moved file is itself a finding, so a refactor cannot silently disable
+/// a check.
 pub fn check_workspace(root: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
     match load(root, "crates/core/src/invariants.rs") {
@@ -37,6 +54,12 @@ pub fn check_workspace(root: &Path) -> Vec<Finding> {
             out.extend(check_wire(&enum_src, "Wire", &codec_src, "put_wire", "wire"))
         }
         (e1, e2) => out.extend([e1.err(), e2.err()].into_iter().flatten()),
+    }
+    for (file, driver_fn) in ACTION_DRIVERS {
+        match load(root, file) {
+            Ok(src) => out.extend(check_action_calls(&src, driver_fn)),
+            Err(f) => out.push(f),
+        }
     }
     out
 }
@@ -160,6 +183,42 @@ pub fn check_wire(
                     ),
                 ));
             }
+        }
+    }
+    out
+}
+
+/// Checks that the body of `driver_fn` calls every method in
+/// [`ACTIONS`].
+pub fn check_action_calls(src: &SourceFile, driver_fn: &str) -> Vec<Finding> {
+    let mut out = Vec::new();
+    let Some(line0) = find_fn(src, driver_fn) else {
+        out.push(Finding::new(
+            crate::SPEC_COVERAGE,
+            src,
+            0,
+            0,
+            format!("`fn {driver_fn}` (a driver of the VStoTO actions) not found"),
+        ));
+        return out;
+    };
+    let Some((start, end)) = body_range(src, line0) else {
+        return out;
+    };
+    for action in ACTIONS {
+        let call = format!(".{action}(");
+        if !src.lines[start..=end].iter().any(|l| !find_word(&l.code, &call).is_empty()) {
+            out.push(Finding::new(
+                crate::SPEC_COVERAGE,
+                src,
+                line0,
+                0,
+                format!(
+                    "`{driver_fn}` never calls `VsToToProc::{action}`; the checked system and \
+                     the running stack must perform each locally controlled action through \
+                     the same function"
+                ),
+            ));
         }
     }
     out

@@ -157,6 +157,29 @@ fn spec_cov_accepts_total_codec() {
     assert!(findings.is_empty(), "{findings:?}");
 }
 
+#[test]
+fn spec_cov_catches_driver_that_skips_an_action() {
+    let src = parse_fixture("pump_bad.rs", "crates/vsimpl/src/timed_vstoto.rs");
+    let findings = lints::spec_cov::check_action_calls(&src, "pump");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(findings[0].message.contains("VsToToProc::confirm"), "{findings:?}");
+}
+
+#[test]
+fn spec_cov_accepts_driver_calling_all_four_actions() {
+    let src = parse_fixture("pump_good.rs", "crates/vsimpl/src/timed_vstoto.rs");
+    let findings = lints::spec_cov::check_action_calls(&src, "pump");
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn spec_cov_reports_a_missing_driver() {
+    let src = parse_fixture("pump_good.rs", "crates/core/src/system.rs");
+    let findings = lints::spec_cov::check_action_calls(&src, "apply");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(findings[0].message.contains("`fn apply`"), "{findings:?}");
+}
+
 /// The meta-test: the workspace this crate ships in must scan clean —
 /// every suppression carries a reason and matches a real finding, and no
 /// unannotated site survives.

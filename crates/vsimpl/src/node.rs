@@ -89,6 +89,13 @@ fn timer_kind(tag: u64, gen: u64) -> u64 {
     tag | (gen << 3)
 }
 
+/// The two indications the VS service gives its client about a log entry.
+#[derive(Clone, Copy)]
+enum Indication {
+    GpRcv,
+    Safe,
+}
+
 /// The VS service node hosting a [`VsClient`] (usually the
 /// [`crate::TimedVsToTo`] layer).
 pub struct VsNode<C> {
@@ -255,41 +262,12 @@ impl<C: VsClient> VsNode<C> {
     /// `max_seen`/`accepted` survived, every view it subsequently
     /// installs is above anything its previous incarnation committed to.
     pub fn recover(id: ProcId, cfg: ProtoConfig, stable: StableState<C>) -> Self {
-        assert!(cfg.procs.contains(&id), "{id} not in the ambient set");
-        assert!(cfg.pi > cfg.procs.len() as Time * cfg.delta, "token period π must exceed n·δ");
-        let detector = match &cfg.detector {
-            DetectorPolicy::Fixed => None,
-            DetectorPolicy::Adaptive(ac) => Some(AdaptiveDetector::new(ac.clone())),
-        };
         VsNode {
-            id,
-            cfg,
-            client: stable.client,
             view: None,
-            gen: 0,
             max_seen: stable.max_seen,
             accepted: stable.accepted,
-            forming: None,
-            form_seq: 0,
-            last_form: None,
-            heard: BTreeMap::new(),
-            out_buf: Vec::new(),
-            log: std::collections::VecDeque::new(),
-            log_start: 0,
-            delivered_count: 0,
-            safe_count: 0,
-            pending_tokens: Vec::new(),
-            stash: BTreeMap::new(),
-            last_token: 0,
             mid_counter: stable.mid_counter,
-            next_round: 1,
-            last_returned: 0,
-            sent_high: 0,
-            acked: 0,
-            last_counts: BTreeMap::new(),
-            launch_sps: std::collections::VecDeque::new(),
-            seq_mids: BTreeMap::new(),
-            detector,
+            ..Self::new(id, cfg, stable.client)
         }
     }
 
@@ -489,21 +467,40 @@ impl<C: VsClient> VsNode<C> {
         }
     }
 
-    /// Delivers log entries to the client up to absolute position
-    /// `target` (callers keep `target ≤ log_end`).
-    fn deliver_up_to(&mut self, target: u64, ctx: &mut Context<'_, Wire, ImplEvent>) -> bool {
+    /// Hands log entries to the client, as `gprcv` or as `safe`
+    /// indications, from that indication's cursor up to absolute position
+    /// `target` (callers keep `target ≤ log_end`). The entry stays in the
+    /// log and is only borrowed: the one clone per indication is the
+    /// message copy the emitted event owns.
+    fn indicate(
+        &mut self,
+        kind: Indication,
+        target: u64,
+        ctx: &mut Context<'_, Wire, ImplEvent>,
+    ) -> bool {
         let mut progressed = false;
-        while self.delivered_count < target {
-            let tm = self.log[(self.delivered_count - self.log_start) as usize].clone();
-            self.delivered_count += 1;
-            ctx.emit(ImplEvent::GpRcv {
-                src: tm.src,
-                dst: self.id,
-                mid: tm.mid,
-                m: tm.msg.clone(),
-            });
+        loop {
+            let cursor = match kind {
+                Indication::GpRcv => &mut self.delivered_count,
+                Indication::Safe => &mut self.safe_count,
+            };
+            if *cursor >= target {
+                break;
+            }
+            let tm = &self.log[(*cursor - self.log_start) as usize];
+            *cursor += 1;
+            let (src, dst, mid, m) = (tm.src, self.id, tm.mid, tm.msg.clone());
             let mut effects = ClientEffects::default();
-            self.client.on_gprcv(tm.src, &tm.msg, &mut effects);
+            match kind {
+                Indication::GpRcv => {
+                    ctx.emit(ImplEvent::GpRcv { src, dst, mid, m });
+                    self.client.on_gprcv(src, &tm.msg, &mut effects);
+                }
+                Indication::Safe => {
+                    ctx.emit(ImplEvent::Safe { src, dst, mid, m });
+                    self.client.on_safe(src, &tm.msg, &mut effects);
+                }
+            }
             self.queue_effects(effects, ctx);
             progressed = true;
         }
@@ -515,22 +512,10 @@ impl<C: VsClient> VsNode<C> {
     /// client sees a message only once it is safe; otherwise delivery
     /// runs ahead to everything received and safe follows separately.
     fn advance_client(&mut self, sp: u64, ctx: &mut Context<'_, Wire, ImplEvent>) -> bool {
-        let mut progressed = false;
-        if self.cfg.safe_delivery {
-            progressed |= self.deliver_up_to(sp, ctx);
-        } else {
-            progressed |= self.deliver_up_to(self.log_end(), ctx);
-        }
-        while self.safe_count < sp {
-            let tm = self.log[(self.safe_count - self.log_start) as usize].clone();
-            self.safe_count += 1;
-            ctx.emit(ImplEvent::Safe { src: tm.src, dst: self.id, mid: tm.mid, m: tm.msg.clone() });
-            let mut effects = ClientEffects::default();
-            self.client.on_safe(tm.src, &tm.msg, &mut effects);
-            self.queue_effects(effects, ctx);
-            progressed = true;
-        }
-        progressed
+        let deliver_to = if self.cfg.safe_delivery { sp } else { self.log_end() };
+        let delivered = self.indicate(Indication::GpRcv, deliver_to, ctx);
+        let reported_safe = self.indicate(Indication::Safe, sp, ctx);
+        delivered || reported_safe
     }
 
     fn process_token(&mut self, tok: Box<Token>, ctx: &mut Context<'_, Wire, ImplEvent>) {

@@ -43,49 +43,34 @@ pub struct ClientEffects {
 #[derive(Clone)]
 pub struct TimedVsToTo {
     proc: VsToToProc,
-    delivered: Vec<(ProcId, Value)>,
 }
 
 impl TimedVsToTo {
     /// Creates the layer for processor `id`.
     pub fn new(id: ProcId, p0: &BTreeSet<ProcId>, quorums: Arc<dyn QuorumSystem>) -> Self {
-        TimedVsToTo { proc: VsToToProc::initial(id, p0, quorums), delivered: Vec::new() }
+        TimedVsToTo { proc: VsToToProc::initial(id, p0, quorums) }
     }
 
-    /// The underlying algorithm state (for inspection in tests and
-    /// experiments).
-    pub fn proc(&self) -> &VsToToProc {
-        &self.proc
-    }
-
-    /// Everything delivered to the TO client at this location, in order.
-    pub fn delivered(&self) -> &[(ProcId, Value)] {
-        &self.delivered
+    /// Everything delivered to the TO client at this location, in order
+    /// (derived from the algorithm's own state, see
+    /// [`VsToToProc::reported`]).
+    pub fn delivered(&self) -> Vec<(ProcId, Value)> {
+        self.proc.reported()
     }
 
     /// Performs every enabled locally controlled action until quiescent.
     ///
-    /// `label`/`gpsnd` run through the fused
-    /// [`VsToToProc::drain_label_gpsnd`] and `confirm`/`brcv` through
-    /// [`VsToToProc::drain_confirm_brcv`] — one map walk per message
-    /// instead of separate enabledness probes and effects — because this
-    /// loop runs once per received and once per safe message at ring
-    /// throughput.
+    /// One pass in this order is enough: `label` can only enable `gpsnd`
+    /// and `confirm` can only enable `brcv`; nothing later in the list
+    /// enables anything earlier.
     fn pump(&mut self, effects: &mut ClientEffects) {
-        let mut fresh: Vec<(ProcId, Value)> = Vec::new();
-        loop {
-            let mut progressed = self.proc.drain_label_gpsnd(&mut effects.gpsnd);
-            fresh.clear();
-            if self.proc.drain_confirm_brcv(&mut fresh) {
-                for (src, a) in fresh.drain(..) {
-                    self.delivered.push((src, a.clone()));
-                    effects.brcv.push((src, a));
-                }
-                progressed = true;
-            }
-            if !progressed {
-                break;
-            }
+        while self.proc.label().is_some() {}
+        while let Some(m) = self.proc.gpsnd() {
+            effects.gpsnd.push(m);
+        }
+        while self.proc.confirm().is_some() {}
+        while let Some(delivery) = self.proc.brcv() {
+            effects.brcv.push(delivery);
         }
     }
 }
@@ -125,11 +110,11 @@ impl VsClient for TimedVsToTo {
     }
 }
 
-/// A trivial VS client used to exercise the VS service alone: it sends
-/// each client value as-is (labelled with a dummy label is unnecessary —
-/// it wraps values in summaries? no: it sends nothing) and records what
-/// it receives. Used by VS-level tests and experiments that do not need
-/// the TO layer.
+/// A trivial VS client used to exercise the VS service alone: it
+/// multicasts each client value once, as a `Val` message under a
+/// synthetic label, and records every view, receipt and safe indication
+/// it is given. It never delivers anything to the TO client. Used by
+/// VS-level tests and experiments that do not need the TO layer.
 #[derive(Default)]
 pub struct EchoClient {
     /// Messages received, with sender.

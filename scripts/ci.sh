@@ -49,7 +49,8 @@ fi
 
 # Every crate's unit, integration and doc tests, gcs-lint's fixture
 # self-tests and its workspace-clean meta-test included. No test is
-# #[ignore]d for time (the slowest single test runs ~25 s on 2 CPUs);
+# #[ignore]d for time (the slowest, gcs-core's eager_schedule, runs ~60 s
+# on 2 CPUs; every other single test is under ~30 s);
 # the one #[ignore] in the tree regenerates a corpus file and must not
 # run here, so there is no `-- --ignored` stage.
 echo "==> cargo test -q"
