@@ -320,13 +320,23 @@ fn put_wire(out: &mut Vec<u8>, w: &Wire) {
 // Primitive readers
 // ---------------------------------------------------------------------
 
+/// Smallest payload whose decoded values share its buffer. A value
+/// outlives its frame by as long as the application keeps it, and a
+/// sub-view pins the whole payload: an idle ring's token frame (~70
+/// bytes around one 8-byte value) would stay resident at every member
+/// for each value delivered. Below this size a value is copied out and
+/// the frame is freed; batch frames (hundreds of entries, or KiB-sized
+/// values) are far above it and stay zero-copy.
+const SHARE_MIN_PAYLOAD: usize = 512;
+
 /// A bounds-checked cursor over a frame payload.
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
-    /// When the payload lives in a shared [`Bytes`] buffer, decoded
-    /// values are O(1) sub-views of it instead of per-value copies.
-    /// `backing.as_slice()` is always identical to `buf`.
+    /// When the payload lives in a shared [`Bytes`] buffer of at least
+    /// [`SHARE_MIN_PAYLOAD`] bytes, decoded values are O(1) sub-views of
+    /// it instead of per-value copies. `backing.as_slice()` is always
+    /// identical to `buf`.
     backing: Option<&'a Bytes>,
 }
 
@@ -411,12 +421,12 @@ impl<'a> Cursor<'a> {
         let n = self.len("byte string length")?;
         let (start, end) = (self.pos, self.pos + n);
         self.pos = end;
-        Ok(match self.backing {
+        Ok(Value::new(match self.backing {
             // Zero-copy: the value is a sub-view of the frame payload,
             // sharing its allocation for as long as the value lives.
-            Some(b) => Value::new(b.slice(start..end)),
-            None => Value::from(self.buf[start..end].to_vec()),
-        })
+            Some(b) if b.len() >= SHARE_MIN_PAYLOAD => b.slice(start..end),
+            _ => Bytes::copy_from_slice(&self.buf[start..end]),
+        }))
     }
 
     fn label(&mut self) -> DecodeResult<Label> {
@@ -689,7 +699,8 @@ pub fn decode_payload(buf: &[u8]) -> DecodeResult<Frame> {
 }
 
 /// Decodes a frame payload held in a shared [`Bytes`] buffer. Identical
-/// to [`decode_payload`], except every decoded [`Value`] is an O(1)
+/// to [`decode_payload`], except every [`Value`] decoded from a payload
+/// large enough for sharing to pay (a batch, or large values) is an O(1)
 /// sub-view of `payload` rather than a copy — one allocation per frame
 /// instead of one per value, which is the read-path complement of the
 /// gather-writing [`FrameWriter`].
@@ -1018,22 +1029,39 @@ mod tests {
         });
     }
 
-    #[test]
-    fn shared_decode_values_borrow_the_payload_buffer() {
-        let big = Value::from(vec![0xabu8; 64]);
-        let frame = Frame::SubmitGroup { group: 1, batch: vec![big.clone(), big.clone()] };
+    /// Shared-decodes a `batch` of identical `len`-byte values and
+    /// reports whether each decoded value aliases the payload buffer.
+    fn shared_decode_aliasing(len: usize, batch: usize) -> Vec<bool> {
+        let frame =
+            Frame::SubmitGroup { group: 1, batch: vec![Value::from(vec![0xabu8; len]); batch] };
         let payload = Bytes::from(encode_payload(&frame));
         let decoded = decode_payload_shared(&payload).expect("decodes");
         assert_eq!(decoded, frame);
+        // The plain slice-based decode always copies (no backing buffer
+        // to borrow from) and agrees on the result.
+        assert_eq!(decode_payload(payload.as_slice()).expect("decodes"), frame);
         let Frame::SubmitGroup { batch, .. } = decoded else { unreachable!() };
         let lo = payload.as_slice().as_ptr() as usize;
         let hi = lo + payload.len();
-        for v in &batch {
-            let p = v.as_bytes().as_ptr() as usize;
-            assert!(p >= lo && p + v.len() <= hi, "value was copied, not borrowed");
-        }
-        // The plain slice-based decode still copies (no backing buffer
-        // to borrow from) and agrees on the result.
-        assert_eq!(decode_payload(payload.as_slice()).expect("decodes"), frame);
+        batch
+            .iter()
+            .map(|v| {
+                let p = v.as_bytes().as_ptr() as usize;
+                p >= lo && p + v.len() <= hi
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_decode_values_borrow_the_payload_buffer() {
+        // 8 × 64 bytes of values: a payload above SHARE_MIN_PAYLOAD.
+        assert_eq!(shared_decode_aliasing(64, 8), [true; 8], "value was copied, not borrowed");
+    }
+
+    #[test]
+    fn shared_decode_of_a_small_frame_copies_its_values_out() {
+        // An idle ring's frame: one small value must not pin the payload.
+        assert_eq!(shared_decode_aliasing(8, 1), [false], "small frame pinned by its value");
+        assert_eq!(shared_decode_aliasing(64, 2), [false; 2], "small frame pinned by its values");
     }
 }

@@ -266,7 +266,9 @@ impl<S: Shims> TraceBuf<S> {
                 epoch: Instant::now(),
                 manual_ms: manual.then(|| S::AtomicU64::new(0)),
                 seq: S::AtomicU64::new(0),
-                shards: (0..N_SHARDS).map(|_| S::Mutex::new(VecDeque::new())).collect(),
+                shards: (0..N_SHARDS)
+                    .map(|_| S::Mutex::new(VecDeque::with_capacity(cap_per_shard)))
+                    .collect(),
                 cap_per_shard,
                 evicted: S::AtomicU64::new(0),
             }),

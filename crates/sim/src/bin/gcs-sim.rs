@@ -23,9 +23,19 @@
 //! or monitor — or if the adaptive detector does not hold membership
 //! strictly more stable than fixed timeouts on the flapping/bimodal
 //! regimes.
+//!
+//! ```text
+//! gcs-sim follower
+//! ```
+//!
+//! `follower` runs the follower-latency scenario twice — round requests
+//! delivered, then every one of them lost — and fails unless each value
+//! submitted at node 2 is back there within `(2n + 3)δ` in the first
+//! run and within `d` in the second, with every checker and both bound
+//! monitors silent in both.
 
 use gcs_harness::par_seeds_with;
-use gcs_sim::{hostile, shrink, world, HostileKind, Scenario, SimConfig};
+use gcs_sim::{follower, hostile, shrink, world, HostileKind, Scenario, SimConfig};
 use std::process::ExitCode;
 
 struct Args {
@@ -44,6 +54,7 @@ fn usage(err: &str) -> ExitCode {
          \u{20}                  [--duration MS] [--submits K] [--faults F] [--queue Q]\n\
          \u{20}                  [--fixed-delay] [--verbose] [--out DIR]\n\
          \u{20}      gcs-sim hostile [--seeds N] [--workers W] [--kinds a,b,..] [--verbose]\n\
+         \u{20}      gcs-sim follower\n\
          \u{20}      gcs-sim replay FILE [--verbose]"
     );
     ExitCode::from(2)
@@ -304,6 +315,34 @@ fn cmd_hostile(args: &HostileArgs) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+fn cmd_follower() -> ExitCode {
+    let mut failing = 0usize;
+    for (requests, what) in [(true, "requests delivered"), (false, "requests lost")] {
+        let run = follower::run_follower(requests);
+        let (delta, hops, d) = follower::bounds();
+        let bound = if requests { hops } else { d };
+        let max = |xs: &[u64]| xs.iter().copied().max().unwrap_or(0);
+        let failures = run.failures(bound);
+        println!(
+            "follower  {what:<18}  {} values  bcast→brcv at node 2: min {} max {} ms  \
+             first anywhere: max {} ms  bound {bound} ms (δ = {delta})  {}",
+            run.own_ms.len(),
+            run.own_ms.iter().copied().min().unwrap_or(0),
+            max(&run.own_ms),
+            max(&run.first_ms),
+            if failures.is_empty() { "ok" } else { "FAIL" },
+        );
+        for f in &failures {
+            println!("  violation: {f}");
+        }
+        failing += failures.len();
+    }
+    if failing > 0 {
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}
+
 fn cmd_replay(path: &str, verbose: bool) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -332,6 +371,7 @@ fn main() -> ExitCode {
             Ok(args) => cmd_hostile(&args),
             Err(e) => usage(&e),
         },
+        Some("follower") => cmd_follower(),
         Some("replay") => {
             let Some(path) = argv.get(1) else {
                 return usage("replay needs a scenario file");
@@ -339,6 +379,6 @@ fn main() -> ExitCode {
             let verbose = argv.iter().any(|a| a == "--verbose");
             cmd_replay(path, verbose)
         }
-        _ => usage("expected a subcommand: run | hostile | replay"),
+        _ => usage("expected a subcommand: run | hostile | follower | replay"),
     }
 }

@@ -31,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod follower;
 pub mod hostile;
 pub mod scenario;
 pub mod shard;

@@ -310,6 +310,8 @@ struct World<'a> {
     frames_dropped: u64,
     dups_injected: u64,
     faults_applied: usize,
+    /// See [`run_traced_without_requests`].
+    lose_requests: bool,
 }
 
 /// Runs one scenario to completion and reports.
@@ -322,6 +324,19 @@ pub fn run(sc: &Scenario) -> RunReport {
 /// for timeline debugging of a failing seed.
 pub fn run_traced(sc: &Scenario) -> (RunReport, Vec<gcs_obs::ObsEvent>) {
     let (report, events, _) = World::new(sc).run();
+    (report, events)
+}
+
+/// Like [`run_traced`], but every *round request* — the `round: 0`
+/// token frame a member with pending sends addresses to the leader —
+/// vanishes at the sender, silently: no drop or fault event, so the
+/// bound monitors excuse nothing. A request is only a hint, and this is
+/// the run that holds the protocol to it: with every hint lost, the π
+/// heartbeat alone must still meet `d`.
+pub fn run_traced_without_requests(sc: &Scenario) -> (RunReport, Vec<gcs_obs::ObsEvent>) {
+    let mut world = World::new(sc);
+    world.lose_requests = true;
+    let (report, events, _) = world.run();
     (report, events)
 }
 
@@ -376,6 +391,7 @@ impl<'a> World<'a> {
             frames_dropped: 0,
             dups_injected: 0,
             faults_applied: 0,
+            lose_requests: false,
         }
     }
 
@@ -433,6 +449,9 @@ impl<'a> World<'a> {
                 return;
             }
             for (from, to, wire) in batch {
+                if self.lose_requests && matches!(&wire, Wire::Token(t) if t.round == 0) {
+                    continue;
+                }
                 let delta = self.sc.config.delta_ms.max(1);
                 if self.blocked(from, to) {
                     // A severed link manifests to the sender as its

@@ -61,3 +61,18 @@ fn pipelined_partition_replay_is_deterministic() {
     assert_eq!(a.frames_sent, b.frames_sent);
     assert_eq!(a.violations, b.violations);
 }
+
+/// A round that dies *after* collecting a member's sends, while later
+/// rounds keep the view alive: the member's next batch must not be
+/// sequenced past the lost one (a gap in its stream, which VS forbids
+/// and the cause checker reports), and the lost batch must still arrive
+/// — offered again, without a view change.
+#[test]
+fn round_lost_after_collecting_leaves_no_gap() {
+    let path = format!("{}/tests/corpus/lost_collect.scenario", env!("CARGO_MANIFEST_DIR"));
+    let sc = Scenario::parse(&std::fs::read_to_string(&path).expect("fixture exists"))
+        .expect("fixture parses");
+    let report = run(&sc);
+    assert!(report.ok(), "{:?}", report.violations.first());
+    assert_eq!((report.delivered, report.frames_dropped, report.views_installed), (3, 1, 0));
+}

@@ -126,6 +126,18 @@ pub struct VsNode<C> {
     heard: BTreeMap<ProcId, Time>,
     // --- token state (per current view) ---
     out_buf: Vec<TokenMsg>,
+    /// A member's sends a token has taken (in round `offered_round`) and
+    /// that have not come back sequenced yet. A token lost on its way to
+    /// the leader takes its `collect` with it while later rounds keep
+    /// the view alive, and the leader's per-source `seq_mids` filter
+    /// would turn a later batch sequenced past the lost one into a gap
+    /// in this sender's stream. So there is one batch per source on the
+    /// ring at a time: newer sends wait in `out_buf` until this one
+    /// shows up in the log, and the batch is offered again once a round
+    /// visits that the leader can only have launched after giving up on
+    /// the round that took it.
+    offered: Vec<TokenMsg>,
+    offered_round: u64,
     /// Retained suffix of the per-view total order: `log[0]` sits at
     /// absolute sequence position `log_start`. The prefix below the
     /// token's `acked` cursor has been delivered and reported safe
@@ -148,6 +160,10 @@ pub struct VsNode<C> {
     stash: BTreeMap<u64, TokenMsg>,
     last_token: Time,
     mid_counter: u64,
+    /// A round request (see [`VsNode::request_round`]) has been sent
+    /// since the last token visit; the next visit takes whatever has
+    /// accumulated, so a second request would buy nothing.
+    asked: bool,
     // --- leader state (meaningful only while leading the current view) ---
     /// Round number of the next launch (rounds start at 1 per view).
     next_round: u64,
@@ -163,6 +179,10 @@ pub struct VsNode<C> {
     /// returns, every member has processed r and therefore reported safe
     /// at least r's launch prefix, which then becomes the ack cursor.
     launch_sps: std::collections::VecDeque<(u64, u64)>,
+    /// A member asked for a round that has not been launched yet (the
+    /// pipeline was full); honoured at the next return, cleared by the
+    /// next launch.
+    round_wanted: bool,
     /// Per-source high-water message ids already sequenced from token
     /// `collect` fields; mids are strictly increasing per source, so
     /// this deduplicates pickups carried by duplicated tokens.
@@ -221,6 +241,8 @@ impl<C: VsClient> VsNode<C> {
             last_form: None,
             heard: BTreeMap::new(),
             out_buf: Vec::new(),
+            offered: Vec::new(),
+            offered_round: 0,
             log: std::collections::VecDeque::new(),
             log_start: 0,
             delivered_count: 0,
@@ -229,12 +251,14 @@ impl<C: VsClient> VsNode<C> {
             stash: BTreeMap::new(),
             last_token: 0,
             mid_counter: 0,
+            asked: false,
             next_round: 1,
             last_returned: 0,
             sent_high: 0,
             acked: 0,
             last_counts: BTreeMap::new(),
             launch_sps: std::collections::VecDeque::new(),
+            round_wanted: false,
             seq_mids: BTreeMap::new(),
             detector,
         }
@@ -409,11 +433,13 @@ impl<C: VsClient> VsNode<C> {
         self.view = Some(v.clone());
         self.forming = None;
         self.out_buf.clear();
+        self.offered.clear();
         self.log.clear();
         self.log_start = 0;
         self.delivered_count = 0;
         self.safe_count = 0;
         self.stash.clear();
+        self.asked = false;
         self.last_token = ctx.now();
         if let Some(d) = &mut self.detector {
             // Formation time is not an inter-arrival gap: re-anchor so
@@ -426,6 +452,7 @@ impl<C: VsClient> VsNode<C> {
         self.acked = 0;
         self.last_counts = v.set.iter().map(|&p| (p, 0)).collect();
         self.launch_sps.clear();
+        self.round_wanted = false;
         self.seq_mids.clear();
         ctx.emit(ImplEvent::NewView { p: self.id, v: v.clone() });
         let mut effects = ClientEffects::default();
@@ -444,6 +471,8 @@ impl<C: VsClient> VsNode<C> {
                 self.process_token(tok, ctx);
             }
         }
+        // The view-change sends `on_newview` queued are pending now.
+        self.request_round(ctx);
     }
 
     // ----------------------------------------------------------------
@@ -518,12 +547,63 @@ impl<C: VsClient> VsNode<C> {
         delivered || reported_safe
     }
 
+    /// Asks the leader for a round, if this member has sends pending and
+    /// has not asked since a token last visited it. The request is a
+    /// `Token` frame with `round: 0` (launched rounds start at 1) and
+    /// nothing else in it: the pending entries still ride the next
+    /// token's `collect`, so each source has one carrier and the
+    /// leader's per-source `seq_mids` high-water filter can never
+    /// discard a batch that a faster path overtook. It is a hint to do
+    /// now what the π heartbeat would do anyway: lost, duplicated, stale
+    /// or forged, it costs one π of waiting or one empty rotation.
+    fn request_round(&mut self, ctx: &mut Context<'_, Wire, ImplEvent>) {
+        // While a batch is on the ring the next visit cannot take more:
+        // the round that brings the batch back takes what is waiting.
+        if self.asked || self.out_buf.is_empty() || !self.offered.is_empty() {
+            return;
+        }
+        let Some(view) = &self.view else { return };
+        let Some(leader) = view.leader().filter(|&l| l != self.id) else { return };
+        self.asked = true;
+        let request = Token {
+            view: view.id,
+            round: 0,
+            seq_start: 0,
+            entries: Vec::new(),
+            collect: Vec::new(),
+            acked: 0,
+            delivered: BTreeMap::new(),
+        };
+        ctx.send(leader, Wire::Token(Box::new(request)));
+    }
+
     fn process_token(&mut self, tok: Box<Token>, ctx: &mut Context<'_, Wire, ImplEvent>) {
+        if tok.round == 0 {
+            // A round request, not a ring token: only its round number
+            // and (already matched) view id are read. It refreshes no
+            // token clock and is never forwarded; a non-leader drops it.
+            if self.is_leader() {
+                self.round_wanted = true;
+                self.leader_progress(ctx);
+                self.maybe_launch(ctx, false);
+            }
+            return;
+        }
         if self.is_leader() {
             self.leader_absorb_token(*tok, ctx);
         } else {
             self.member_process_token(tok, ctx);
         }
+    }
+
+    /// Extends a member's log by one sequenced entry; seeing one of its
+    /// own sends come back retires the offered batch up to it.
+    fn member_append(&mut self, tm: TokenMsg) {
+        if tm.src == self.id {
+            let done = self.offered.iter().take_while(|o| o.mid <= tm.mid).count();
+            self.offered.drain(..done);
+        }
+        self.log.push_back(tm);
     }
 
     /// A member's visit: extend the log with the round's delta, hand
@@ -535,6 +615,7 @@ impl<C: VsClient> VsNode<C> {
         ctx: &mut Context<'_, Wire, ImplEvent>,
     ) {
         let view = self.view.clone().expect("token processed only inside a view");
+        self.asked = false;
         self.prune_log(tok.acked);
         if tok.seq_start <= self.log_end() {
             // Contiguous round: append the unseen part of the delta.
@@ -551,7 +632,7 @@ impl<C: VsClient> VsNode<C> {
             }
             let skip = (self.log_end() - tok.seq_start) as usize;
             for tm in tok.entries.iter().skip(skip) {
-                self.log.push_back(tm.clone());
+                self.member_append(tm.clone());
             }
         } else {
             // This round overtook one still in flight (links may
@@ -567,7 +648,7 @@ impl<C: VsClient> VsNode<C> {
         // Splice any stashed entries that have become contiguous, then
         // drop stale stash positions the log has since covered.
         while let Some(tm) = self.stash.remove(&self.log_end()) {
-            self.log.push_back(tm);
+            self.member_append(tm);
         }
         let end = self.log_end();
         while let Some((&pos, _)) = self.stash.iter().next() {
@@ -577,10 +658,25 @@ impl<C: VsClient> VsNode<C> {
                 break;
             }
         }
+        // With at most `PIPELINE_DEPTH` rounds in flight, a round this far
+        // past the one that took the offered batch was launched after the
+        // leader counted that round as returned; had it really returned,
+        // its `collect` was sequenced before this launch and is in the
+        // log by now. It is not, so the round was lost: offer the batch
+        // again. (If it was only overtaken, the leader's high-water
+        // filter drops the copy.)
+        let offering = self.offered.is_empty() || tok.round >= self.offered_round + PIPELINE_DEPTH;
+        // `offered[carried..]` is what this token has yet to be given.
+        let mut carried = if offering { 0 } else { self.offered.len() };
         loop {
             let mut progressed = false;
-            if !self.out_buf.is_empty() {
-                tok.collect.append(&mut self.out_buf);
+            if offering {
+                self.offered.append(&mut self.out_buf);
+            }
+            if carried < self.offered.len() {
+                tok.collect.extend(self.offered[carried..].iter().cloned());
+                carried = self.offered.len();
+                self.offered_round = tok.round;
                 progressed = true;
             }
             tok.delivered.insert(self.id, self.log_end());
@@ -683,8 +779,9 @@ impl<C: VsClient> VsNode<C> {
     }
 
     /// Launches the next round if the pipeline has room and there is a
-    /// reason to: unshipped entries always warrant a launch; with nothing
-    /// in flight, unacknowledged work or a π heartbeat does too.
+    /// reason to: unshipped entries or a member's round request always
+    /// warrant a launch; with nothing in flight, unacknowledged work or
+    /// a π heartbeat does too.
     fn maybe_launch(&mut self, ctx: &mut Context<'_, Wire, ImplEvent>, heartbeat: bool) {
         let Some(view) = self.view.clone() else { return };
         if view.size() <= 1 {
@@ -699,9 +796,10 @@ impl<C: VsClient> VsNode<C> {
         }
         let unsent = self.log_end() > self.sent_high;
         let busy = self.acked < self.log_end();
-        if !(unsent || (in_flight == 0 && (busy || heartbeat))) {
+        if !(unsent || self.round_wanted || (in_flight == 0 && (busy || heartbeat))) {
             return;
         }
+        self.round_wanted = false;
         // With the pipeline drained, ship from the lowest receipt count
         // instead of the send high-water: if a round was lost in transit,
         // this retransmits its entries and heals member gaps without a
@@ -904,11 +1002,152 @@ impl<C: VsClient> Process for VsNode<C> {
         self.client.on_input(a, &mut effects);
         self.queue_effects(effects, ctx);
         // The leader sequences its own sends immediately and ships them
-        // without waiting for a rotation; members' sends wait for the
-        // next token visit.
+        // without waiting for a rotation; a member's sends wait for the
+        // next token visit, which it asks the leader for.
         if self.view.is_some() && self.is_leader() {
             self.leader_progress(ctx);
             self.maybe_launch(ctx, false);
+        } else {
+            self.request_round(ctx);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::timed_vstoto::EchoClient;
+    use gcs_ioa::CollectedEffects;
+    use std::collections::VecDeque;
+
+    type Fx = CollectedEffects<Wire, ImplEvent>;
+
+    /// Three nodes in the initial view over per-link FIFO queues, driven
+    /// one handler at a time by a seeded schedule. Time stands still: no
+    /// timer ever fires unless the schedule fires the leader's heartbeat
+    /// itself, so whatever gets delivered was moved by requests alone.
+    struct Ring {
+        nodes: Vec<VsNode<EchoClient>>,
+        links: BTreeMap<(u32, u32), VecDeque<Wire>>,
+        rng: u64,
+        inputs: u64,
+    }
+
+    impl Ring {
+        fn new(seed: u64) -> Ring {
+            let nodes = (0..3)
+                .map(|i| {
+                    let mut node =
+                        VsNode::new(ProcId(i), ProtoConfig::standard(3, 5), EchoClient::new(i));
+                    node.on_start(&mut Fx::new(0).ctx());
+                    node
+                })
+                .collect();
+            Ring { nodes, links: BTreeMap::new(), rng: seed | 1, inputs: 0 }
+        }
+
+        fn draw(&mut self, below: u64) -> u64 {
+            self.rng = self.rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (self.rng >> 33) % below
+        }
+
+        /// Runs one handler on node `p`, routes what it sent, and checks
+        /// the leader invariant: sequenced-but-unshipped entries with
+        /// nothing in flight is a state no handler may leave behind (it
+        /// would sit there until the π heartbeat).
+        fn step(&mut self, p: u32, f: impl FnOnce(&mut VsNode<EchoClient>, &mut Fx)) {
+            let mut fx = Fx::new(0);
+            f(&mut self.nodes[p as usize], &mut fx);
+            for (to, wire) in fx.take_sends() {
+                self.links.entry((p, to.0)).or_default().push_back(wire);
+            }
+            let n = &self.nodes[p as usize];
+            if n.is_leader() {
+                let in_flight = (n.next_round - 1).saturating_sub(n.last_returned);
+                assert!(
+                    !(n.log_end() > n.sent_high && in_flight == 0),
+                    "leader left {} unshipped entries behind an idle ring",
+                    n.log_end() - n.sent_high
+                );
+            }
+        }
+
+        fn busy_link(&mut self) -> Option<(u32, u32)> {
+            let busy: Vec<(u32, u32)> =
+                self.links.iter().filter(|(_, q)| !q.is_empty()).map(|(&k, _)| k).collect();
+            (!busy.is_empty()).then(|| busy[self.draw(busy.len() as u64) as usize])
+        }
+
+        fn deliver(&mut self, (from, to): (u32, u32), dup: bool) {
+            let q = self.links.get_mut(&(from, to)).expect("a busy link");
+            let wire = if dup { q[0].clone() } else { q.pop_front().expect("a busy link") };
+            self.step(to, |n, fx| n.on_message(ProcId(from), wire, &mut fx.ctx()));
+        }
+
+        fn input(&mut self) {
+            self.inputs += 1;
+            let (p, a) = (self.draw(3) as u32, Value::from_u64(self.inputs));
+            self.step(p, |n, fx| n.on_input(a, &mut fx.ctx()));
+        }
+
+        fn drain(&mut self) {
+            while let Some(link) = self.busy_link() {
+                self.deliver(link, false);
+            }
+        }
+    }
+
+    #[test]
+    fn requests_alone_move_every_send_and_no_handler_strands_the_leader() {
+        for seed in 0..40 {
+            let mut ring = Ring::new(seed);
+            for _ in 0..400 {
+                match (ring.draw(10), ring.busy_link()) {
+                    (0..=2, _) | (_, None) => ring.input(),
+                    (3, Some(link)) => ring.deliver(link, true),
+                    (_, Some(link)) => ring.deliver(link, false),
+                }
+            }
+            ring.drain();
+            // No heartbeat ever fired, yet everything was collected,
+            // sequenced and delivered everywhere in one order.
+            let want = ring.inputs as usize;
+            for n in &ring.nodes {
+                assert_eq!(n.client.received.len(), want, "seed {seed}: {} stalled", n.id);
+                assert_eq!(n.client.received, ring.nodes[0].client.received, "seed {seed}");
+                assert_eq!(n.client.safe.len(), want, "seed {seed}: {} not safe", n.id);
+            }
+        }
+    }
+
+    #[test]
+    fn lossy_ring_keeps_every_stream_gap_free_and_never_strands_the_leader() {
+        for seed in 0..40 {
+            let mut ring = Ring::new(seed);
+            for _ in 0..600 {
+                match (ring.draw(12), ring.busy_link()) {
+                    (0..=2, _) | (_, None) => ring.input(),
+                    (3, Some(link)) => {
+                        ring.links.get_mut(&link).expect("a busy link").pop_front();
+                    }
+                    (4, _) => ring.step(0, |n, fx| {
+                        n.on_timer(timer_kind(TAG_LAUNCH, 0), &mut fx.ctx());
+                    }),
+                    (_, Some(link)) => ring.deliver(link, false),
+                }
+            }
+            // Whatever was lost on the way, nobody was shown a source's
+            // k-th send without its first k−1 (mids count sends per
+            // source): a token lost with its `collect` delays that
+            // member's sends, it does not punch a hole in them.
+            for n in &ring.nodes {
+                let mut next = [1u64; 3];
+                for (src, m) in &n.client.received {
+                    let seqno = m.label().expect("echo clients send values").seqno;
+                    assert_eq!(seqno, next[src.index()], "seed {seed}: gap in {src} at {}", n.id);
+                    next[src.index()] += 1;
+                }
+            }
         }
     }
 }

@@ -34,6 +34,10 @@ pub struct Token {
     /// Round number: strictly increasing per launch within a view, so
     /// the leader can match returns to launches with several tokens in
     /// flight, and so duplicated tokens are absorbed idempotently.
+    /// Launched rounds start at 1. Round 0 never circulates: a frame
+    /// carrying it is a member's *round request* to the leader (it has
+    /// sends pending and asks for a launch now rather than at the next
+    /// π heartbeat); only `view` and `round` of such a frame are read.
     pub round: u64,
     /// Absolute sequence position of `entries[0]` in the per-view total
     /// order (equal to everything already shipped by earlier rounds).
@@ -55,7 +59,9 @@ pub struct Token {
 }
 
 impl Token {
-    /// A fresh token for a newly installed view.
+    /// A fresh token for a newly installed view. Its round is 0, which
+    /// on the wire means a round request: give it a round ≥ 1 before
+    /// using it as a ring token.
     pub fn new(view: &View) -> Self {
         Token {
             view: view.id,
@@ -95,7 +101,8 @@ pub enum Wire {
         /// The new view.
         view: View,
     },
-    /// The rotating ordered-delivery token.
+    /// The rotating ordered-delivery token (`round ≥ 1`), or a member's
+    /// round request to the leader (`round == 0`).
     Token(Box<Token>),
 }
 

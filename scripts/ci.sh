@@ -87,6 +87,15 @@ echo "==> gcs-sim run --seeds 10 (smoke)"
 echo "==> gcs-sim hostile --seeds 10 (adaptive-vs-fixed corpus smoke)"
 ./target/release/gcs-sim hostile --seeds 10
 
+# Follower latency: a value submitted at a non-leader of a quiet ring is
+# back at its submitter within (2n+3)δ at every phase against the π
+# heartbeat (the member asks the leader for a round instead of waiting
+# for one), and within d with every such request lost: a change that
+# puts π back into the latency path, or that needs the request to meet
+# the paper's bounds, fails here.
+echo "==> gcs-sim follower (2n+3 hops with round requests, d without)"
+./target/release/gcs-sim follower
+
 # The repository benchmark at 1/50 size, every workload with its traced
 # checker pass: exactly-once delivery in one identical order at every
 # member, the VS/TO trace checkers, the b/d monitors, per-key
