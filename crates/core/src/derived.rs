@@ -16,66 +16,13 @@ use gcs_model::seq::is_prefix;
 use gcs_model::{ContentMap, Label, ProcId, Summary, Value, View, ViewId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A borrowed view of a summary's *con* component: either an owned
-/// summary's ordered map or a processor's [`ContentMap`] content store.
-/// Both are the same partial function *L ⇀ A*; this enum lets the
-/// derived-state sweep walk either without cloning into a common shape.
-#[derive(Clone, Copy, Debug)]
-pub enum ConRef<'a> {
-    /// Borrowed from an owned [`Summary`] (wire/queue/gotstate copies).
-    Map(&'a BTreeMap<Label, Value>),
-    /// Borrowed from a live processor's content store.
-    Content(&'a ContentMap),
-}
-
-impl<'a> ConRef<'a> {
-    /// Number of ⟨label, value⟩ pairs.
-    pub fn len(self) -> usize {
-        match self {
-            ConRef::Map(m) => m.len(),
-            ConRef::Content(c) => c.len(),
-        }
-    }
-
-    /// Whether the relation is empty.
-    pub fn is_empty(self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterates the pairs. Order is the source's own (lexicographic for
-    /// a map, grouped for a content store) — every consumer here is
-    /// order-insensitive.
-    pub fn iter(self) -> impl Iterator<Item = (Label, &'a Value)> {
-        let (m, c) = match self {
-            ConRef::Map(m) => (Some(m), None),
-            ConRef::Content(c) => (None, Some(c)),
-        };
-        m.into_iter()
-            .flat_map(|m| m.iter().map(|(l, a)| (*l, a)))
-            .chain(c.into_iter().flat_map(ContentMap::iter))
-    }
-
-    /// Iterates the bound labels.
-    pub fn keys(self) -> impl Iterator<Item = Label> + 'a {
-        self.iter().map(|(l, _)| l)
-    }
-
-    /// Clones into the ordered-map representation.
-    pub fn to_map(self) -> BTreeMap<Label, Value> {
-        match self {
-            ConRef::Map(m) => m.clone(),
-            ConRef::Content(c) => c.to_map(),
-        }
-    }
-}
-
 /// A borrowed view of a [`Summary`] (or of the equivalent components of
 /// a processor state), avoiding the `con`/`ord` clones that building an
 /// owned `Summary` would cost.
 #[derive(Clone, Copy, Debug)]
 pub struct SummaryRef<'a> {
     /// The known ⟨label, value⟩ pairs (*x.con*).
-    pub con: ConRef<'a>,
+    pub con: &'a ContentMap,
     /// The tentative total order of labels (*x.ord*).
     pub ord: &'a [Label],
     /// One past the number of confirmed labels (*x.next*).
@@ -87,19 +34,14 @@ pub struct SummaryRef<'a> {
 impl<'a> SummaryRef<'a> {
     /// Borrows an owned summary.
     pub fn of(x: &'a Summary) -> Self {
-        SummaryRef { con: ConRef::Map(&x.con), ord: &x.ord, next: x.next, high: x.high }
+        SummaryRef { con: &x.con, ord: &x.ord, next: x.next, high: x.high }
     }
 
     /// The summary of a processor's current components, without
     /// materializing it (the borrowed equivalent of
     /// [`crate::vstoto::VsToToProc::summary`]).
     pub fn of_proc(p: &'a crate::vstoto::VsToToProc) -> Self {
-        SummaryRef {
-            con: ConRef::Content(&p.content),
-            ord: p.order(),
-            next: p.nextconfirm,
-            high: p.highprimary,
-        }
+        SummaryRef { con: p.content(), ord: p.order(), next: p.nextconfirm, high: p.highprimary }
     }
 
     /// The confirmed prefix *x.confirm* as a borrowed slice: the prefix
@@ -111,7 +53,7 @@ impl<'a> SummaryRef<'a> {
 
     /// Clones into an owned [`Summary`].
     pub fn to_summary(&self) -> Summary {
-        Summary { con: self.con.to_map(), ord: self.ord.to_vec(), next: self.next, high: self.high }
+        Summary { con: self.con.clone(), ord: self.ord.to_vec(), next: self.next, high: self.high }
     }
 }
 

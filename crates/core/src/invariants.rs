@@ -300,7 +300,7 @@ fn lemma_6_5(_s: &SysState, d: &DerivedState<'_>) -> Result<(), String> {
 fn lemma_6_6(s: &SysState, _d: &DerivedState<'_>) -> Result<(), String> {
     for (&p, proc) in &s.procs {
         for l in &proc.buffer {
-            if !proc.content.contains_key(l) {
+            if !proc.content().contains_key(l) {
                 return fail(format!("{p} buffers {l} without content"));
             }
         }
@@ -368,7 +368,7 @@ fn lemma_6_9(s: &SysState, d: &DerivedState<'_>) -> Result<(), String> {
         }
         let Some(g) = proc.current_id() else { continue };
         for (_, _, x) in d.for_pg(p, g) {
-            if !x.con.keys().all(|l| proc.content.contains_key(&l)) {
+            if !x.con.keys().all(|l| proc.content().contains_key(&l)) {
                 return fail(format!("collect at {p}: summary con ⊄ content"));
             }
             if x.ord != proc.order() {

@@ -74,28 +74,21 @@ pub struct VsToToProc {
     /// [`ContentMap`]: dense per-⟨view, origin⟩ seqno vectors instead of
     /// one ever-growing ordered map, so the per-label touches on the
     /// token hot path cost a small-group walk plus an index rather than
-    /// an O(log *history*) tree descent.
-    pub content: ContentMap,
+    /// an O(log *history*) tree descent. Read through
+    /// [`VsToToProc::content`]; private because its marks follow `order`.
+    content: ContentMap,
     /// `nextseqno ∈ ℕ⁺`.
     pub nextseqno: u64,
     /// `buffer`: labelled values not yet multicast.
     pub buffer: VecDeque<Label>,
     /// `order ∈ L*`: the tentative total order (read through
-    /// [`VsToToProc::order`]). Private because the two derived indexes
-    /// below must change with it: `gprcv` is the only writer.
+    /// [`VsToToProc::order`]). `gprcv` is the only writer, and it marks
+    /// in `content` exactly the labels that occur here — the
+    /// duplicate-membership test a receipt needs, answered where the
+    /// label's value is stored instead of by a linear `order.contains`
+    /// (every receipt O(|order|), a long run quadratic). The marks are
+    /// not automaton state: `ContentMap`'s equality ignores them.
     order: Vec<Label>,
-    /// Derived index over `order` for the duplicate-membership test in
-    /// `gprcv` — a linear `order.contains` there makes every receipt
-    /// O(|order|) and a long run quadratic. Not part of the automaton
-    /// state (excluded from `PartialEq`).
-    order_set: BTreeSet<Label>,
-    /// Derived positional cache: `order_vals[i] = content[order[i]]`,
-    /// `None` while that content has not arrived (a recovery order can
-    /// run ahead of its values). Lets `brcv` read the next value by
-    /// position instead of walking `content` — the map holds the whole
-    /// delivered history, so that walk grows with run length. Like
-    /// `order_set`, not automaton state: excluded from `PartialEq`.
-    order_vals: Vec<Option<Value>>,
     /// `nextconfirm ∈ ℕ⁺`.
     pub nextconfirm: u64,
     /// `nextreport ∈ ℕ⁺`.
@@ -183,8 +176,6 @@ impl VsToToProc {
             nextseqno: 1,
             buffer: VecDeque::new(),
             order: Vec::new(),
-            order_set: BTreeSet::new(),
-            order_vals: Vec::new(),
             nextconfirm: 1,
             nextreport: 1,
             gotstate: GotState::new(),
@@ -204,23 +195,24 @@ impl VsToToProc {
         self.current.as_ref().map(|v| v.id)
     }
 
+    /// `content`: the known ⟨label, value⟩ pairs.
+    pub fn content(&self) -> &ContentMap {
+        &self.content
+    }
+
     /// `order`: the tentative total order.
     pub fn order(&self) -> &[Label] {
         &self.order
     }
 
-    /// Appends `l` (bound to `a`) to `order` unless already present.
-    fn append_order(&mut self, l: Label, a: &Value) {
-        if self.order_set.insert(l) {
-            self.order.push(l);
-            self.order_vals.push(Some(a.clone()));
-        }
-    }
-
-    /// Replaces `order` wholesale (view establishment).
+    /// Replaces `order` wholesale (view establishment). A label the new
+    /// order repeats — only an untrusted summary can — stays repeated,
+    /// as Figure 10 has it; the marks only keep `gprcv` from adding one.
     fn replace_order(&mut self, order: Vec<Label>) {
-        self.order_set = order.iter().copied().collect();
-        self.order_vals = order.iter().map(|l| self.content.get(l).cloned()).collect();
+        self.content.clear_marks();
+        for l in &order {
+            self.content.mark(*l);
+        }
         self.order = order;
     }
 
@@ -229,11 +221,9 @@ impl VsToToProc {
     /// prefix lies inside the confirmed prefix, which establishment
     /// preserves (Corollary 6.24), so it is the delivery history itself.
     pub fn reported(&self) -> Vec<(ProcId, Value)> {
-        let n = self.nextreport as usize - 1;
-        self.order[..n]
+        self.order[..self.nextreport as usize - 1]
             .iter()
-            .zip(&self.order_vals[..n])
-            .map(|(l, a)| (l.origin, a.clone().expect("brcv caches every value it reports")))
+            .map(|l| (l.origin, self.content.get(l).expect("brcv read it from content").clone()))
             .collect()
     }
 
@@ -241,7 +231,7 @@ impl VsToToProc {
     /// `⟨content, order, nextconfirm, highprimary⟩`.
     pub fn summary(&self) -> Summary {
         Summary {
-            con: self.content.to_map(),
+            con: self.content.clone(),
             ord: self.order.clone(),
             next: self.nextconfirm,
             high: self.highprimary,
@@ -272,8 +262,7 @@ impl VsToToProc {
     pub fn gprcv(&mut self, src: ProcId, m: &AppMsg) -> GprcvOutcome {
         match m {
             AppMsg::Val(l, a) => {
-                self.content.insert(*l, a.clone());
-                // Figure 10 appends unconditionally; the guard below is a
+                // Figure 10 appends unconditionally; the mark test is a
                 // necessary correction. A value labelled during recovery
                 // (after `newview`, before the summary goes out) is part of
                 // the summary's `con`, so on establishment `fullorder`
@@ -283,14 +272,16 @@ impl VsToToProc {
                 // confirmed and delivered twice, violating `TO-machine`.
                 // (Caught by the executable simulation check of
                 // Theorem 6.26; see DESIGN.md.)
-                if self.primary() {
-                    self.append_order(*l, a);
+                if !self.primary() {
+                    self.content.insert(*l, a.clone());
+                } else if self.content.insert_marked(*l, a.clone()) {
+                    self.order.push(*l);
                 }
                 GprcvOutcome { established: false }
             }
             AppMsg::Summary(x) => {
-                for (l, a) in &x.con {
-                    self.content.insert(*l, a.clone());
+                for (l, a) in x.con.iter() {
+                    self.content.insert(l, a.clone());
                 }
                 self.gotstate.insert(src, x.clone());
                 let complete = self
@@ -330,7 +321,10 @@ impl VsToToProc {
                     .as_ref()
                     .is_some_and(|v| self.safe_exch.iter().copied().eq(v.set.iter().copied()));
                 if all && self.primary() {
-                    self.safe_labels.extend(fullorder(&self.gotstate));
+                    // Positions below `nextconfirm − 1` are confirmed and
+                    // `confirm` never probes them again (see its comment).
+                    let confirmed = self.nextconfirm as usize - 1;
+                    self.safe_labels.extend(fullorder(&self.gotstate).into_iter().skip(confirmed));
                 }
             }
         }
@@ -393,7 +387,7 @@ impl VsToToProc {
                     && x.next == self.nextconfirm
                     && x.high == self.highprimary
                     && x.ord == self.order
-                    && self.content.eq_map(&x.con)
+                    && x.con == self.content
             }
             AppMsg::Val(l, a) => {
                 self.status == ProcStatus::Normal
@@ -439,8 +433,8 @@ impl VsToToProc {
     /// `confirm` only probes `order(nextconfirm)`, now past it; Lemma 6.20
     /// quantifies over the members of `safe-labels`, so a smaller set
     /// only weakens its antecedent; the simulation relation never reads
-    /// it. A later summary exchange may re-add confirmed labels — dead
-    /// weight until the next `newview` clears them.
+    /// it. For the same reason a summary exchange that turns safe adds
+    /// only the unconfirmed part of the exchanged order.
     pub fn confirm(&mut self) -> Option<Label> {
         if !self.primary() {
             return None;
@@ -468,25 +462,13 @@ impl VsToToProc {
 
     /// Output `brcv(a)_{q,p}`: reports the value of `order(nextreport)`
     /// to the client once that label is confirmed and its value known.
-    /// Returns `(q, a)`, or `None` if not enabled.
-    ///
-    /// The value is read by position from `order_vals`, not by walking
-    /// `content`, which holds the whole delivered history.
+    /// Returns `(q, a)`, or `None` if not enabled (which includes a
+    /// recovery order that ran ahead of its content: the label waits).
     pub fn brcv(&mut self) -> Option<(ProcId, Value)> {
-        if self.nextreport >= self.nextconfirm {
-            return None;
-        }
-        let idx = self.nextreport as usize - 1;
-        let l = self.order.get(idx)?;
-        let slot = self.order_vals.get_mut(idx)?;
-        if slot.is_none() {
-            // A recovery order ran ahead of its content; fill the cache
-            // the first time the value shows up.
-            *slot = Some(self.content.get(l)?.clone());
-        }
-        let a = slot.clone()?;
+        let (q, a) = self.brcv_ready_ref()?;
+        let delivery = (q, a.clone());
         self.nextreport += 1;
-        Some((l.origin, a))
+        Some(delivery)
     }
 }
 
@@ -629,8 +611,8 @@ mod tests {
         let v = View::new(g1, [ProcId(0), ProcId(1)].into());
         // p1 has a more advanced history: highprimary g0 with an order.
         let l = Label::new(ViewId::initial(), 1, ProcId(1));
-        p1.content.insert(l, Value::from_u64(5));
-        p1.append_order(l, &Value::from_u64(5));
+        assert!(p1.content.insert_marked(l, Value::from_u64(5)));
+        p1.order.push(l);
         p0.newview(v.clone());
         p1.newview(v.clone());
         let x0 = p0.gpsnd().unwrap();
@@ -643,6 +625,70 @@ mod tests {
         // order contains l.
         assert_eq!(p0.order, vec![l]);
         assert_eq!(p0.highprimary, Some(ViewId::initial()));
+    }
+
+    /// What only an untrusted summary can say: `ord` names a label that
+    /// `con` does not bind, and says it is confirmed. The label is
+    /// adopted, `brcv` waits for its value, and the ordinary message
+    /// that brings the value does not append the label again.
+    #[test]
+    fn order_ahead_of_content_waits_for_the_value_and_is_not_appended_twice() {
+        let mut p = proc(0, 1);
+        p.newview(View::new(ViewId::new(1, ProcId(0)), [ProcId(0)].into()));
+        let Some(AppMsg::Summary(mut x)) = p.gpsnd() else { panic!("summary first") };
+        let l = Label::new(ViewId::initial(), 1, ProcId(0));
+        x.ord.push(l);
+        x.next = 2;
+        assert!(p.gprcv(ProcId(0), &AppMsg::Summary(x)).established);
+        assert_eq!((p.order(), p.nextconfirm), (&[l][..], 2));
+        let waiting = p.clone();
+        assert_eq!(p.brcv_ready_ref(), None);
+        assert_eq!(p.brcv(), None);
+        assert_eq!(p, waiting);
+        assert!(p.reported().is_empty());
+        let a = Value::from_u64(4);
+        for _ in 0..2 {
+            p.gprcv(ProcId(0), &AppMsg::Val(l, a.clone()));
+            assert_eq!(p.order(), [l]);
+        }
+        assert_eq!(p.brcv(), Some((ProcId(0), a.clone())));
+        assert_eq!(p.brcv(), None);
+        assert_eq!(p.reported(), vec![(ProcId(0), a)]);
+    }
+
+    /// A repeated label in an adopted order stays repeated (Figure 10
+    /// adopts the order as given); later receipts still add nothing.
+    #[test]
+    fn adopted_order_keeps_its_repeats_and_receipts_add_none() {
+        let mut p = proc(0, 1);
+        p.newview(View::new(ViewId::new(1, ProcId(0)), [ProcId(0)].into()));
+        let Some(AppMsg::Summary(mut x)) = p.gpsnd() else { panic!("summary first") };
+        let l = Label::new(ViewId::initial(), 1, ProcId(0));
+        x.con.insert(l, Value::from_u64(1));
+        x.ord = vec![l, l];
+        p.gprcv(ProcId(0), &AppMsg::Summary(x));
+        assert_eq!(p.order(), [l, l]);
+        p.gprcv(ProcId(0), &AppMsg::Val(l, Value::from_u64(1)));
+        assert_eq!(p.order(), [l, l]);
+    }
+
+    #[test]
+    fn safe_exchange_adds_only_the_unconfirmed_part_of_the_order() {
+        let mut p = proc(0, 1);
+        let (l1, a1) = send_own(&mut p, 1);
+        p.gprcv(ProcId(0), &AppMsg::Val(l1, a1.clone()));
+        p.safe(ProcId(0), &AppMsg::Val(l1, a1));
+        assert_eq!(p.confirm(), Some(l1));
+        let (l2, a2) = send_own(&mut p, 2);
+        p.gprcv(ProcId(0), &AppMsg::Val(l2, a2));
+        p.newview(View::new(ViewId::new(1, ProcId(0)), [ProcId(0)].into()));
+        let x = p.gpsnd().unwrap();
+        assert!(p.gprcv(ProcId(0), &x).established);
+        assert_eq!((p.order(), p.nextconfirm), (&[l1, l2][..], 2));
+        p.safe(ProcId(0), &x);
+        assert_eq!(p.safe_labels, [l2].into(), "l1 is confirmed: nothing probes it again");
+        assert_eq!(p.confirm(), Some(l2));
+        assert_eq!(p.confirm(), None);
     }
 
     #[test]

@@ -4,13 +4,15 @@
 
 use gcs_core::adversary::{SystemAdversary, VsAdversary};
 use gcs_core::invariants::install_invariants;
+use gcs_core::msg::AppMsg;
 use gcs_core::simulation::install_simulation_check;
 use gcs_core::system::VsToToSystem;
 use gcs_core::vs_machine::{VsAction, VsMachine};
+use gcs_core::vstoto::VsToToProc;
 use gcs_core::weak_vs::{reorder_createviews, replay, WeakVsMachine};
 use gcs_ioa::{Automaton, Runner};
 use gcs_model::summary::{fullorder, maxnextconfirm, maxprimary, shortorder};
-use gcs_model::{GotState, Label, Majority, ProcId, Summary, Value, ViewId};
+use gcs_model::{GotState, Label, Majority, ProcId, Summary, Value, View, ViewId};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -48,7 +50,7 @@ proptest! {
         prop_assert_eq!(sorted.len(), full.len(), "fullorder has duplicates");
         let known = gcs_model::summary::knowncontent(&y);
         for l in known.keys() {
-            prop_assert!(full.contains(l), "knowncontent label missing from fullorder");
+            prop_assert!(full.contains(&l), "knowncontent label missing from fullorder");
         }
         // Labels beyond shortorder appear in ascending label order.
         let tail = &full[short.len()..];
@@ -74,6 +76,43 @@ proptest! {
         let c = x.confirm();
         prop_assert!(gcs_model::seq::is_prefix(&c, &x.ord));
         prop_assert_eq!(c.len() as u64, (x.next - 1).min(x.ord.len() as u64));
+    }
+
+    /// An untrusted summary — `ord` naming labels `con` does not bind,
+    /// or the same label twice, `next` past the end — is adopted without
+    /// a panic; `brcv` reports exactly the confirmed positions whose
+    /// values are known, in order; and when every label then arrives as
+    /// an ordinary message (twice), none is appended to `order` again.
+    #[test]
+    fn untrusted_summary_is_adopted_totally(
+        x in arb_summary(),
+        extra in prop::collection::vec(arb_label(), 0..4),
+    ) {
+        let mut x = x;
+        x.ord.extend(extra);
+        let solo: std::collections::BTreeSet<ProcId> = [ProcId(0)].into();
+        let mut p = VsToToProc::initial(ProcId(0), &solo, Arc::new(Majority::new(1)));
+        p.newview(View::new(ViewId::new(9, ProcId(0)), solo));
+        prop_assert!(matches!(p.gpsnd(), Some(AppMsg::Summary(_))));
+        prop_assert!(p.gprcv(ProcId(0), &AppMsg::Summary(x.clone())).established);
+        let adopted = p.order().to_vec();
+        prop_assert_eq!(&adopted, &fullorder(&[(ProcId(0), x.clone())].into()));
+        let confirmed = adopted.len().min(x.next as usize - 1);
+        let known = adopted[..confirmed].iter().take_while(|l| x.con.contains_key(l)).count();
+        let value = |l: &Label| (l.origin, Value::from_u64(l.seqno));
+        for l in &adopted[..known] {
+            prop_assert_eq!(p.brcv(), Some(value(l)));
+        }
+        prop_assert_eq!(p.brcv(), None);
+        for l in adopted.iter().chain(&adopted) {
+            p.gprcv(ProcId(0), &AppMsg::Val(*l, Value::from_u64(l.seqno)));
+        }
+        prop_assert_eq!(p.order(), &adopted[..]);
+        for l in &adopted[known..confirmed] {
+            prop_assert_eq!(p.brcv(), Some(value(l)));
+        }
+        prop_assert_eq!(p.brcv(), None);
+        prop_assert_eq!(p.reported(), adopted[..confirmed].iter().map(value).collect::<Vec<_>>());
     }
 
     /// Random seeds: the composed system satisfies all invariants and the

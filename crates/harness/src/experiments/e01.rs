@@ -5,13 +5,13 @@
 //! and the full implementation stack (checked black-box on its recorded
 //! client trace). Expected result: zero violations everywhere.
 
-use crate::par::par_seeds;
 use crate::scenarios;
 use crate::{row, Table};
 use gcs_core::adversary::SystemAdversary;
 use gcs_core::simulation::install_simulation_check;
 use gcs_core::system::{SysAction, VsToToSystem};
 use gcs_core::to_trace::check_to_trace;
+use gcs_ioa::par_seeds;
 use gcs_ioa::Runner;
 use gcs_model::{Majority, ProcId};
 use std::sync::Arc;

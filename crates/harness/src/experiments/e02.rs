@@ -7,10 +7,10 @@
 //! minimal stabilization interval l′ against `b+d` and the effective
 //! delivery latency against `d`.
 
-use crate::par::par_seeds;
 use crate::scenarios::{self, Scenario};
 use crate::{row, Table};
 use gcs_core::properties::{check_to_property, PropertyParams};
+use gcs_ioa::par_seeds;
 use gcs_vsimpl::bounds;
 
 fn check(sc: &Scenario) -> Vec<String> {

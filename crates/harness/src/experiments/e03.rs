@@ -6,10 +6,10 @@
 //! plus view monotonicity/self-inclusion and the per-view prefix total
 //! order. Expected: zero violations in every scenario.
 
-use crate::par::par_seeds;
 use crate::scenarios;
 use crate::{row, Table};
 use gcs_core::cause::check_trace;
+use gcs_ioa::par_seeds;
 
 /// Runs the experiment.
 pub fn run(quick: bool) -> Vec<Table> {

@@ -7,10 +7,10 @@
 //! shows the *shape* of the bounds: both grow linearly in n and δ, and
 //! the measured values stay below them.
 
-use crate::par::par_seeds;
 use crate::scenarios;
 use crate::{row, Table};
 use gcs_core::properties::{check_vs_property, PropertyParams};
+use gcs_ioa::par_seeds;
 use gcs_vsimpl::bounds;
 
 fn series_row(n: u32, left: u32, delta: u64, msgs: usize, seed: u64) -> Vec<String> {

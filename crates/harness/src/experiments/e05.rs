@@ -4,11 +4,11 @@
 //! Stress variants: heavy view churn, quiescing churn (system settles),
 //! submission-heavy, and non-majority quorum systems.
 
-use crate::par::par_seeds;
 use crate::{row, Table};
 use gcs_core::adversary::SystemAdversary;
 use gcs_core::simulation::install_simulation_check;
 use gcs_core::system::VsToToSystem;
+use gcs_ioa::par_seeds;
 use gcs_ioa::Runner;
 use gcs_model::{Explicit, Majority, ProcId, QuorumSystem};
 use std::sync::Arc;

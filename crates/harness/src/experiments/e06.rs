@@ -2,12 +2,12 @@
 //! every step of randomly scheduled executions with adversarial view
 //! churn. One row per lemma; expected: zero violations.
 
-use crate::par::par_seeds;
 use crate::{row, Table};
 use gcs_core::adversary::SystemAdversary;
 use gcs_core::derived::DerivedState;
 use gcs_core::invariants::all_invariants;
 use gcs_core::system::VsToToSystem;
+use gcs_ioa::par_seeds;
 use gcs_ioa::Runner;
 use gcs_model::{Majority, ProcId};
 use std::cell::RefCell;
@@ -90,7 +90,7 @@ fn exhaustive(quick: bool) -> Table {
         for (i, p) in [ProcId(0), ProcId(1)].into_iter().enumerate() {
             let a = Value::from_u64(i as u64 + 1);
             let already = s.procs[&p].delay.iter().any(|v| *v == a)
-                || s.procs[&p].content.values().any(|v| *v == a);
+                || s.procs[&p].content().values().any(|v| *v == a);
             if !already {
                 out.push(SysAction::Bcast { p, a });
             }

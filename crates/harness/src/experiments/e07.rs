@@ -6,11 +6,11 @@
 //! summaries become safe at every member, (3) reconciled values reach the
 //! clients. The series shows how each phase scales with group size.
 
-use crate::par::par_seeds;
 use crate::scenarios;
 use crate::{check_figure11, Figure11Params, Stack};
 use crate::{row, Table};
 use gcs_core::msg::AppMsg;
+use gcs_ioa::par_seeds;
 use gcs_ioa::TraceEvent;
 use gcs_model::Time;
 use gcs_vsimpl::ImplEvent;

@@ -5,11 +5,11 @@
 //! construction and replayed in the strict `VS-machine`; external traces
 //! must match exactly.
 
-use crate::par::par_seeds;
 use crate::{row, Table};
 use gcs_core::vs_machine::{VsAction, VsMachine};
 use gcs_core::weak_vs::{reorder_createviews, replay, WeakVsMachine};
 use gcs_ioa::automaton::FnEnvironment;
+use gcs_ioa::par_seeds;
 use gcs_ioa::{Automaton, Runner};
 use gcs_model::{ProcId, Value, View, ViewId};
 use rand::Rng;

@@ -10,11 +10,11 @@
 //! VS contract itself* (safe indications precede delivery at other
 //! members), which is exactly why the paper separates the two events.
 
-use crate::par::par_seeds;
 use crate::{row, Table};
 use crate::{Stack, StackConfig};
 use gcs_core::cause::check_trace;
 use gcs_core::to_trace::check_to_trace;
+use gcs_ioa::par_seeds;
 use gcs_ioa::TraceEvent;
 use gcs_model::{ProcId, Time};
 use gcs_vsimpl::ImplEvent;

@@ -8,9 +8,9 @@
 //! ("a different implementation could use the one-round protocol …
 //! however, this would stabilize less quickly").
 
-use crate::par::par_seeds;
 use crate::{row, Table};
 use crate::{Stack, StackConfig};
+use gcs_ioa::par_seeds;
 use gcs_ioa::TraceEvent;
 use gcs_model::failure::FailureScript;
 use gcs_model::{ProcId, Time};

@@ -9,9 +9,9 @@
 //! weighted system lets a 2-processor side containing the heavy processor
 //! confirm messages where majority cannot.
 
-use crate::par::par_seeds;
 use crate::{row, Table};
 use crate::{Stack, StackConfig};
+use gcs_ioa::par_seeds;
 use gcs_model::failure::FailureScript;
 use gcs_model::{Majority, ProcId, QuorumSystem, Weighted};
 use std::collections::BTreeSet;

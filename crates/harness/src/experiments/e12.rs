@@ -14,11 +14,11 @@
 //! than borrowing the other block's), so they fan out through
 //! [`par_seeds`] like every other experiment.
 
-use crate::par::par_seeds;
 use crate::{row, Table};
 use crate::{Stack, StackConfig};
 use gcs_apps::seqmem::{check_sequential_consistency, SeqMemory};
 use gcs_apps::{AtomicMemory, KvOp};
+use gcs_ioa::par_seeds;
 use gcs_model::{ProcId, Time, Value};
 use std::collections::BTreeMap;
 

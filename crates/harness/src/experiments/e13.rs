@@ -9,10 +9,10 @@
 //! system's lifetime — the scalability issue that the state-transfer
 //! optimizations the paper cites in footnote 4 (\[1\]) address.
 
-use crate::par::par_seeds;
 use crate::{row, Table};
 use crate::{Stack, StackConfig};
 use gcs_core::msg::AppMsg;
+use gcs_ioa::par_seeds;
 use gcs_ioa::TraceEvent;
 use gcs_model::failure::FailureScript;
 use gcs_model::{ProcId, Time};

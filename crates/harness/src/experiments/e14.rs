@@ -9,9 +9,9 @@
 //! the last column — under a sequencer crash the baseline delivers
 //! nothing, while the paper's stack reforms and continues.
 
-use crate::par::par_seeds;
 use crate::{row, Table};
 use crate::{stack_stats, SequencerNode, Stack, StackConfig, TraceStats};
+use gcs_ioa::par_seeds;
 use gcs_model::failure::FailureScript;
 use gcs_model::{ProcId, Time, Value};
 use gcs_netsim::{Engine, NetConfig};

@@ -25,7 +25,6 @@
 pub mod experiments;
 pub mod figure11;
 pub mod micro;
-pub mod par;
 pub mod scenarios;
 pub mod sequencer;
 pub mod stack;
@@ -33,7 +32,6 @@ pub mod stats;
 pub mod table;
 
 pub use figure11::{check_figure11, Figure11Params, Figure11Report};
-pub use par::{par_seeds, par_seeds_with};
 pub use sequencer::{SeqWire, SequencerNode};
 pub use stack::{Stack, StackConfig};
 pub use stats::{stack_stats, TraceStats};

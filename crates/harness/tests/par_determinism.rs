@@ -6,8 +6,8 @@
 
 use gcs_core::adversary::SystemAdversary;
 use gcs_harness::experiments::{e02, e03, e04, e05, e06, e07, e08, e09, e10, e11, e12, e13, e14};
-use gcs_harness::par_seeds_with;
 use gcs_harness::Table;
+use gcs_ioa::par_seeds_with;
 use gcs_model::{Majority, QuorumSystem};
 use std::sync::Arc;
 

@@ -58,6 +58,7 @@
 pub mod automaton;
 pub mod explore;
 pub mod host;
+pub mod par;
 pub mod run;
 pub mod sim;
 pub mod timed;
@@ -65,6 +66,7 @@ pub mod timed;
 pub use automaton::{ActionKind, Automaton, Environment, NullEnvironment};
 pub use explore::{explore, ExploreLimits, ExploreStats};
 pub use host::{CollectedEffects, Context, Process, TraceEvent};
+pub use par::{par_seeds, par_seeds_with};
 pub use run::{Execution, InvariantViolation, Runner};
 pub use sim::{ForwardSimulation, SimulationError};
 pub use timed::{TimedEvent, TimedTrace};

@@ -1,8 +1,8 @@
-//! Parallel seed fan-out for the experiment engine.
+//! Parallel seed fan-out for seeded runs.
 //!
-//! Every statistical experiment has the same shape: run an independent,
-//! deterministic per-seed job for each seed in a list and aggregate the
-//! results in seed order. [`par_seeds`] shards the seed list across a
+//! Every statistical experiment and simulation sweep has the same
+//! shape: run an independent, deterministic per-seed job for each seed
+//! in a list and aggregate the results in seed order. [`par_seeds`] shards the seed list across a
 //! pool of scoped worker threads (one per available core, capped at the
 //! number of seeds) while keeping the aggregation **deterministic**: the
 //! result vector is indexed by seed position, so the output is identical
@@ -36,19 +36,8 @@ where
     F: Fn(u64) -> T + Sync,
 {
     let workers = workers.min(seeds.len());
-    let reg = &crate::obs().registry;
-    let jobs = reg.counter("harness_par_jobs_total");
-    let job_us = reg.histogram("harness_par_job_us");
-    reg.gauge("harness_par_workers").set(workers.max(1) as i64);
-    let timed = |seed: u64| {
-        let t0 = std::time::Instant::now();
-        let out = f(seed);
-        jobs.inc();
-        job_us.record(t0.elapsed().as_micros() as u64);
-        out
-    };
     if workers <= 1 {
-        return seeds.iter().map(|&s| timed(s)).collect();
+        return seeds.iter().map(|&s| f(s)).collect();
     }
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..seeds.len()).map(|_| None).collect());
@@ -61,7 +50,7 @@ where
                 // published through the slots mutex, not this counter.
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&seed) = seeds.get(i) else { break };
-                let out = timed(seed);
+                let out = f(seed);
                 slots.lock().expect("no panicking holder")[i] = Some(out);
             });
         }

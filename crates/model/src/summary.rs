@@ -6,8 +6,8 @@
 //! summaries collected in a `gotstate` map exactly as prescribed by the
 //! algorithm's auxiliary definitions.
 
-use crate::{Label, ProcId, Value, ViewId};
-use std::collections::BTreeMap;
+use crate::{ContentMap, Label, ProcId, ViewId};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A state-exchange summary:
 /// *summaries = 𝒫(L × A) × L\* × ℕ⁺ × G⊥* with selectors
@@ -29,8 +29,9 @@ use std::collections::BTreeMap;
 pub struct Summary {
     /// The known ⟨label, value⟩ pairs (*x.con*). An invariant of the
     /// algorithm (Lemma 6.5) is that this relation is a partial function,
-    /// so it is represented as a map.
-    pub con: BTreeMap<Label, Value>,
+    /// so it is represented as a map — the same [`ContentMap`] a
+    /// processor keeps its *content* in.
+    pub con: ContentMap,
     /// The tentative total order of labels (*x.ord*).
     pub ord: Vec<Label>,
     /// One past the number of confirmed labels (*x.next ∈ ℕ⁺*).
@@ -45,7 +46,7 @@ impl Summary {
     /// The summary of a freshly started processor: nothing known, nothing
     /// ordered, `next = 1`, `high = ⊥`.
     pub fn empty() -> Self {
-        Summary { con: BTreeMap::new(), ord: Vec::new(), next: 1, high: None }
+        Summary { con: ContentMap::new(), ord: Vec::new(), next: 1, high: None }
     }
 
     /// The confirmed prefix *x.confirm*: the prefix of `ord` of length
@@ -68,11 +69,11 @@ pub type GotState = BTreeMap<ProcId, Summary>;
 
 /// *knowncontent(Y) = ⋃_{q ∈ dom(Y)} Y(q).con* — every ⟨label, value⟩ pair
 /// appearing in any summary.
-pub fn knowncontent(y: &GotState) -> BTreeMap<Label, Value> {
-    let mut out = BTreeMap::new();
+pub fn knowncontent(y: &GotState) -> ContentMap {
+    let mut out = ContentMap::new();
     for s in y.values() {
-        for (l, a) in &s.con {
-            out.insert(*l, a.clone());
+        for (l, a) in s.con.iter() {
+            out.insert(l, a.clone());
         }
     }
     out
@@ -124,12 +125,10 @@ pub fn shortorder(y: &GotState) -> Vec<Label> {
 /// Panics if `Y` is empty (see [`shortorder`]).
 pub fn fullorder(y: &GotState) -> Vec<Label> {
     let mut order = shortorder(y);
-    let mut seen: std::collections::BTreeSet<Label> = order.iter().copied().collect();
-    for l in knowncontent(y).keys() {
-        if seen.insert(*l) {
-            order.push(*l);
-        }
-    }
+    let seen: BTreeSet<Label> = order.iter().copied().collect();
+    let mut rest: Vec<Label> = knowncontent(y).keys().filter(|l| !seen.contains(l)).collect();
+    rest.sort_unstable();
+    order.append(&mut rest);
     order
 }
 
@@ -142,7 +141,7 @@ pub fn maxnextconfirm(y: &GotState) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ViewId;
+    use crate::Value;
 
     fn lab(epoch: u64, seq: u64, origin: u32) -> Label {
         Label::new(ViewId::new(epoch, ProcId(0)), seq, ProcId(origin))
@@ -209,9 +208,14 @@ mod tests {
         other.con.insert(l1, Value::from_u64(1));
         other.con.insert(l3, Value::from_u64(3));
         other.con.insert(l2, Value::from_u64(2));
+        // Two labels the content store walks in the other order (it
+        // groups by origin before seqno).
+        let (l4, l5) = (lab(1, 3, 0), lab(1, 2, 2));
+        other.con.insert(l4, Value::from_u64(4));
+        other.con.insert(l5, Value::from_u64(5));
         y.insert(ProcId(1), other);
         assert_eq!(shortorder(&y), vec![l2]);
-        assert_eq!(fullorder(&y), vec![l2, l1, l3]);
+        assert_eq!(fullorder(&y), vec![l2, l1, l5, l4, l3]);
     }
 
     #[test]

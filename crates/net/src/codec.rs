@@ -18,7 +18,7 @@
 
 use bytes::Bytes;
 use gcs_core::msg::AppMsg;
-use gcs_model::{Label, ProcId, Summary, Value, View, ViewId};
+use gcs_model::{ContentMap, Label, ProcId, Summary, Value, View, ViewId};
 use gcs_vsimpl::{Token, TokenMsg, Wire};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -235,9 +235,13 @@ fn put_label(out: &mut Vec<u8>, l: &Label) {
 }
 
 fn put_summary(out: &mut Vec<u8>, x: &Summary) {
-    put_varint(out, x.con.len() as u64);
-    for (l, a) in &x.con {
-        put_label(out, l);
+    // The pairs travel in label order, so equal summaries have equal
+    // bytes however their content stores were filled.
+    let mut con: Vec<(Label, &Value)> = x.con.iter().collect();
+    con.sort_unstable_by_key(|&(l, _)| l);
+    put_varint(out, con.len() as u64);
+    for (l, a) in con {
+        put_label(out, &l);
         put_value(out, a);
     }
     put_varint(out, x.ord.len() as u64);
@@ -441,7 +445,7 @@ impl<'a> Cursor<'a> {
 
     fn summary(&mut self) -> DecodeResult<Summary> {
         let ncon = self.len("summary con count")?;
-        let mut con = BTreeMap::new();
+        let mut con = ContentMap::new();
         for _ in 0..ncon {
             let l = self.label()?;
             let a = self.value()?;
@@ -887,6 +891,72 @@ mod tests {
         });
         t.delivered.insert(ProcId(1), 1);
         roundtrip(&Frame::Peer(Wire::Token(Box::new(t))));
+    }
+
+    /// Equal summaries have equal bytes: the con pairs travel in label
+    /// order whatever order (and whichever of the store's two regions)
+    /// they were inserted in.
+    #[test]
+    fn summary_encoding_is_canonical() {
+        let g = ViewId::new(1, ProcId(0));
+        // 4100 is past `ContentMap`'s dense gap (4096) from an empty
+        // group and inside it from a group of 39.
+        let far = Label::new(g, 4100, ProcId(0));
+        // Ascending: `far` lands last, in its group's dense vector.
+        let mut asc: Vec<(Label, Value)> = (1..=40)
+            .map(|s| (Label::new(g, s, ProcId((s % 3) as u32)), Value::from_u64(s)))
+            .collect();
+        asc.push((far, Value::from_u64(0)));
+        // Descending: `far` lands first, in the sparse fallback, and
+        // every dense group is filled back to front.
+        let mut desc = asc.clone();
+        desc.reverse();
+        let frame = |con: Vec<(Label, Value)>| {
+            let x = Summary { con: con.into_iter().collect(), ord: vec![far], next: 1, high: None };
+            let mut t = Token::new(&View::new(g, ProcId::range(3)));
+            t.entries.push(TokenMsg { src: ProcId(0), mid: 1, msg: AppMsg::Summary(x) });
+            Frame::Peer(Wire::Token(Box::new(t)))
+        };
+        let (a, b) = (frame(asc), frame(desc));
+        assert_eq!(a, b);
+        let bytes = encode_payload(&a);
+        assert_eq!(bytes, encode_payload(&b));
+        // And a decoded copy (a third insertion order: the wire's)
+        // re-encodes to the same bytes.
+        assert_eq!(encode_payload(&decode_payload(&bytes).expect("decodes")), bytes);
+    }
+
+    /// What an untrusted summary can say that a correct one never does:
+    /// a con label twice is a clean error; an ord label with no con
+    /// binding decodes (VStoTO holds delivery until the value arrives).
+    #[test]
+    fn summary_with_duplicate_con_label_is_rejected_and_unbound_ord_label_decodes() {
+        let g = ViewId::new(1, ProcId(0));
+        let l = Label::new(g, 1, ProcId(0));
+        let body = |con: &[(Label, u64)], ord: &[Label]| {
+            let mut out = vec![];
+            put_varint(&mut out, con.len() as u64);
+            for (l, a) in con {
+                put_label(&mut out, l);
+                put_value(&mut out, &Value::from_u64(*a));
+            }
+            put_varint(&mut out, ord.len() as u64);
+            for l in ord {
+                put_label(&mut out, l);
+            }
+            put_varint(&mut out, 1);
+            out.push(0);
+            out
+        };
+        let dup = body(&[(l, 1), (l, 2)], &[]);
+        assert_eq!(
+            Cursor::new(&dup).summary(),
+            Err(CodecError::Invalid("duplicate summary con label"))
+        );
+        let unbound = body(&[], &[l]);
+        let x = Cursor::new(&unbound).summary().expect("decodes");
+        assert!(x.con.is_empty());
+        assert_eq!(x.ord, vec![l]);
     }
 
     #[test]

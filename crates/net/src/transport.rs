@@ -95,6 +95,10 @@ pub const COALESCE_FRAMES: usize = 256;
 /// Byte ceiling for one coalesced write; stops a batch of large tokens
 /// from building an arbitrarily large buffer before flushing.
 const COALESCE_BYTES: usize = 1 << 20;
+/// First reconnect delay of a writer thread.
+const BACKOFF_MIN: Duration = Duration::from_millis(10);
+/// Reconnect delay cap (exponential doubling stops here).
+const BACKOFF_MAX: Duration = Duration::from_millis(500);
 
 /// What [`TcpTransport::stop`] observed while tearing the endpoint down:
 /// every spawned thread (accept loop, per-peer writers, per-connection
@@ -128,10 +132,6 @@ pub struct TransportConfig {
     /// Per-peer outbound queue depth; frames beyond it are dropped (the
     /// protocol recovers via its token-loss and probe timers).
     pub send_queue: usize,
-    /// First reconnect delay.
-    pub backoff_min: Duration,
-    /// Reconnect delay cap (exponential doubling stops here).
-    pub backoff_max: Duration,
     /// Test-only fault injection: sleep this long before every outbound
     /// frame write. Unlike `sever`/`kick`, this violates the timing
     /// assumptions *covertly* — no fault event is recorded — which is
@@ -147,13 +147,7 @@ pub struct TransportConfig {
 
 impl Default for TransportConfig {
     fn default() -> Self {
-        TransportConfig {
-            send_queue: 1024,
-            backoff_min: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(500),
-            inject_send_delay: None,
-            generation_base: 0,
-        }
+        TransportConfig { send_queue: 1024, inject_send_delay: None, generation_base: 0 }
     }
 }
 
@@ -629,7 +623,7 @@ impl TcpTransport {
         let mut pending: Vec<JoinHandle<()>> = std::mem::take(&mut *self.handles.lock_clean());
         pending.extend(std::mem::take(&mut *self.shared.readers.lock_clean()));
         // Worst legitimate exit latency: a writer inside connect_timeout
-        // (500 ms) or a backoff sleep (≤ backoff_max); readers unblock at
+        // (500 ms) or a backoff sleep (≤ `BACKOFF_MAX`); readers unblock at
         // socket close. 5 s is comfortably past all of it.
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut report = ShutdownReport::default();
@@ -915,7 +909,7 @@ fn writer_loop(
     current: Arc<Mutex<Option<TcpStream>>>,
     config: TransportConfig,
 ) {
-    let mut backoff = config.backoff_min;
+    let mut backoff = BACKOFF_MIN;
     'reconnect: loop {
         // ordering: SeqCst — shutdown-flag poll; pairs with the SeqCst
         // store in stop().
@@ -938,11 +932,11 @@ fn writer_loop(
             Ok(s) => s,
             Err(_) => {
                 std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(config.backoff_max);
+                backoff = (backoff * 2).min(BACKOFF_MAX);
                 continue;
             }
         };
-        backoff = config.backoff_min;
+        backoff = BACKOFF_MIN;
         let _ = stream.set_nodelay(true);
         // ordering: SeqCst — generations must be strictly monotone per
         // link: the peer's stale-frame filter compares the Hello value

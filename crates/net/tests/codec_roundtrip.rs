@@ -78,7 +78,12 @@ fn summary_strategy() -> impl Strategy<Value = Summary> {
         1u64..1 << 30,
         option::of(viewid_strategy()),
     )
-        .prop_map(|(con, ord, next, high)| Summary { con, ord, next, high })
+        .prop_map(|(con, ord, next, high)| Summary {
+            con: con.into_iter().collect(),
+            ord,
+            next,
+            high,
+        })
 }
 
 fn appmsg_strategy() -> BoxedStrategy<AppMsg> {

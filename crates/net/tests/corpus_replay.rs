@@ -12,7 +12,7 @@
 //!   the persist-on-failure hook in `codec_roundtrip.rs`.
 
 use gcs_core::msg::AppMsg;
-use gcs_model::{Label, ProcId, Summary, Value, View, ViewId};
+use gcs_model::{ContentMap, Label, ProcId, Summary, Value, View, ViewId};
 use gcs_net::codec::{decode_payload, encode_payload, Frame, HelloKind};
 use gcs_vsimpl::{Token, TokenMsg, Wire};
 use std::collections::{BTreeMap, BTreeSet};
@@ -95,7 +95,7 @@ fn seed_frames() -> Vec<Frame> {
     };
     let label = |e: u64, s: u64, o: u32| Label::new(vid(e, o), s, ProcId(o));
     let summary = Summary {
-        con: BTreeMap::from([
+        con: ContentMap::from_iter([
             (label(1, 1, 0), Value::from_u64(7)),
             (label(1, 2, 1), Value::from(vec![0u8, 255, 128])),
         ]),

@@ -34,7 +34,7 @@
 //! run and within `d` in the second, with every checker and both bound
 //! monitors silent in both.
 
-use gcs_harness::par_seeds_with;
+use gcs_ioa::par_seeds_with;
 use gcs_sim::{follower, hostile, shrink, world, HostileKind, Scenario, SimConfig};
 use std::process::ExitCode;
 

@@ -24,7 +24,7 @@
 //!
 //! Runs are bit-for-bit deterministic in the scenario (seed + config),
 //! which buys the two headline features: seed fan-out over thousands of
-//! schedules ([`gcs_harness::par_seeds`] — same results at any worker
+//! schedules ([`gcs_ioa::par_seeds`] — same results at any worker
 //! count), and automatic minimization of a failing schedule to a
 //! smallest-reproducing scenario file ([`shrink`]) that replays exactly.
 

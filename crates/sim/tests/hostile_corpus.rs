@@ -5,7 +5,7 @@
 //! deterministic at any worker count, and the committed scenario
 //! fixtures in `tests/corpus/` stay in lockstep with the builders.
 
-use gcs_harness::par_seeds_with;
+use gcs_ioa::par_seeds_with;
 use gcs_sim::{build_hostile, run, run_pair, HostileKind, Scenario};
 
 /// Every corpus entry at the smoke seed passes the full acceptance

@@ -3,7 +3,7 @@
 //! the full checker battery (VS/TO conformance, b/d bound monitors,
 //! convergence).
 
-use gcs_harness::par_seeds_with;
+use gcs_ioa::par_seeds_with;
 use gcs_sim::world::run_traced;
 use gcs_sim::{run, FaultOp, Scenario, ScheduledFault, SimConfig};
 

@@ -27,19 +27,20 @@ echo "==> gcs-lint --root . (project lints; see docs/LINTS.md)"
 ./target/release/gcs-lint --root .
 
 # Crate-graph shape: the normal-dependency closure of the deployable
-# stack (protocol, TCP runtime, sharding) is exactly the set below — so
-# it links neither simulator (gcs-netsim), nor the experiment apparatus
-# (gcs-harness), nor any bench framework, and a new edge has to be added
-# here on purpose. The protocol and the runtime name no RNG themselves;
-# `rand` still reaches them through gcs-ioa's seeded Runner and
-# gcs-core's adversary (the executable specification's scheduler), so
-# that check is on direct edges.
-echo "==> dependency shape (cargo tree -e normal: gcs-vsimpl, gcs-net, gcs-shard)"
-unexpected="$(cargo tree -e normal --prefix none -p gcs-vsimpl -p gcs-net -p gcs-shard \
+# stack (protocol, TCP runtime, sharding) and of the deterministic
+# simulator that hosts the same NodeCore (gcs-sim) is exactly the set
+# below — so neither links the discrete-event engine (gcs-netsim), nor
+# the experiment apparatus (gcs-harness), nor any bench framework, and a
+# new edge has to be added here on purpose. The protocol and the runtime
+# name no RNG themselves; `rand` still reaches them through gcs-ioa's
+# seeded Runner and gcs-core's adversary (the executable specification's
+# scheduler), so that check is on direct edges.
+echo "==> dependency shape (cargo tree -e normal: gcs-vsimpl, gcs-net, gcs-shard, gcs-sim)"
+unexpected="$(cargo tree -e normal --prefix none -p gcs-vsimpl -p gcs-net -p gcs-shard -p gcs-sim \
   | awk 'NF { print $1 }' | sort -u \
-  | grep -vxE 'bytes|rand|rand_chacha|gcs-(apps|core|ioa|mc|model|net|obs|shard|vsimpl)' || true)"
+  | grep -vxE 'bytes|rand|rand_chacha|gcs-(apps|core|ioa|mc|model|net|obs|shard|sim|vsimpl)' || true)"
 if [[ -n "$unexpected" ]]; then
-  echo "the deployable stack links crates outside its allowed set:" $unexpected >&2
+  echo "the deployable stack and gcs-sim link crates outside their allowed set:" $unexpected >&2
   exit 1
 fi
 if cargo tree -e normal --depth 1 --prefix none -p gcs-vsimpl -p gcs-net | grep -E '^rand'; then

@@ -23,7 +23,7 @@ fn proposals(s: &SysState) -> Vec<SysAction> {
     for (i, p) in [ProcId(0), ProcId(1)].into_iter().enumerate() {
         let a = Value::from_u64(i as u64 + 1);
         let already = s.procs[&p].delay.iter().any(|v| *v == a)
-            || s.procs[&p].content.values().any(|v| *v == a);
+            || s.procs[&p].content().values().any(|v| *v == a);
         if !already {
             out.push(SysAction::Bcast { p, a });
         }
