@@ -1,5 +1,7 @@
-//! The sharded key-value store: the first *application workload* for the
-//! multi-group deployment.
+//! The key-value store: the crate's one command language ([`KvCmd`]) and
+//! its one state machine ([`KvStore`]), used by the multi-group
+//! deployment as its application workload and by the replicated memories
+//! of [`crate::seqmem`].
 //!
 //! Commands (`Put`/`Get`/`Cas`) ride inside opaque broadcast [`Value`]s
 //! through one VS/TO group per shard; every replica of a shard applies
@@ -23,7 +25,7 @@ use crate::wire::{WireReader, WireWriter};
 use gcs_model::Value;
 use std::collections::BTreeMap;
 
-/// A sharded key-value store command.
+/// A key-value store command.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum KvCmd {
     /// Set `key` to `value`.
@@ -58,8 +60,7 @@ pub enum KvCmd {
     },
 }
 
-/// Magic prefix for sharded-store commands, distinct from `ops::KvOp`'s
-/// `Kv` so the two command languages can never be confused.
+/// Magic prefix for key-value commands, distinct from `LockOp`'s `Lk`.
 const MAGIC: [u8; 2] = *b"KS";
 
 impl KvCmd {
@@ -84,7 +85,7 @@ impl KvCmd {
     }
 
     /// Decodes a broadcast value back into a command. Returns `None` for
-    /// payloads that are not sharded-store commands.
+    /// payloads that are not key-value commands.
     pub fn decode(v: &Value) -> Option<KvCmd> {
         let (opcode, mut r) = WireReader::open(v.as_bytes(), MAGIC)?;
         let cmd = match opcode {
@@ -157,14 +158,14 @@ pub enum KvOutcome {
     },
 }
 
-/// The replicated store: one map per shard, fed by that shard's totally
+/// The replicated store: one map per replica, fed by its group's totally
 /// ordered delivered stream via the [`StateMachine`] interface.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct KvShardStore {
+pub struct KvStore {
     map: BTreeMap<String, i64>,
 }
 
-impl KvShardStore {
+impl KvStore {
     /// Reads a key.
     pub fn get(&self, key: &str) -> Option<i64> {
         self.map.get(key).copied()
@@ -200,7 +201,7 @@ impl KvShardStore {
     }
 }
 
-impl StateMachine for KvShardStore {
+impl StateMachine for KvStore {
     type Output = KvOutcome;
 
     fn apply(&mut self, payload: &Value) -> Option<KvOutcome> {
@@ -218,7 +219,7 @@ impl StateMachine for KvShardStore {
 /// twice (duplicate delivery). On success, returns the store state
 /// reached by replaying, for each key, the longest observed history —
 /// i.e. the most advanced consistent state of the shard.
-pub fn check_per_key_linearizable(streams: &[Vec<Value>]) -> Result<KvShardStore, String> {
+pub fn check_per_key_linearizable(streams: &[Vec<Value>]) -> Result<KvStore, String> {
     // Decode each replica's stream and split it into per-key
     // subsequences (non-command payloads are not part of the workload).
     let mut per_key: BTreeMap<String, Vec<Vec<KvCmd>>> = BTreeMap::new();
@@ -234,7 +235,7 @@ pub fn check_per_key_linearizable(streams: &[Vec<Value>]) -> Result<KvShardStore
         }
     }
 
-    let mut store = KvShardStore::default();
+    let mut store = KvStore::default();
     for (key, seqs) in &per_key {
         // The longest history is the reference; every other replica must
         // hold a literal prefix of it.
@@ -274,13 +275,42 @@ mod tests {
             assert_eq!(KvCmd::decode(&cmd.encode()), Some(cmd));
         }
         assert_eq!(KvCmd::decode(&Value::from_u64(5)), None);
-        // The other command language must not decode as this one.
-        assert_eq!(KvCmd::decode(&crate::ops::KvOp::Nop { tag: 1 }.encode()), None);
+        // Another command type's payload must not decode as this one.
+        let lock = crate::LockOp::Release { name: "k".into(), who: 1 }.encode();
+        assert_eq!(KvCmd::decode(&lock), None);
+    }
+
+    /// The bytes `shard2_sat` sends: one command per opcode, pinned
+    /// literally so the layout cannot drift with the codec helpers.
+    #[test]
+    fn encoded_bytes_are_pinned_per_opcode() {
+        let pinned: [(KvCmd, &[u8]); 4] = [
+            (
+                KvCmd::Put { key: "k".into(), value: -2, tag: 7 },
+                b"KS\x00\x01\x00\x00\x00k\xfe\xff\xff\xff\xff\xff\xff\xff\x07\0\0\0\0\0\0\0",
+            ),
+            (
+                KvCmd::Get { key: "k".into(), tag: 0x0102 },
+                b"KS\x01\x01\x00\x00\x00k\x02\x01\0\0\0\0\0\0",
+            ),
+            (
+                KvCmd::Cas { key: "k".into(), expect: Some(3), value: 4, tag: 5 },
+                b"KS\x02\x01\x00\x00\x00k\x03\0\0\0\0\0\0\0\x04\0\0\0\0\0\0\0\x05\0\0\0\0\0\0\0",
+            ),
+            (
+                KvCmd::Cas { key: "k".into(), expect: None, value: 4, tag: 5 },
+                b"KS\x03\x01\x00\x00\x00k\x04\0\0\0\0\0\0\0\x05\0\0\0\0\0\0\0",
+            ),
+        ];
+        for (cmd, bytes) in pinned {
+            assert_eq!(cmd.encode().as_bytes(), bytes, "{cmd:?}");
+            assert_eq!(KvCmd::decode(&Value::from(bytes.to_vec())), Some(cmd));
+        }
     }
 
     #[test]
     fn cas_swaps_only_on_match() {
-        let mut s = KvShardStore::default();
+        let mut s = KvStore::default();
         let out = s.apply_cmd(&KvCmd::Cas { key: "x".into(), expect: None, value: 1, tag: 0 });
         assert_eq!(out, KvOutcome::Cas { ok: true, actual: None });
         let out = s.apply_cmd(&KvCmd::Cas { key: "x".into(), expect: Some(9), value: 2, tag: 1 });
@@ -310,7 +340,7 @@ mod tests {
         let full = cmds.clone();
         let partial = cmds[..7].to_vec();
         let store = check_per_key_linearizable(&[full.clone(), partial]).expect("consistent");
-        let mut reference = KvShardStore::default();
+        let mut reference = KvStore::default();
         for v in &full {
             reference.apply_cmd(&KvCmd::decode(v).unwrap());
         }

@@ -16,7 +16,7 @@ pub trait StateMachine: Clone + fmt::Debug {
 }
 
 /// One replica: a state machine plus the count of applied commands.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Replica<S> {
     state: S,
     applied: usize,
@@ -92,27 +92,26 @@ where
     Ok(replicas)
 }
 
-/// A counter machine for tests and examples: payloads are `u64` deltas
-/// encoded with [`Value::from_u64`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Counter {
-    /// The running total.
-    pub total: u64,
-}
-
-impl StateMachine for Counter {
-    type Output = u64;
-
-    fn apply(&mut self, payload: &Value) -> Option<u64> {
-        let delta = payload.as_u64()?;
-        self.total += delta;
-        Some(self.total)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A counter machine: payloads are `u64` deltas encoded with
+    /// [`Value::from_u64`].
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    struct Counter {
+        total: u64,
+    }
+
+    impl StateMachine for Counter {
+        type Output = u64;
+
+        fn apply(&mut self, payload: &Value) -> Option<u64> {
+            let delta = payload.as_u64()?;
+            self.total += delta;
+            Some(self.total)
+        }
+    }
 
     #[test]
     fn counter_applies_in_order() {

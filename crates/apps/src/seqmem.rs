@@ -1,75 +1,24 @@
 //! Sequentially consistent and atomic replicated memory over totally
 //! ordered broadcast (Section 3, footnote 3).
 //!
+//! Both memories are a [`Replica`] of the one [`KvStore`] fed the
+//! delivered stream; they differ only in where a read happens.
 //! *Sequentially consistent memory*: reads are performed immediately on
 //! the local replica; updates are sent to all replicas through the
 //! totally ordered broadcast and applied on delivery. *Atomic memory*:
 //! all operations, including reads, go through the broadcast; a read's
 //! return value is determined when the read is delivered.
 
-use crate::ops::KvOp;
-use crate::rsm::StateMachine;
+use crate::kv::{KvCmd, KvOutcome, KvStore};
+use crate::rsm::Replica;
 use gcs_model::Value;
-use std::collections::BTreeMap;
-
-/// The replicated key-value state.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct KvStore {
-    map: BTreeMap<String, i64>,
-}
-
-impl KvStore {
-    /// Reads a key.
-    pub fn get(&self, key: &str) -> Option<i64> {
-        self.map.get(key).copied()
-    }
-
-    /// Number of live keys.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    fn apply_op(&mut self, op: &KvOp) -> Option<i64> {
-        match op {
-            KvOp::Put { key, value } => {
-                self.map.insert(key.clone(), *value);
-                Some(*value)
-            }
-            KvOp::Inc { key, by } => {
-                let e = self.map.entry(key.clone()).or_insert(0);
-                *e += by;
-                Some(*e)
-            }
-            KvOp::Del { key } => self.map.remove(key),
-            KvOp::Get { key } => self.get(key),
-            KvOp::Nop { .. } => None,
-        }
-    }
-}
-
-impl StateMachine for KvStore {
-    type Output = i64;
-
-    fn apply(&mut self, payload: &Value) -> Option<i64> {
-        let op = KvOp::decode(payload)?;
-        // Reads do not modify state; in the sequentially consistent
-        // memory they never reach the broadcast at all.
-        self.apply_op(&op)
-    }
-}
 
 /// A sequentially consistent memory replica: local reads against the
 /// replica, writes encoded for the broadcast.
 #[derive(Clone, Debug, Default)]
 pub struct SeqMemory {
-    store: KvStore,
+    replica: Replica<KvStore>,
     reads: Vec<(String, Option<i64>, usize)>, // (key, result, applied-at)
-    applied: usize,
 }
 
 impl SeqMemory {
@@ -82,38 +31,31 @@ impl SeqMemory {
     /// The result and the local prefix length are logged for the
     /// consistency check.
     pub fn read(&mut self, key: &str) -> Option<i64> {
-        let out = self.store.get(key);
-        self.reads.push((key.to_string(), out, self.applied));
+        let out = self.replica.state().get(key);
+        self.reads.push((key.to_string(), out, self.replica.applied()));
         out
     }
 
     /// Encodes a *write* for submission through the broadcast; the caller
-    /// hands the returned value to `bcast`.
-    pub fn write(key: impl Into<String>, value: i64) -> Value {
-        KvOp::Put { key: key.into(), value }.encode()
+    /// hands the returned value to `bcast`. `tag` keeps two writes of the
+    /// same value distinct payloads.
+    pub fn write(key: impl Into<String>, value: i64, tag: u64) -> Value {
+        KvCmd::Put { key: key.into(), value, tag }.encode()
     }
 
     /// Applies one delivered update.
     pub fn deliver(&mut self, payload: &Value) {
-        if let Some(op) = KvOp::decode(payload) {
-            self.store.apply_op(&op);
-        }
-        self.applied += 1;
+        self.replica.apply_payload(payload);
     }
 
-    /// The local replica state.
-    pub fn store(&self) -> &KvStore {
-        &self.store
+    /// The local replica: its store and how many updates it has applied.
+    pub fn replica(&self) -> &Replica<KvStore> {
+        &self.replica
     }
 
     /// The local read log.
     pub fn reads(&self) -> &[(String, Option<i64>, usize)] {
         &self.reads
-    }
-
-    /// How many updates have been applied locally.
-    pub fn applied(&self) -> usize {
-        self.applied
     }
 }
 
@@ -130,13 +72,9 @@ pub fn check_sequential_consistency(
 ) -> Result<(), String> {
     for (i, r) in replicas.iter().enumerate() {
         for (key, result, applied_at) in r.reads() {
-            let mut store = KvStore::default();
-            for payload in &common_order[..(*applied_at).min(common_order.len())] {
-                if let Some(op) = KvOp::decode(payload) {
-                    store.apply_op(&op);
-                }
-            }
-            let expect = store.get(key);
+            let mut serial = Replica::<KvStore>::default();
+            serial.apply_stream(&common_order[..(*applied_at).min(common_order.len())]);
+            let expect = serial.state().get(key);
             if expect != *result {
                 return Err(format!(
                     "replica {i}: read({key}) after {applied_at} updates returned \
@@ -152,9 +90,9 @@ pub fn check_sequential_consistency(
 /// serialized through the broadcast; outputs are produced at delivery.
 #[derive(Clone, Debug, Default)]
 pub struct AtomicMemory {
-    store: KvStore,
-    /// Outputs of delivered `Get` operations, in delivery order.
-    outputs: Vec<(String, Option<i64>)>,
+    replica: Replica<KvStore>,
+    /// The value each delivered `Get` read, in delivery order.
+    outputs: Vec<Option<i64>>,
 }
 
 impl AtomicMemory {
@@ -163,30 +101,28 @@ impl AtomicMemory {
         AtomicMemory::default()
     }
 
-    /// Encodes a read for submission through the broadcast.
-    pub fn read_op(key: impl Into<String>) -> Value {
-        KvOp::Get { key: key.into() }.encode()
+    /// Encodes a read for submission through the broadcast; `tag` keeps
+    /// two reads of the same key distinct payloads.
+    pub fn read_op(key: impl Into<String>, tag: u64) -> Value {
+        KvCmd::Get { key: key.into(), tag }.encode()
     }
 
     /// Applies one delivered operation, recording read outputs.
     pub fn deliver(&mut self, payload: &Value) {
-        if let Some(op) = KvOp::decode(payload) {
-            let out = self.store.apply_op(&op);
-            if let KvOp::Get { key } = op {
-                self.outputs.push((key, out));
-            }
+        if let Some(KvOutcome::Get { value }) = self.replica.apply_payload(payload) {
+            self.outputs.push(value);
         }
     }
 
     /// The replica state.
-    pub fn store(&self) -> &KvStore {
-        &self.store
+    pub fn replica(&self) -> &Replica<KvStore> {
+        &self.replica
     }
 
     /// Read outputs in delivery order — identical at every replica that
     /// has applied the same prefix, which is what makes this memory
     /// atomic.
-    pub fn outputs(&self) -> &[(String, Option<i64>)] {
+    pub fn outputs(&self) -> &[Option<i64>] {
         &self.outputs
     }
 }
@@ -194,23 +130,29 @@ impl AtomicMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::check_per_key_linearizable;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn kv_semantics() {
-        let mut s = KvStore::default();
-        s.apply_op(&KvOp::Put { key: "x".into(), value: 5 });
-        s.apply_op(&KvOp::Inc { key: "x".into(), by: -2 });
-        assert_eq!(s.get("x"), Some(3));
-        s.apply_op(&KvOp::Del { key: "x".into() });
-        assert_eq!(s.get("x"), None);
-        s.apply_op(&KvOp::Inc { key: "y".into(), by: 4 });
-        assert_eq!(s.get("y"), Some(4));
+        // The memory's state is the one store's: a `Cas` lands only on a
+        // match, and a payload that is no command counts but changes
+        // nothing.
+        let mut m = SeqMemory::new();
+        m.deliver(&SeqMemory::write("x", 5, 1));
+        m.deliver(&KvCmd::Cas { key: "x".into(), expect: Some(4), value: 9, tag: 2 }.encode());
+        assert_eq!(m.read("x"), Some(5));
+        m.deliver(&KvCmd::Cas { key: "x".into(), expect: Some(5), value: 3, tag: 3 }.encode());
+        m.deliver(&Value::from_u64(7));
+        assert_eq!(m.read("x"), Some(3));
+        assert_eq!(m.replica().applied(), 4);
     }
 
     #[test]
     fn seqmem_reads_see_local_prefix() {
-        let w1 = SeqMemory::write("x", 1);
-        let w2 = SeqMemory::write("x", 2);
+        let w1 = SeqMemory::write("x", 1, 1);
+        let w2 = SeqMemory::write("x", 2, 2);
         let mut r = SeqMemory::new();
         assert_eq!(r.read("x"), None);
         r.deliver(&w1);
@@ -222,7 +164,7 @@ mod tests {
 
     #[test]
     fn consistency_check_catches_stale_log() {
-        let w1 = SeqMemory::write("x", 1);
+        let w1 = SeqMemory::write("x", 1, 1);
         let mut r = SeqMemory::new();
         r.deliver(&w1);
         r.read("x");
@@ -236,10 +178,10 @@ mod tests {
     #[test]
     fn atomic_reads_are_serialized() {
         let ops = vec![
-            SeqMemory::write("x", 1),
-            AtomicMemory::read_op("x"),
-            SeqMemory::write("x", 2),
-            AtomicMemory::read_op("x"),
+            SeqMemory::write("x", 1, 1),
+            AtomicMemory::read_op("x", 2),
+            SeqMemory::write("x", 2, 3),
+            AtomicMemory::read_op("x", 4),
         ];
         let mut a = AtomicMemory::new();
         let mut b = AtomicMemory::new();
@@ -248,6 +190,53 @@ mod tests {
             b.deliver(op);
         }
         assert_eq!(a.outputs(), b.outputs());
-        assert_eq!(a.outputs(), &[("x".into(), Some(1)), ("x".into(), Some(2))]);
+        assert_eq!(a.outputs(), &[Some(1), Some(2)]);
+    }
+
+    /// One store, three consumers, one answer: over seeded `from_seed`
+    /// streams, a sequential replay through `Replica<KvStore>`, the state
+    /// `check_per_key_linearizable` returns for the single stream, and
+    /// `AtomicMemory`'s outputs all say the same thing.
+    #[test]
+    fn one_store_three_consumers_one_answer() {
+        let (mut hits, mut swaps, mut refusals) = (0, 0, 0);
+        for run in 0..64u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(run);
+            let keys = rng.gen_range(1..=4u64);
+            // A shuffled seed range: `Cas { expect: Some(seed - 1) }`
+            // chains on the previous seed, so order decides what lands.
+            let mut seeds: Vec<u64> = (0..48).collect();
+            for i in (1..seeds.len()).rev() {
+                seeds.swap(i, rng.gen_range(0..=i));
+            }
+            let stream: Vec<Value> =
+                seeds.iter().map(|&s| KvCmd::from_seed(s, keys).encode()).collect();
+
+            let mut replica = Replica::<KvStore>::default();
+            let mut gets = Vec::new();
+            for v in &stream {
+                match replica.apply_payload(v).expect("every payload is a command") {
+                    KvOutcome::Get { value } => {
+                        hits += usize::from(value.is_some());
+                        gets.push(value);
+                    }
+                    KvOutcome::Cas { ok: true, .. } => swaps += 1,
+                    KvOutcome::Cas { ok: false, .. } => refusals += 1,
+                    KvOutcome::Put { .. } => {}
+                }
+            }
+
+            let per_key = check_per_key_linearizable(std::slice::from_ref(&stream))
+                .expect("one stream is trivially consistent");
+            assert_eq!(&per_key, replica.state(), "run {run}: per-key replay disagrees");
+
+            let mut atomic = AtomicMemory::new();
+            for v in &stream {
+                atomic.deliver(v);
+            }
+            assert_eq!(atomic.outputs(), &gets[..], "run {run}: atomic outputs disagree");
+            assert_eq!(atomic.replica().state(), replica.state());
+        }
+        assert!(hits > 0 && swaps > 0 && refusals > 0, "{hits} hits, {swaps} swaps, {refusals}");
     }
 }

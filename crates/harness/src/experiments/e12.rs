@@ -17,7 +17,7 @@
 use crate::{row, Table};
 use crate::{Stack, StackConfig};
 use gcs_apps::seqmem::{check_sequential_consistency, SeqMemory};
-use gcs_apps::{AtomicMemory, KvOp};
+use gcs_apps::AtomicMemory;
 use gcs_ioa::par_seeds;
 use gcs_model::{ProcId, Time, Value};
 use std::collections::BTreeMap;
@@ -42,7 +42,7 @@ fn seqmem_row(quick: bool) -> Vec<String> {
     let start = 4 * pi;
     let mut write_time: BTreeMap<Value, Time> = BTreeMap::new();
     for i in 0..writes {
-        let payload = KvOp::Put { key: keys[i % keys.len()].into(), value: i as i64 }.encode();
+        let payload = SeqMemory::write(keys[i % keys.len()], i as i64, i as u64);
         let t = start + i as Time * 15;
         write_time.insert(payload.clone(), t);
         stack.schedule_value(t, ProcId(i as u32 % n), payload);
@@ -90,8 +90,9 @@ fn seqmem_row(quick: bool) -> Vec<String> {
     .to_vec()
 }
 
-/// The atomic variant: reads are serialized through TO as well.
-fn atomic_row(quick: bool) -> Vec<String> {
+/// The atomic variant's run: every replica's read outputs (in delivery
+/// order) and the read latencies.
+fn atomic_run(quick: bool) -> (Vec<Vec<Option<i64>>>, Vec<Time>) {
     let n = 3u32;
     let ops = if quick { 8 } else { 30 };
     let keys = ["x", "y", "z"];
@@ -103,19 +104,17 @@ fn atomic_row(quick: bool) -> Vec<String> {
     let mut read_time: BTreeMap<Value, Time> = BTreeMap::new();
     for i in 0..ops {
         let t = start + i as Time * 15;
-        if i % 2 == 0 {
-            stack.schedule_value(
-                t,
-                ProcId(i as u32 % n),
-                KvOp::Put { key: keys[i % keys.len()].into(), value: i as i64 }.encode(),
-            );
+        let key = keys[i % keys.len()];
+        let payload = if i % 2 == 0 {
+            SeqMemory::write(key, i as i64, i as u64)
         } else {
-            // Reads must be distinct payloads so their latencies can be
-            // matched up; uniqueness comes through the key index.
-            let payload = KvOp::Get { key: format!("{}#{}", keys[i % keys.len()], i) }.encode();
-            read_time.insert(payload.clone(), t);
-            stack.schedule_value(t, ProcId(i as u32 % n), payload);
-        }
+            // Reads read the written keys; the tag keeps them distinct
+            // payloads so their latencies can be matched up.
+            let read = AtomicMemory::read_op(key, i as u64);
+            read_time.insert(read.clone(), t);
+            read
+        };
+        stack.schedule_value(t, ProcId(i as u32 % n), payload);
     }
     stack.run_until(start + ops as Time * 15 + 60 * pi);
     let mut read_lats: Vec<Time> = Vec::new();
@@ -127,19 +126,32 @@ fn atomic_row(quick: bool) -> Vec<String> {
             }
         }
     }
-    // Replica convergence for the atomic variant.
-    let mut outputs: Vec<Vec<(String, Option<i64>)>> = Vec::new();
-    for i in 0..n {
-        let mut replica = AtomicMemory::new();
-        for (_, a) in &stack.delivered(ProcId(i)) {
-            replica.deliver(a);
-        }
-        outputs.push(replica.outputs().to_vec());
-    }
-    let atomic_ok = outputs.windows(2).all(|w| {
+    let outputs = (0..n)
+        .map(|i| {
+            let mut replica = AtomicMemory::new();
+            for (_, a) in &stack.delivered(ProcId(i)) {
+                replica.deliver(a);
+            }
+            replica.outputs().to_vec()
+        })
+        .collect();
+    (outputs, read_lats)
+}
+
+/// Whether every pair of adjacent replicas' outputs agree on their common
+/// prefix.
+fn outputs_agree(outputs: &[Vec<Option<i64>>]) -> bool {
+    outputs.windows(2).all(|w| {
         let min = w[0].len().min(w[1].len());
         w[0][..min] == w[1][..min]
-    });
+    })
+}
+
+/// The atomic variant: reads are serialized through TO as well.
+fn atomic_row(quick: bool) -> Vec<String> {
+    let ops = if quick { 8 } else { 30 };
+    let (outputs, read_lats) = atomic_run(quick);
+    let atomic_ok = outputs_agree(&outputs);
 
     row![
         "atomic",
@@ -193,5 +205,11 @@ mod tests {
         assert_eq!(rows[1][3], "✓", "atomic outputs diverged");
         let atomic_read: f64 = rows[1][4].parse().unwrap();
         assert!(atomic_read > 0.0, "atomic reads must pay broadcast latency");
+
+        // The atomic check compares reads that observed writes, not a
+        // column of `None`s.
+        let (outputs, _) = super::atomic_run(true);
+        assert!(outputs.iter().flatten().any(Option::is_some), "no atomic read saw a write");
+        assert!(super::outputs_agree(&outputs), "atomic outputs diverged: {outputs:?}");
     }
 }

@@ -38,7 +38,7 @@ pub mod shard;
 pub mod shrink;
 pub mod world;
 
-pub use hostile::{build as build_hostile, run_pair, HostileKind, HostileOutcome};
+pub use hostile::{build as build_hostile, run_pair, HostileKind, HostileOutcome, RegimeTotals};
 pub use scenario::{FaultOp, Scenario, ScheduledFault, ScheduledSubmit, SimConfig};
 pub use shard::{run_shard, ShardRunReport, ShardScenario};
 pub use shrink::{shrink, ShrinkResult};

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# The full CI gate: release build and the complete test suite of every
-# workspace crate (the root manifest's `default-members`, so the plain
-# commands cover crates/* and their binaries), the crate-graph shape
+# The full CI gate: release build, every example run to a clean exit,
+# and the complete test suite of every workspace crate (the root
+# manifest's `default-members`, so the plain commands cover crates/*
+# and their binaries), the crate-graph shape
 # gate (the deployable stack links no simulator), the gcs-mc
 # model-checking gate (bound-1 interleaving exploration + seeded-bug
 # detection), a deterministic-simulation smoke sweep, the repository
@@ -22,6 +23,14 @@ cargo fmt --check
 
 echo "==> cargo build --release"
 cargo build --release
+
+# `cargo test` only compiles examples/; their own checks (replicated_kv's
+# convergence and sequential consistency across a crash, partition_heal's
+# TO check, ...) only hold if they run. Each must exit 0.
+for example in quickstart token_ring_demo partition_heal replicated_kv; do
+  echo "==> cargo run --release --example $example"
+  cargo run --release -q --example "$example" > /dev/null
+done
 
 echo "==> gcs-lint --root . (project lints; see docs/LINTS.md)"
 ./target/release/gcs-lint --root .
@@ -84,7 +93,8 @@ echo "==> gcs-sim run --seeds 10 (smoke)"
 # storms, 50-node churn) under BOTH detector policies. The gate inside
 # the command: zero checker/monitor violations on every run, and the
 # adaptive detector installs strictly fewer views than fixed timeouts
-# on the flap/bimodal regimes (per seed).
+# on the flap/bimodal regimes (summed over the regime's seeds, printed
+# on its summary line; a single seed may go either way).
 echo "==> gcs-sim hostile --seeds 10 (adaptive-vs-fixed corpus smoke)"
 ./target/release/gcs-sim hostile --seeds 10
 
@@ -117,10 +127,10 @@ if [[ "${NIGHTLY:-0}" == "1" ]]; then
   ./target/release/gcs-sim run --seeds 200
 
   # The full hostile sweep: 200 seeds x 5 regimes x 2 policies. Fails
-  # on any checker/monitor violation or any seed where the adaptive
-  # detector does not hold membership strictly more stable than fixed
-  # timeouts on the flap/bimodal regimes — the view-change-rate
-  # regression gate for the accrual detector.
+  # on any checker/monitor violation or any flap/bimodal regime whose
+  # adaptive runs do not install strictly fewer views in total than its
+  # fixed-timeout runs — the view-change-rate regression gate for the
+  # accrual detector.
   echo "==> [nightly] gcs-sim hostile --seeds 200"
   ./target/release/gcs-sim hostile --seeds 200
 
