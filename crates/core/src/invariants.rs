@@ -646,7 +646,7 @@ fn lemma_6_20(s: &SysState, _d: &DerivedState<'_>) -> Result<(), String> {
             return fail(format!("{p} has safe labels in a non-primary view"));
         }
         let view = proc.current.as_ref().expect("primary implies a view");
-        for l in &proc.safe_labels {
+        for l in proc.safe_labels.iter() {
             let Some(idx) = proc.order().iter().position(|x| x == l) else {
                 // A safe label not yet in the local order carries no prefix
                 // obligation; confirm only fires for ordered labels.

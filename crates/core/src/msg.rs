@@ -12,8 +12,9 @@ use std::fmt;
 pub enum AppMsg {
     /// An ordinary ⟨label, value⟩ message.
     Val(Label, Value),
-    /// A state-exchange summary.
-    Summary(Summary),
+    /// A state-exchange summary. Boxed: only state exchange sends one,
+    /// and every token entry and trace event is as wide as this enum.
+    Summary(Box<Summary>),
 }
 
 impl AppMsg {
@@ -61,7 +62,7 @@ mod tests {
         let m = AppMsg::Val(l, Value::from_u64(1));
         assert_eq!(m.label(), Some(l));
         assert!(m.summary().is_none());
-        let s = AppMsg::Summary(Summary::empty());
+        let s = AppMsg::Summary(Box::new(Summary::empty()));
         assert!(s.label().is_none());
         assert!(s.summary().is_some());
     }

@@ -38,7 +38,9 @@
 
 use crate::msg::AppMsg;
 use gcs_model::summary::{fullorder, maxnextconfirm, maxprimary, shortorder};
-use gcs_model::{ContentMap, GotState, Label, ProcId, QuorumSystem, Summary, Value, View, ViewId};
+use gcs_model::{
+    ContentMap, GotState, Label, LabelSet, ProcId, QuorumSystem, Summary, Value, View, ViewId,
+};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -98,7 +100,7 @@ pub struct VsToToProc {
     /// `safe-exch ⊆ P`: members whose summaries are safe.
     pub safe_exch: BTreeSet<ProcId>,
     /// `safe-labels ⊆ L`.
-    pub safe_labels: BTreeSet<Label>,
+    pub safe_labels: LabelSet,
 }
 
 impl PartialEq for VsToToProc {
@@ -180,7 +182,7 @@ impl VsToToProc {
             nextreport: 1,
             gotstate: GotState::new(),
             safe_exch: BTreeSet::new(),
-            safe_labels: BTreeSet::new(),
+            safe_labels: LabelSet::default(),
         }
     }
 
@@ -283,7 +285,7 @@ impl VsToToProc {
                 for (l, a) in x.con.iter() {
                     self.content.insert(l, a.clone());
                 }
-                self.gotstate.insert(src, x.clone());
+                self.gotstate.insert(src, Summary::clone(x));
                 let complete = self
                     .current
                     .as_ref()
@@ -365,7 +367,7 @@ impl VsToToProc {
     /// `buffer` when `status = normal`.
     pub fn gpsnd_ready(&self) -> Option<AppMsg> {
         match self.status {
-            ProcStatus::Send => Some(AppMsg::Summary(self.summary())),
+            ProcStatus::Send => Some(AppMsg::Summary(Box::new(self.summary()))),
             ProcStatus::Normal => {
                 let l = self.buffer.front()?;
                 let a = self.content.get(l)?;
@@ -686,7 +688,7 @@ mod tests {
         assert!(p.gprcv(ProcId(0), &x).established);
         assert_eq!((p.order(), p.nextconfirm), (&[l1, l2][..], 2));
         p.safe(ProcId(0), &x);
-        assert_eq!(p.safe_labels, [l2].into(), "l1 is confirmed: nothing probes it again");
+        assert!(p.safe_labels.iter().eq([&l2]), "l1 is confirmed: nothing probes it again");
         assert_eq!(p.confirm(), Some(l2));
         assert_eq!(p.confirm(), None);
     }

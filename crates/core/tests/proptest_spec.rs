@@ -94,7 +94,7 @@ proptest! {
         let mut p = VsToToProc::initial(ProcId(0), &solo, Arc::new(Majority::new(1)));
         p.newview(View::new(ViewId::new(9, ProcId(0)), solo));
         prop_assert!(matches!(p.gpsnd(), Some(AppMsg::Summary(_))));
-        prop_assert!(p.gprcv(ProcId(0), &AppMsg::Summary(x.clone())).established);
+        prop_assert!(p.gprcv(ProcId(0), &AppMsg::Summary(Box::new(x.clone()))).established);
         let adopted = p.order().to_vec();
         prop_assert_eq!(&adopted, &fullorder(&[(ProcId(0), x.clone())].into()));
         let confirmed = adopted.len().min(x.next as usize - 1);

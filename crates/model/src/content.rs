@@ -33,8 +33,23 @@ const DENSE_GAP: usize = 4096;
 /// owner's mark (see [`ContentMap::mark`]).
 #[derive(Clone, Default)]
 struct Slot {
-    value: Option<Value>,
+    /// Meaningful only when `bound`: an `Option<Value>` would be 8 bytes
+    /// wider, and there is one slot per label ever seen.
+    value: Value,
+    bound: bool,
     marked: bool,
+}
+
+impl Slot {
+    fn value(&self) -> Option<&Value> {
+        self.bound.then_some(&self.value)
+    }
+
+    /// Binds `a`, returning the value bound before, if any.
+    fn bind(&mut self, a: Value) -> Option<Value> {
+        let old = std::mem::replace(&mut self.value, a);
+        std::mem::replace(&mut self.bound, true).then_some(old)
+    }
 }
 
 /// The labels of one ⟨view, origin⟩ stream.
@@ -77,15 +92,15 @@ impl Group {
     }
 
     fn get(&self, seqno: u64) -> Option<&Value> {
-        let dense = Self::index(seqno).and_then(|idx| self.dense.get(idx)?.value.as_ref());
-        dense.or_else(|| self.sparse.get(&seqno)?.value.as_ref())
+        let dense = Self::index(seqno).and_then(|idx| self.dense.get(idx)?.value());
+        dense.or_else(|| self.sparse.get(&seqno)?.value())
     }
 
     /// The bound seqnos with their values: dense, then sparse.
     fn iter(&self) -> impl Iterator<Item = (u64, &Value)> {
         let dense = self.dense.iter().zip(1u64..);
         let sparse = self.sparse.iter().map(|(&seqno, slot)| (slot, seqno));
-        dense.chain(sparse).filter_map(|(slot, seqno)| Some((seqno, slot.value.as_ref()?)))
+        dense.chain(sparse).filter_map(|(slot, seqno)| Some((seqno, slot.value()?)))
     }
 }
 
@@ -104,8 +119,8 @@ impl Group {
 /// derived data: clones carry them, equality and iteration ignore them.
 #[derive(Clone, Default)]
 pub struct ContentMap {
-    /// One map and nothing else: a summary's *con* rides in every
-    /// message and trace event, so the handle stays as small as the
+    /// One map and nothing else: every summary and every `gotstate`
+    /// entry carries a *con*, so the handle stays as small as the
     /// ordered map it replaced.
     groups: BTreeMap<(ViewId, ProcId), Group>,
 }
@@ -133,7 +148,7 @@ impl ContentMap {
     /// Inserts a binding, returning the previously bound value if any.
     pub fn insert(&mut self, l: Label, a: Value) -> Option<Value> {
         let group = self.group_mut(&l);
-        let old = group.slot_mut(l.seqno).value.replace(a);
+        let old = group.slot_mut(l.seqno).bind(a);
         if old.is_none() {
             group.len += 1;
         }
@@ -152,7 +167,7 @@ impl ContentMap {
         let group = self.group_mut(&l);
         let slot = group.slot_mut(l.seqno);
         let fresh = !std::mem::replace(&mut slot.marked, true);
-        if slot.value.replace(a).is_none() {
+        if slot.bind(a).is_none() {
             group.len += 1;
         }
         fresh
@@ -238,9 +253,12 @@ mod tests {
         m.groups.values().map(|g| g.sparse.len()).sum()
     }
 
-    /// `Summary`, `AppMsg`, every token entry and every recorded trace
-    /// event embed a `ContentMap` by value: a wider handle is paid per
-    /// message, not per map.
+    /// Every `Summary` embeds a `ContentMap` by value, and `gotstate`
+    /// keeps one summary per member. `AppMsg` boxes its summary, so the
+    /// handle's width no longer rides in every token entry and trace
+    /// event (the per-operation sizes are pinned in `gcs-net`'s
+    /// `per_operation_types_keep_their_footprint`); this pin keeps the
+    /// handle one map wide all the same.
     #[test]
     fn handle_is_as_small_as_an_ordered_map() {
         use std::mem::size_of;

@@ -76,7 +76,12 @@ impl From<u32> for ProcId {
 /// let g2 = ViewId::new(2, ProcId(0));
 /// assert!(g0 < g1 && g1 < g2);
 /// ```
+///
+/// Packed to 4-byte alignment: 12 bytes instead of 16, which makes every
+/// [`crate::Label`] 24 bytes instead of 32. Read `epoch` by value
+/// (`{ g.epoch }`); a reference to it may be unaligned.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(C, packed(4))]
 pub struct ViewId {
     /// High-order part: a monotonically increasing epoch number.
     pub epoch: u64,
@@ -109,13 +114,13 @@ impl ViewId {
 
 impl fmt::Display for ViewId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "g{}.{}", self.epoch, self.origin.0)
+        write!(f, "g{}.{}", { self.epoch }, self.origin.0)
     }
 }
 
 impl fmt::Debug for ViewId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "g{}.{}", self.epoch, self.origin.0)
+        fmt::Display::fmt(self, f)
     }
 }
 

@@ -46,7 +46,7 @@ pub mod view;
 pub use content::ContentMap;
 pub use failure::{FailureEvent, FailureMap, Status, Subject};
 pub use ids::{ProcId, ViewId};
-pub use label::Label;
+pub use label::{Label, LabelSet};
 pub use quorum::{Explicit, Majority, QuorumSystem, Weighted};
 pub use summary::{GotState, Summary};
 pub use value::{fnv1a, Value, FNV1A_OFFSET};

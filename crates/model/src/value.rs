@@ -1,7 +1,10 @@
 //! Application data values: the set *A*.
 
 use bytes::Bytes;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 /// The FNV-1a 64-bit offset basis: the state [`fnv1a`] starts from.
 pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -23,6 +26,10 @@ pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// their operations into values; tests and examples usually use the small
 /// integer constructors.
 ///
+/// A payload of at most 23 bytes lives inside the value (no shared
+/// counter, no buffer kept alive), a longer one in a shared [`Bytes`];
+/// equality, order, hashing and the fingerprint are those of the bytes.
+///
 /// # Example
 ///
 /// ```
@@ -32,31 +39,50 @@ pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// let w = Value::from("hello");
 /// assert_eq!(w.len(), 5);
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Value(Bytes);
+#[derive(Clone)]
+pub struct Value(Repr);
+
+/// What fits beside a length byte in the 32 bytes of a [`Bytes`] handle.
+const INLINE_MAX: usize = 23;
+
+/// `Inline` (`buf[..len]`) exactly when the payload is ≤ `INLINE_MAX`.
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, buf: [u8; INLINE_MAX] },
+    Shared(Bytes),
+}
 
 impl Value {
-    /// Creates a value from raw bytes.
-    pub fn new(bytes: Bytes) -> Self {
-        Value(bytes)
+    /// The value `buf[range]`: a payload over 23 bytes is an O(1) sub-view
+    /// sharing `buf`'s allocation, a shorter one an inline copy that does
+    /// not keep `buf` alive. Panics if `range` is out of bounds.
+    pub fn slice_of(buf: &Bytes, range: Range<usize>) -> Self {
+        if range.len() <= INLINE_MAX {
+            Value::from(&buf[range])
+        } else {
+            Value(Repr::Shared(buf.slice(range)))
+        }
     }
 
     /// Encodes a `u64` as a value (big-endian).
     pub fn from_u64(x: u64) -> Self {
-        Value(Bytes::copy_from_slice(&x.to_be_bytes()))
+        Value::from(&x.to_be_bytes()[..])
     }
 
     /// Decodes a value previously produced by [`Value::from_u64`].
     ///
     /// Returns `None` if the payload is not exactly eight bytes.
     pub fn as_u64(&self) -> Option<u64> {
-        let arr: [u8; 8] = self.0.as_ref().try_into().ok()?;
+        let arr: [u8; 8] = self.as_bytes().try_into().ok()?;
         Some(u64::from_be_bytes(arr))
     }
 
     /// The underlying bytes.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
+            Repr::Shared(b) => b,
+        }
     }
 
     /// A stable 64-bit identity for this value: the integer itself for
@@ -68,29 +94,76 @@ impl Value {
         if let Some(x) = self.as_u64() {
             return x;
         }
-        fnv1a(FNV1A_OFFSET, &self.0)
+        fnv1a(FNV1A_OFFSET, self.as_bytes())
     }
 
     /// The payload length in bytes.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_bytes().len()
     }
 
     /// Whether the payload is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len() == 0
+    }
+}
+
+impl Default for Value {
+    fn default() -> Self {
+        Value::from(&[][..])
+    }
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Value {}
+
+impl PartialOrd for Value {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Value {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+    }
+}
+
+impl From<&[u8]> for Value {
+    fn from(bytes: &[u8]) -> Self {
+        if bytes.len() > INLINE_MAX {
+            return Value(Repr::Shared(Bytes::copy_from_slice(bytes)));
+        }
+        let mut buf = [0; INLINE_MAX];
+        buf[..bytes.len()].copy_from_slice(bytes);
+        Value(Repr::Inline { len: bytes.len() as u8, buf })
     }
 }
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value(Bytes::copy_from_slice(s.as_bytes()))
+        Value::from(s.as_bytes())
     }
 }
 
 impl From<Vec<u8>> for Value {
     fn from(v: Vec<u8>) -> Self {
-        Value(Bytes::from(v))
+        if v.len() <= INLINE_MAX {
+            Value::from(&v[..])
+        } else {
+            Value(Repr::Shared(Bytes::from(v)))
+        }
     }
 }
 
@@ -104,10 +177,10 @@ impl fmt::Debug for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if let Some(x) = self.as_u64() {
             write!(f, "v{x}")
-        } else if let Ok(s) = std::str::from_utf8(&self.0) {
+        } else if let Ok(s) = std::str::from_utf8(self.as_bytes()) {
             write!(f, "v{s:?}")
         } else {
-            write!(f, "v<{} bytes>", self.0.len())
+            write!(f, "v<{} bytes>", self.len())
         }
     }
 }
@@ -143,6 +216,36 @@ mod tests {
         // fingerprints (FNV over short strings).
         assert_ne!(Value::from("a").fingerprint(), Value::from("b").fingerprint());
         assert_eq!(Value::from("a").fingerprint(), 0xaf63_dc4c_8601_ec8c, "FNV-1a test vector");
+    }
+
+    /// Across the inline limit, a fresh copy and a sub-view of a larger
+    /// buffer are the same value by every observation.
+    #[test]
+    fn representation_is_invisible_at_every_length() {
+        use std::collections::hash_map::DefaultHasher;
+        let digest = |v: &Value| {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        };
+        let frame = Bytes::from((0..200u8).collect::<Vec<_>>());
+        for len in 0..=64 {
+            let bytes = &frame[3..3 + len];
+            let fresh = Value::from(bytes.to_vec());
+            let view = Value::slice_of(&frame, 3..3 + len);
+            assert_eq!(fresh.as_bytes(), bytes);
+            assert_eq!(view.as_bytes(), bytes);
+            assert_eq!(fresh, view, "len {len}");
+            assert_eq!(fresh.cmp(&view), Ordering::Equal);
+            assert_eq!(digest(&fresh), digest(&view));
+            assert_eq!(fresh.fingerprint(), view.fingerprint());
+            assert_eq!(format!("{fresh:?}"), format!("{view:?}"));
+            // Only a payload past the limit shares the buffer.
+            let aliases = view.as_bytes().as_ptr() == frame[3..].as_ptr();
+            assert_eq!(aliases, len > INLINE_MAX, "len {len}");
+        }
+        assert_eq!(Value::default(), Value::from(""));
+        assert!(Value::from(vec![0; 64]) < Value::from_u64(1), "order is bytewise");
     }
 
     #[test]

@@ -1,14 +1,24 @@
 //! Property-based tests of the model layer: quorum intersection (the
 //! property the whole primary-view mechanism rests on), failure-script
-//! algebra, and view/label ordering laws.
+//! algebra, view/label ordering laws, and `LabelSet` against the ordered
+//! set it replaces.
 
 use gcs_model::failure::FailureScript;
-use gcs_model::{FailureMap, Label, Majority, ProcId, QuorumSystem, View, ViewId, Weighted};
+use gcs_model::{
+    FailureMap, Label, LabelSet, Majority, ProcId, QuorumSystem, View, ViewId, Weighted,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 fn arb_set(n: u32) -> impl Strategy<Value = BTreeSet<ProcId>> {
     prop::collection::btree_set((0..n).prop_map(ProcId), 0..=n as usize)
+}
+
+/// Labels from a small space, so that sequences repeat labels, arrive
+/// out of order, and remove labels that are absent.
+fn arb_label() -> impl Strategy<Value = Label> {
+    (0u64..3, 1u64..6, 0u32..3)
+        .prop_map(|(e, s, o)| Label::new(ViewId::new(e, ProcId(0)), s, ProcId(o)))
 }
 
 proptest! {
@@ -104,5 +114,39 @@ proptest! {
         prop_assert_eq!(v.ring_successor(cur), Some(start), "lap must close");
         let distinct: BTreeSet<ProcId> = seen.iter().copied().collect();
         prop_assert_eq!(distinct, set);
+    }
+
+    /// `LabelSet` is `BTreeSet<Label>` by every observation, over random
+    /// sequences of inserts, removes, extends and clears.
+    #[test]
+    fn label_set_matches_an_ordered_set(
+        ops in prop::collection::vec(
+            (0u8..8, arb_label(), prop::collection::vec(arb_label(), 0..6)),
+            0..60,
+        ),
+    ) {
+        let mut set = LabelSet::default();
+        let mut oracle = BTreeSet::new();
+        for (kind, l, many) in ops {
+            match kind {
+                0..=2 => prop_assert_eq!(set.insert(l), oracle.insert(l)),
+                3..=5 => prop_assert_eq!(set.remove(&l), oracle.remove(&l)),
+                6 => {
+                    set.extend(many.iter().copied());
+                    oracle.extend(many.iter().copied());
+                }
+                _ => {
+                    set.clear();
+                    oracle.clear();
+                }
+            }
+            prop_assert_eq!(set.is_empty(), oracle.is_empty());
+            prop_assert!(set.iter().eq(oracle.iter()), "{:?} vs {:?}", set, oracle);
+            prop_assert_eq!(set.contains(&l), oracle.contains(&l));
+            prop_assert_eq!(format!("{set:?}"), format!("{oracle:?}"));
+            let mut rebuilt = LabelSet::default();
+            rebuilt.extend(oracle.iter().rev().copied());
+            prop_assert_eq!(&set, &rebuilt);
+        }
     }
 }

@@ -330,7 +330,9 @@ fn put_wire(out: &mut Vec<u8>, w: &Wire) {
 /// bytes around one 8-byte value) would stay resident at every member
 /// for each value delivered. Below this size a value is copied out and
 /// the frame is freed; batch frames (hundreds of entries, or KiB-sized
-/// values) are far above it and stay zero-copy.
+/// values) are far above it and stay zero-copy. At any frame size a
+/// value short enough to live inline (see [`Value::slice_of`]) is
+/// copied, so it never pins its frame either.
 const SHARE_MIN_PAYLOAD: usize = 512;
 
 /// A bounds-checked cursor over a frame payload.
@@ -338,9 +340,9 @@ struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
     /// When the payload lives in a shared [`Bytes`] buffer of at least
-    /// [`SHARE_MIN_PAYLOAD`] bytes, decoded values are O(1) sub-views of
-    /// it instead of per-value copies. `backing.as_slice()` is always
-    /// identical to `buf`.
+    /// [`SHARE_MIN_PAYLOAD`] bytes, decoded values past the inline limit
+    /// are O(1) sub-views of it instead of per-value copies.
+    /// `backing.as_slice()` is always identical to `buf`.
     backing: Option<&'a Bytes>,
 }
 
@@ -425,12 +427,13 @@ impl<'a> Cursor<'a> {
         let n = self.len("byte string length")?;
         let (start, end) = (self.pos, self.pos + n);
         self.pos = end;
-        Ok(Value::new(match self.backing {
-            // Zero-copy: the value is a sub-view of the frame payload,
-            // sharing its allocation for as long as the value lives.
-            Some(b) if b.len() >= SHARE_MIN_PAYLOAD => b.slice(start..end),
-            _ => Bytes::copy_from_slice(&self.buf[start..end]),
-        }))
+        Ok(match self.backing {
+            // Zero-copy: a value too long to store inline is a sub-view of
+            // the frame payload, sharing its allocation for as long as
+            // the value lives.
+            Some(b) if b.len() >= SHARE_MIN_PAYLOAD => Value::slice_of(b, start..end),
+            _ => Value::from(&self.buf[start..end]),
+        })
     }
 
     fn label(&mut self) -> DecodeResult<Label> {
@@ -478,7 +481,7 @@ impl<'a> Cursor<'a> {
                 let a = self.value()?;
                 Ok(AppMsg::Val(l, a))
             }
-            APP_SUMMARY => Ok(AppMsg::Summary(self.summary()?)),
+            APP_SUMMARY => Ok(AppMsg::Summary(Box::new(self.summary()?))),
             tag => Err(CodecError::BadTag { what: "app message", tag }),
         }
     }
@@ -914,7 +917,7 @@ mod tests {
         let frame = |con: Vec<(Label, Value)>| {
             let x = Summary { con: con.into_iter().collect(), ord: vec![far], next: 1, high: None };
             let mut t = Token::new(&View::new(g, ProcId::range(3)));
-            t.entries.push(TokenMsg { src: ProcId(0), mid: 1, msg: AppMsg::Summary(x) });
+            t.entries.push(TokenMsg { src: ProcId(0), mid: 1, msg: AppMsg::Summary(Box::new(x)) });
             Frame::Peer(Wire::Token(Box::new(t)))
         };
         let (a, b) = (frame(asc), frame(desc));
@@ -1133,5 +1136,12 @@ mod tests {
         // An idle ring's frame: one small value must not pin the payload.
         assert_eq!(shared_decode_aliasing(8, 1), [false], "small frame pinned by its value");
         assert_eq!(shared_decode_aliasing(64, 2), [false; 2], "small frame pinned by its values");
+    }
+
+    #[test]
+    fn shared_decode_of_a_large_frame_copies_short_values_inline() {
+        // 100 × 8 bytes of values: a payload above SHARE_MIN_PAYLOAD whose
+        // values are still stored inline, not as sub-views of it.
+        assert_eq!(shared_decode_aliasing(8, 100), [false; 100], "8-byte value pinned the frame");
     }
 }

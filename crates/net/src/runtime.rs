@@ -706,3 +706,26 @@ impl NetNode {
         (exits, self.transport.stop())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gcs_core::msg::AppMsg;
+    use gcs_model::Label;
+    use gcs_vsimpl::TokenMsg;
+    use std::mem::size_of;
+
+    /// What one operation costs in each layer that carries it: a value
+    /// rides in a message, which rides in a token entry and in up to
+    /// 17 recorded trace events per operation on a 5-ring. A field that
+    /// widens any of these is paid per event, not per operation.
+    #[test]
+    fn per_operation_types_keep_their_footprint() {
+        assert_eq!(size_of::<Value>(), 32);
+        assert_eq!(size_of::<Label>(), 24);
+        assert!(size_of::<AppMsg>() <= 64, "AppMsg is {} B", size_of::<AppMsg>());
+        assert!(size_of::<TokenMsg>() <= 80, "TokenMsg is {} B", size_of::<TokenMsg>());
+        assert!(size_of::<ImplEvent>() <= 88, "ImplEvent is {} B", size_of::<ImplEvent>());
+        assert!(size_of::<Recorded>() <= 104, "Recorded is {} B", size_of::<Recorded>());
+    }
+}

@@ -93,7 +93,7 @@ fn appmsg_strategy() -> BoxedStrategy<AppMsg> {
                 0 => (label_strategy(), value_strategy())
                     .prop_map(|(l, a)| AppMsg::Val(l, a))
                     .boxed(),
-                _ => summary_strategy().prop_map(AppMsg::Summary).boxed(),
+                _ => summary_strategy().prop_map(|x| AppMsg::Summary(Box::new(x))).boxed(),
             }
         })
         .boxed()

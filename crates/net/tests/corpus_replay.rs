@@ -113,7 +113,11 @@ fn seed_frames() -> Vec<Frame> {
                 mid: 1,
                 msg: AppMsg::Val(label(3, 1, 0), Value::from_u64(0)),
             },
-            TokenMsg { src: ProcId(4), mid: u64::MAX, msg: AppMsg::Summary(summary.clone()) },
+            TokenMsg {
+                src: ProcId(4),
+                mid: u64::MAX,
+                msg: AppMsg::Summary(Box::new(summary.clone())),
+            },
         ],
         collect: vec![TokenMsg {
             src: ProcId(3),

@@ -510,7 +510,7 @@ mod tests {
     #[test]
     fn detector_bounds_widen_the_delivery_deadline() {
         let p = params();
-        let (b, d) = (p.b_ms(), p.d_ms());
+        let d = p.d_ms();
         let p_hat = BoundParams { pi_ms: 360, ..p };
         let (b_hat, d_hat) = (p_hat.b_ms(), p_hat.d_ms());
         assert!(d_hat > d);

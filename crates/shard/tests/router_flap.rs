@@ -44,6 +44,7 @@ fn flap_storm_views_never_route_to_departed_members() {
         // Up half-cycle: the flapper merges back.
         let up = View::new(ViewId::new(2 * cycle + 2, flapper), full.clone());
         r.on_view(group, &up);
+        assert!(r.map().version() > last_version, "merge fold must bump the map version");
         last_version = r.map().version();
         let p = r.member_for(group).expect("full view is routable");
         assert!(full.contains(&p), "cycle {cycle}: routed outside the merged view");

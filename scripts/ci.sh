@@ -6,9 +6,10 @@
 # gate (the deployable stack links no simulator), the gcs-mc
 # model-checking gate (bound-1 interleaving exploration + seeded-bug
 # detection), a deterministic-simulation smoke sweep, the repository
-# benchmark's smoke run with every checker on, and clippy with warnings
-# promoted to errors. Everything runs offline against the vendored
-# dependency set; a clean exit here is the merge bar.
+# benchmark's smoke run with every checker on, and clippy over every
+# target (tests and examples too) with warnings promoted to errors.
+# Everything runs offline against the vendored dependency set; a clean
+# exit here is the merge bar.
 #
 # NIGHTLY=1 adds the long stages: a 200-seed simulation sweep, the
 # 200-seed hostile-network corpus (adaptive vs fixed detector gate),
@@ -119,8 +120,8 @@ smoke_t0=$(date +%s)
 bash gcs-benchmark/run.sh --smoke > /dev/null
 echo "    benchmark smoke passed in $(( $(date +%s) - smoke_t0 )) s"
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 if [[ "${NIGHTLY:-0}" == "1" ]]; then
   echo "==> [nightly] gcs-sim run --seeds 200"
