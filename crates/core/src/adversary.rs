@@ -8,7 +8,6 @@
 //! randomness, so that random executions reach deep states: multiple
 //! concurrent views, partitions without primaries, merges, and recoveries.
 
-use crate::msg::AppMsg;
 use crate::system::{SysAction, SysState, VsToToSystem};
 use crate::vs_machine::{VsAction, VsMachine, VsState};
 use gcs_ioa::Environment;
@@ -71,11 +70,6 @@ impl SystemAdversary {
     pub fn with_view_prob(mut self, p: f64) -> Self {
         self.view_prob = p;
         self
-    }
-
-    /// How many distinct values have been proposed so far.
-    pub fn values_proposed(&self) -> u64 {
-        self.next_value
     }
 
     fn next_view(s: &SysState, procs: &[ProcId], rng: &mut dyn RngCore) -> View {
@@ -201,12 +195,6 @@ pub fn drive_system(system: &VsToToSystem, seed: u64, steps: usize) -> usize {
     let mut runner = Runner::new(system.clone(), SystemAdversary::default(), seed);
     let exec = runner.run(steps).expect("no invariants installed");
     exec.actions().iter().filter(|a| matches!(a, SysAction::Brcv { .. })).count()
-}
-
-/// Convenience: the count of ordinary-message `GpRcv` deliveries in an
-/// action slice (used in tests).
-pub fn count_ordinary_deliveries(actions: &[SysAction]) -> usize {
-    actions.iter().filter(|a| matches!(a, SysAction::GpRcv { m: AppMsg::Val(..), .. })).count()
 }
 
 #[cfg(test)]

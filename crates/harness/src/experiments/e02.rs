@@ -11,13 +11,13 @@ use crate::scenarios::{self, Scenario};
 use crate::{row, Table};
 use gcs_core::properties::{check_to_property, PropertyParams};
 use gcs_ioa::par_seeds;
-use gcs_vsimpl::bounds;
+use gcs_obs::BoundParams;
 
 fn check(sc: &Scenario) -> Vec<String> {
     let nq = sc.q.len();
     let cfg = &sc.config.proto;
-    let b = bounds::b(nq, cfg.delta, cfg.pi, cfg.mu);
-    let d = bounds::d(nq, cfg.delta, cfg.pi);
+    let bp = BoundParams { n: nq as u32, delta_ms: cfg.delta, pi_ms: cfg.pi, mu_ms: cfg.mu };
+    let (b, d) = (bp.b_ms(), bp.d_ms());
     let stack = sc.run();
     let r = check_to_property(
         &stack.to_obs(),

@@ -11,14 +11,14 @@ use crate::scenarios;
 use crate::{row, Table};
 use gcs_core::properties::{check_vs_property, PropertyParams};
 use gcs_ioa::par_seeds;
-use gcs_vsimpl::bounds;
+use gcs_obs::BoundParams;
 
 fn series_row(n: u32, left: u32, delta: u64, msgs: usize, seed: u64) -> Vec<String> {
     let sc = scenarios::partition(n, left, delta, msgs, seed);
     let nq = sc.q.len();
     let cfg = &sc.config.proto;
-    let b = bounds::b(nq, cfg.delta, cfg.pi, cfg.mu);
-    let d = bounds::d(nq, cfg.delta, cfg.pi);
+    let bp = BoundParams { n: nq as u32, delta_ms: cfg.delta, pi_ms: cfg.pi, mu_ms: cfg.mu };
+    let (b, d) = (bp.b_ms(), bp.d_ms());
     let stack = sc.run();
     let r = check_vs_property(
         &stack.vs_obs(),

@@ -13,6 +13,7 @@ use gcs_core::msg::AppMsg;
 use gcs_ioa::par_seeds;
 use gcs_ioa::TraceEvent;
 use gcs_model::Time;
+use gcs_obs::BoundParams;
 use gcs_vsimpl::ImplEvent;
 
 struct Phases {
@@ -71,7 +72,9 @@ pub fn run(quick: bool) -> Vec<Table> {
         let exch = ph.exchange_safe.map(|t| t - t_heal);
         let deliver = ph.first_delivery.map(|t| t - t_heal);
         let fmt = |x: Option<Time>| x.map(|v| v.to_string()).unwrap_or("—".into());
-        let d = gcs_vsimpl::bounds::d(sc.q.len(), sc.config.proto.delta, sc.config.proto.pi);
+        let cfg = &sc.config.proto;
+        let nq = sc.q.len() as u32;
+        let d = BoundParams { n: nq, delta_ms: cfg.delta, pi_ms: cfg.pi, mu_ms: cfg.mu }.d_ms();
         let f11 = check_figure11(
             stack.trace(),
             &Figure11Params {

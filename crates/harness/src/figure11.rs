@@ -241,6 +241,14 @@ mod tests {
     use super::*;
     use crate::{Stack, StackConfig};
     use gcs_model::failure::FailureScript;
+    use gcs_obs::BoundParams;
+
+    /// The Section 8 delivery bound d for a group of `n` under `stack`'s
+    /// protocol config.
+    fn d_for(stack: &Stack, n: u32) -> Time {
+        let cfg = &stack.config().proto;
+        BoundParams { n, delta_ms: cfg.delta, pi_ms: cfg.pi, mu_ms: cfg.mu }.d_ms()
+    }
 
     #[test]
     fn stable_run_satisfies_figure11() {
@@ -250,7 +258,7 @@ mod tests {
             stack.schedule_bcast(4 * pi + i * 10, ProcId((i % 3) as u32));
         }
         stack.run_until(4 * pi + 80 * pi);
-        let d = gcs_vsimpl::bounds::d(3, 5, pi);
+        let d = d_for(&stack, 3);
         let r = check_figure11(
             stack.trace(),
             &Figure11Params { d, q: ProcId::range(3), ambient: ProcId::range(3) },
@@ -274,7 +282,7 @@ mod tests {
             stack.schedule_bcast(8 * pi + 10 + i * 20, ProcId((i % 3) as u32));
         }
         stack.run_until(8 * pi + 200 * pi);
-        let d = gcs_vsimpl::bounds::d(3, 5, pi);
+        let d = d_for(&stack, 3);
         let r = check_figure11(stack.trace(), &Figure11Params { d, q, ambient });
         assert!(r.premises_hold, "{:?}", r.premise_failure);
         assert!(r.holds, "alpha3={} d={d} {:?}", r.measured_alpha3, r.violations);

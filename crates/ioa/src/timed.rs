@@ -103,20 +103,6 @@ impl<A> TimedTrace<A> {
         self.events.iter().skip_while(move |e| e.time < t)
     }
 
-    /// The time of the last event satisfying `pred`, if any.
-    pub fn last_time_where(&self, mut pred: impl FnMut(&A) -> bool) -> Option<Time> {
-        self.events.iter().rev().find(|e| pred(&e.action)).map(|e| e.time)
-    }
-
-    /// The time of the first event at or after `t` satisfying `pred`.
-    pub fn first_time_where_after(
-        &self,
-        t: Time,
-        mut pred: impl FnMut(&A) -> bool,
-    ) -> Option<Time> {
-        self.events_at_or_after(t).find(|e| pred(&e.action)).map(|e| e.time)
-    }
-
     /// Maps actions, preserving times.
     pub fn map<B>(&self, mut f: impl FnMut(&A) -> B) -> TimedTrace<B> {
         TimedTrace {
@@ -191,20 +177,6 @@ mod tests {
         t.push(5, 'a');
         t.push(5, 'b');
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn last_time_where_finds_latest() {
-        let t: TimedTrace<char> = [(1, 'a'), (2, 'b'), (3, 'a')].into_iter().collect();
-        assert_eq!(t.last_time_where(|a| *a == 'a'), Some(3));
-        assert_eq!(t.last_time_where(|a| *a == 'z'), None);
-    }
-
-    #[test]
-    fn first_time_where_after_respects_bound() {
-        let t: TimedTrace<char> = [(1, 'a'), (4, 'a'), (9, 'b')].into_iter().collect();
-        assert_eq!(t.first_time_where_after(2, |a| *a == 'a'), Some(4));
-        assert_eq!(t.first_time_where_after(5, |a| *a == 'a'), None);
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl Majority {
         assert!(n > 0, "majority quorum system needs at least one processor");
         Majority { n }
     }
-
-    /// The ambient set size.
-    pub fn ambient_size(&self) -> usize {
-        self.n
-    }
 }
 
 impl QuorumSystem for Majority {

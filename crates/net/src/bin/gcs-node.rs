@@ -36,7 +36,7 @@ fn usage() -> ! {
          --delta             protocol delta in milliseconds (default 20)\n\
          --metrics-addr      serve Prometheus-style metrics text on this address\n\
          --adaptive-detector use the accrual failure detector (timeouts track measured\n\
-         \u{20}                   token gaps; effective bounds exported as detector_*_hat_ms)"
+         \u{20}                   token gaps; effective delta exported as detector_delta_hat_ms)"
     );
     exit(2)
 }
@@ -131,7 +131,7 @@ fn main() {
 
     let mut proto = ProtoConfig::standard(n, delta);
     if adaptive {
-        proto.detector = DetectorPolicy::adaptive();
+        proto.detector = DetectorPolicy::Adaptive;
     }
     // One ring: group 0, recording into the transport's sink.
     let ring = HostedGroup { proto, obs: None, stable: None };

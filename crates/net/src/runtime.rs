@@ -26,8 +26,8 @@ use crate::transport::{
 };
 use gcs_ioa::{CollectedEffects, Process, TimedTrace, TraceEvent};
 use gcs_model::{Majority, ProcId, Time, Value, View};
-use gcs_obs::{trace::TraceBuf, Counter, EventKind, Gauge, Obs, Registry};
-use gcs_vsimpl::{DetectorBounds, ImplEvent, ProtoConfig, StableState, TimedVsToTo, VsNode, Wire};
+use gcs_obs::{trace::TraceBuf, Counter, EventKind, Gauge, Obs};
+use gcs_vsimpl::{ImplEvent, ProtoConfig, StableState, TimedVsToTo, VsNode, Wire};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -89,11 +89,6 @@ impl Clock {
             // now_ms above).
             m.fetch_max(t_ms, Ordering::Relaxed);
         }
-    }
-
-    /// Whether this is a manual (virtual-time) clock.
-    pub fn is_manual(&self) -> bool {
-        self.manual_ms.is_some()
     }
 
     /// The next global event sequence number.
@@ -162,15 +157,11 @@ pub struct NodeCore {
     deliveries_ctr: Counter,
     submits_ctr: Counter,
     trace: TraceBuf,
-    // Adaptive-detector export: the registry plus this node's label set,
-    // kept so the δ̂/π̂ gauges can be created lazily on the first bound
-    // change — a fixed-policy node never publishes them, keeping its
-    // metric set byte-identical to pre-adaptive builds.
-    registry: Registry,
-    node_label: String,
-    group_label: Option<String>,
-    last_bounds: Option<DetectorBounds>,
-    detector_gauges: Option<(Gauge, Gauge)>,
+    // Adaptive-detector export: the δ̂ gauge (`None` under the fixed
+    // policy, whose metric set has no detector gauge) and the last δ̂
+    // published.
+    detector_gauge: Option<Gauge>,
+    last_delta_hat: Option<Time>,
 }
 
 impl NodeCore {
@@ -241,6 +232,10 @@ impl NodeCore {
         if let Some(g) = group_label.as_deref() {
             l.push(("group", g));
         }
+        let detector_gauge = node
+            .detector_bounds()
+            .is_some()
+            .then(|| obs.registry.gauge_labeled("detector_delta_hat_ms", &l));
         NodeCore {
             id,
             node,
@@ -254,11 +249,8 @@ impl NodeCore {
             deliveries_ctr: obs.registry.counter_labeled("node_deliveries_total", &l),
             submits_ctr: obs.registry.counter_labeled("node_submits_total", &l),
             trace: obs.trace.clone(),
-            registry: obs.registry.clone(),
-            node_label,
-            group_label,
-            last_bounds: None,
-            detector_gauges: None,
+            detector_gauge,
+            last_delta_hat: None,
         }
     }
 
@@ -388,37 +380,20 @@ impl NodeCore {
         self.export_detector_bounds();
     }
 
-    /// Publishes the adaptive detector's effective `δ̂/π̂` when they move:
-    /// a `DetectorBound` trace event (feeding the re-derived b/d
-    /// monitors) plus `detector_delta_hat_ms`/`detector_pi_hat_ms`
-    /// gauges. A no-op under the fixed policy.
+    /// Publishes the adaptive detector's effective δ̂ when it moves: a
+    /// `DetectorBound` trace event (feeding the re-derived b/d monitors)
+    /// plus the `detector_delta_hat_ms` gauge. A no-op under the fixed
+    /// policy.
     fn export_detector_bounds(&mut self) {
-        let bounds = self.node.detector_bounds();
-        if bounds.is_none() || bounds == self.last_bounds {
+        let (Some(gauge), Some(d)) = (&self.detector_gauge, self.node.detector_bounds()) else {
+            return;
+        };
+        if self.last_delta_hat == Some(d) {
             return;
         }
-        self.last_bounds = bounds;
-        if let Some(b) = bounds {
-            if self.detector_gauges.is_none() {
-                let mut l = vec![("node", self.node_label.as_str())];
-                if let Some(g) = self.group_label.as_deref() {
-                    l.push(("group", g));
-                }
-                self.detector_gauges = Some((
-                    self.registry.gauge_labeled("detector_delta_hat_ms", &l),
-                    self.registry.gauge_labeled("detector_pi_hat_ms", &l),
-                ));
-            }
-            if let Some((dg, pg)) = &self.detector_gauges {
-                dg.set(b.delta_hat_ms as i64);
-                pg.set(b.pi_hat_ms as i64);
-            }
-            self.trace.record(EventKind::DetectorBound {
-                node: self.id.0,
-                delta_hat_ms: b.delta_hat_ms,
-                pi_hat_ms: b.pi_hat_ms,
-            });
-        }
+        self.last_delta_hat = Some(d);
+        gauge.set(d as i64);
+        self.trace.record(EventKind::DetectorBound { node: self.id.0, delta_hat_ms: d });
     }
 
     /// Snapshots the stable-storage state (for crash/recovery modeling).
@@ -712,7 +687,8 @@ mod tests {
     use super::*;
     use gcs_core::msg::AppMsg;
     use gcs_model::Label;
-    use gcs_vsimpl::TokenMsg;
+    use gcs_obs::MetricValue;
+    use gcs_vsimpl::{DetectorPolicy, TokenMsg};
     use std::mem::size_of;
 
     /// What one operation costs in each layer that carries it: a value
@@ -727,5 +703,46 @@ mod tests {
         assert!(size_of::<TokenMsg>() <= 80, "TokenMsg is {} B", size_of::<TokenMsg>());
         assert!(size_of::<ImplEvent>() <= 88, "ImplEvent is {} B", size_of::<ImplEvent>());
         assert!(size_of::<Recorded>() <= 104, "Recorded is {} B", size_of::<Recorded>());
+    }
+
+    struct Discard;
+
+    impl Transport for Discard {
+        fn send(&self, _: ProcId, _: Wire) {}
+        fn push_delivery(&self, _: ProcId, _: &Value) {}
+    }
+
+    /// The detector gauges a booted core registers, as (rendered name,
+    /// value).
+    fn detector_gauges(detector: DetectorPolicy, group: Option<u32>) -> Vec<(String, i64)> {
+        let obs = Obs::new();
+        let mut proto = ProtoConfig::standard(3, 10);
+        proto.detector = detector;
+        let mut core = NodeCore::new_in_group(ProcId(1), proto, Clock::manual(), &obs, group);
+        core.boot(&Discard);
+        let snap = obs.registry.snapshot();
+        snap.iter()
+            .filter(|(name, _)| name.starts_with("detector_"))
+            .map(|(name, v)| match v {
+                MetricValue::Gauge(g) => (name, *g),
+                other => panic!("{name} is not a gauge: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// An adaptive core exports exactly one detector gauge, δ̂, which a
+    /// cold detector holds at the configured δ; a fixed core exports
+    /// none.
+    #[test]
+    fn adaptive_core_exports_one_delta_hat_gauge() {
+        assert_eq!(
+            detector_gauges(DetectorPolicy::Adaptive, None),
+            [("detector_delta_hat_ms{node=\"1\"}".to_string(), 10)]
+        );
+        assert_eq!(
+            detector_gauges(DetectorPolicy::Adaptive, Some(2)),
+            [("detector_delta_hat_ms{node=\"1\",group=\"2\"}".to_string(), 10)]
+        );
+        assert_eq!(detector_gauges(DetectorPolicy::Fixed, None), []);
     }
 }

@@ -61,51 +61,13 @@ impl BoundParams {
         2 * self.pi_ms + self.n as u64 * self.delta_ms
     }
 
-    /// These parameters with δ/π replaced by effective (adaptive)
-    /// values, floored at the configured constants so the bounds only
-    /// ever widen.
-    fn with_effective(&self, delta_hat_ms: u64, pi_hat_ms: u64) -> Self {
-        BoundParams {
-            n: self.n,
-            delta_ms: delta_hat_ms.max(self.delta_ms),
-            pi_ms: pi_hat_ms.max(self.pi_ms),
-            mu_ms: self.mu_ms,
-        }
-    }
-}
-
-/// Running maxima of the effective `δ̂/π̂` published by an adaptive
-/// detector ([`EventKind::DetectorBound`]), shared by both monitors.
-/// Taking the max over the stream keeps the re-derived b/d monotone:
-/// sound (a run that violates the widest deadline the detector ever
-/// enforced is genuinely late) but conservative.
-#[derive(Debug)]
-struct EffectiveBounds {
-    delta_hat_ms: u64,
-    pi_hat_ms: u64,
-}
-
-impl EffectiveBounds {
-    fn new(params: &BoundParams) -> Self {
-        EffectiveBounds { delta_hat_ms: params.delta_ms, pi_hat_ms: params.pi_ms }
-    }
-
-    /// Folds one published bound in; returns the re-derived params if
-    /// either maximum moved.
-    fn absorb(
-        &mut self,
-        params: &BoundParams,
-        delta_hat_ms: u64,
-        pi_hat_ms: u64,
-    ) -> Option<BoundParams> {
-        let d = delta_hat_ms.max(self.delta_hat_ms);
-        let p = pi_hat_ms.max(self.pi_hat_ms);
-        if d == self.delta_hat_ms && p == self.pi_hat_ms {
-            return None;
-        }
-        self.delta_hat_ms = d;
-        self.pi_hat_ms = p;
-        Some(params.with_effective(d, p))
+    /// Folds in a δ̂ published by an adaptive detector
+    /// ([`EventKind::DetectorBound`]): δ becomes the running maximum of
+    /// the configured δ and every δ̂ seen, so the re-derived b/d only
+    /// ever widen — sound (a run that violates the widest deadline the
+    /// detector ever enforced is genuinely late) but conservative.
+    fn absorb_delta_hat(&mut self, delta_hat_ms: u64) {
+        self.delta_ms = self.delta_ms.max(delta_hat_ms);
     }
 }
 
@@ -136,8 +98,6 @@ impl MonitorReport {
 #[derive(Debug)]
 pub struct StabilizationMonitor {
     params: BoundParams,
-    b_ms: u64,
-    effective: EffectiveBounds,
     last_disturbance: Option<u64>,
     checked: u64,
     violations: Vec<String>,
@@ -145,22 +105,15 @@ pub struct StabilizationMonitor {
 
 impl StabilizationMonitor {
     /// A monitor enforcing `params.b_ms()`. Under an adaptive detector
-    /// the bound is re-derived from the published effective `δ̂/π̂`
-    /// (running maxima), so it can only widen.
+    /// the bound is re-derived from the published effective δ̂ (running
+    /// maximum), so it can only widen.
     pub fn new(params: BoundParams) -> Self {
-        StabilizationMonitor {
-            params,
-            b_ms: params.b_ms(),
-            effective: EffectiveBounds::new(&params),
-            last_disturbance: None,
-            checked: 0,
-            violations: Vec::new(),
-        }
+        StabilizationMonitor { params, last_disturbance: None, checked: 0, violations: Vec::new() }
     }
 
     /// The enforced bound, in ms.
     pub fn bound_ms(&self) -> u64 {
-        self.b_ms
+        self.params.b_ms()
     }
 
     /// Consumes one event.
@@ -169,17 +122,16 @@ impl StabilizationMonitor {
             EventKind::Fault { .. } | EventKind::LinkUp { .. } | EventKind::LinkDown { .. } => {
                 self.last_disturbance = Some(ev.t_ms);
             }
-            EventKind::DetectorBound { delta_hat_ms, pi_hat_ms, .. } => {
-                if let Some(p) = self.effective.absorb(&self.params, *delta_hat_ms, *pi_hat_ms) {
-                    self.b_ms = p.b_ms();
-                }
+            EventKind::DetectorBound { delta_hat_ms, .. } => {
+                self.params.absorb_delta_hat(*delta_hat_ms);
             }
             EventKind::ViewChange { node, epoch, size } => {
                 self.checked += 1;
                 // Baseline: the last disturbance, or the trace epoch
                 // (t = 0) for an undisturbed stream.
                 let t0 = self.last_disturbance.unwrap_or(0);
-                let deadline = t0 + self.b_ms;
+                let b_ms = self.params.b_ms();
+                let deadline = t0 + b_ms;
                 if ev.t_ms > deadline {
                     self.violations.push(format!(
                         "view (epoch {epoch}, {size} members) installed at node {node} at \
@@ -188,7 +140,7 @@ impl StabilizationMonitor {
                         ev.t_ms,
                         ev.t_ms - deadline,
                         deadline,
-                        self.b_ms
+                        b_ms
                     ));
                 }
             }
@@ -215,10 +167,9 @@ impl StabilizationMonitor {
 
     /// Finalizes the monitor into a report.
     pub fn finish(self) -> MonitorReport {
-        let _ = self.params;
         MonitorReport {
             name: "stabilization (b)",
-            bound_ms: self.b_ms,
+            bound_ms: self.params.b_ms(),
             checked: self.checked,
             violations: self.violations,
         }
@@ -234,9 +185,6 @@ impl StabilizationMonitor {
 #[derive(Debug)]
 pub struct TokenRoundMonitor {
     params: BoundParams,
-    b_ms: u64,
-    d_ms: u64,
-    effective: EffectiveBounds,
     last_disturbance: Option<u64>,
     disturbances: Vec<u64>,
     /// value → submit time (first submit wins; values are assumed unique
@@ -252,9 +200,6 @@ impl TokenRoundMonitor {
     pub fn new(params: BoundParams) -> Self {
         TokenRoundMonitor {
             params,
-            b_ms: params.b_ms(),
-            d_ms: params.d_ms(),
-            effective: EffectiveBounds::new(&params),
             last_disturbance: None,
             disturbances: Vec::new(),
             pending: BTreeMap::new(),
@@ -265,14 +210,14 @@ impl TokenRoundMonitor {
 
     /// The enforced bound, in ms.
     pub fn bound_ms(&self) -> u64 {
-        self.d_ms
+        self.params.d_ms()
     }
 
     /// Whether a submit at `t0` happened in a stabilized window: at
     /// least `b` past the last disturbance (or past the trace epoch,
     /// for an undisturbed stream).
     fn eligible(&self, t0: u64) -> bool {
-        t0 >= self.last_disturbance.unwrap_or(0) + self.b_ms
+        t0 >= self.last_disturbance.unwrap_or(0) + self.params.b_ms()
     }
 
     /// Whether any disturbance falls in `(t0, t1]`.
@@ -288,11 +233,8 @@ impl TokenRoundMonitor {
                 self.last_disturbance = Some(ev.t_ms);
                 self.disturbances.push(ev.t_ms);
             }
-            EventKind::DetectorBound { delta_hat_ms, pi_hat_ms, .. } => {
-                if let Some(p) = self.effective.absorb(&self.params, *delta_hat_ms, *pi_hat_ms) {
-                    self.b_ms = p.b_ms();
-                    self.d_ms = p.d_ms();
-                }
+            EventKind::DetectorBound { delta_hat_ms, .. } => {
+                self.params.absorb_delta_hat(*delta_hat_ms);
             }
             EventKind::Bcast { value, .. } => {
                 self.pending.entry(*value).or_insert(ev.t_ms);
@@ -305,11 +247,11 @@ impl TokenRoundMonitor {
                     }
                     self.checked += 1;
                     let lat = ev.t_ms.saturating_sub(t0);
-                    if lat > self.d_ms {
+                    let d_ms = self.params.d_ms();
+                    if lat > d_ms {
                         self.violations.push(format!(
                             "value {value} submitted at {t0} ms first delivered (node \
-                             {node}) after {lat} ms — exceeds d = {} ms",
-                            self.d_ms
+                             {node}) after {lat} ms — exceeds d = {d_ms} ms"
                         ));
                     }
                 }
@@ -340,22 +282,21 @@ impl TokenRoundMonitor {
     /// are violations.
     pub fn finish(mut self, now_ms: u64) -> MonitorReport {
         let pending = std::mem::take(&mut self.pending);
+        let d_ms = self.params.d_ms();
         for (value, t0) in pending {
             if self.eligible(t0)
                 && !self.disturbed_between(t0, now_ms)
-                && now_ms.saturating_sub(t0) > self.d_ms
+                && now_ms.saturating_sub(t0) > d_ms
             {
                 self.violations.push(format!(
                     "value {value} submitted at {t0} ms still undelivered at {now_ms} ms \
-                     — exceeds d = {} ms",
-                    self.d_ms
+                     — exceeds d = {d_ms} ms"
                 ));
             }
         }
-        let _ = self.params;
         MonitorReport {
             name: "token round (d)",
-            bound_ms: self.d_ms,
+            bound_ms: d_ms,
             checked: self.checked,
             violations: self.violations,
         }
@@ -382,6 +323,22 @@ mod tests {
         let (delta, pi, mu) = (20, 120, 240);
         assert_eq!(p.b_ms(), 9 * delta + (pi + 6 * delta).max(mu));
         assert_eq!(p.d_ms(), 2 * 120 + 3 * 20);
+    }
+
+    #[test]
+    fn small_parameters_match_the_paper_formulas() {
+        // n = 3, δ = 5, π = 20, μ = 40:
+        // b = 45 + max(20 + 30, 40) = 95; d = 40 + 15 = 55.
+        let p = BoundParams { n: 3, delta_ms: 5, pi_ms: 20, mu_ms: 40 };
+        assert_eq!(p.b_ms(), 95);
+        assert_eq!(p.d_ms(), 55);
+    }
+
+    #[test]
+    fn mu_dominates_when_large() {
+        // b = 9δ + μ when μ > π + (n+3)δ.
+        let p = BoundParams { n: 3, delta_ms: 5, pi_ms: 20, mu_ms: 1000 };
+        assert_eq!(p.b_ms(), 45 + 1000);
     }
 
     #[test]
@@ -464,7 +421,7 @@ mod tests {
     fn detector_bounds_widen_the_stabilization_deadline() {
         let p = params();
         let b = p.b_ms();
-        // δ̂ = 60 (3× the configured δ = 20), π̂ unchanged:
+        // δ̂ = 60 (3× the configured δ = 20):
         // b̂ = 9·60 + max(120 + 6·60, 240) = 540 + 480 = 1020 > b = 420.
         let b_hat = BoundParams { delta_ms: 60, ..p }.b_ms();
         assert!(b_hat > b);
@@ -473,7 +430,7 @@ mod tests {
         // clean once the detector has published the wider bound...
         let mut m = StabilizationMonitor::new(p);
         m.feed_all(&[
-            ev(50, 0, EventKind::DetectorBound { node: 0, delta_hat_ms: 60, pi_hat_ms: 120 }),
+            ev(50, 0, EventKind::DetectorBound { node: 0, delta_hat_ms: 60 }),
             ev(1000, 1, EventKind::Fault { node: 0, peer: 2, kind: FaultKind::Sever }),
             ev(1000 + b + 100, 2, EventKind::ViewChange { node: 0, epoch: 2, size: 2 }),
         ]);
@@ -484,7 +441,7 @@ mod tests {
         // ...and still flagged past the widened deadline.
         let mut m = StabilizationMonitor::new(p);
         m.feed_all(&[
-            ev(50, 0, EventKind::DetectorBound { node: 0, delta_hat_ms: 60, pi_hat_ms: 120 }),
+            ev(50, 0, EventKind::DetectorBound { node: 0, delta_hat_ms: 60 }),
             ev(1000, 1, EventKind::Fault { node: 0, peer: 2, kind: FaultKind::Sever }),
             ev(1000 + b_hat + 1, 2, EventKind::ViewChange { node: 0, epoch: 2, size: 2 }),
         ]);
@@ -496,14 +453,14 @@ mod tests {
         let p = params();
         let mut m = StabilizationMonitor::new(p);
         m.feed_all(&[
-            ev(10, 0, EventKind::DetectorBound { node: 0, delta_hat_ms: 80, pi_hat_ms: 120 }),
+            ev(10, 0, EventKind::DetectorBound { node: 0, delta_hat_ms: 80 }),
             // A later, tighter report must not shrink the bound back.
-            ev(20, 1, EventKind::DetectorBound { node: 1, delta_hat_ms: 25, pi_hat_ms: 120 }),
+            ev(20, 1, EventKind::DetectorBound { node: 1, delta_hat_ms: 25 }),
         ]);
         assert_eq!(m.bound_ms(), BoundParams { delta_ms: 80, ..p }.b_ms());
         // And δ̂ below the configured δ is floored at the constant.
         let mut m = StabilizationMonitor::new(p);
-        m.feed(&ev(10, 0, EventKind::DetectorBound { node: 0, delta_hat_ms: 1, pi_hat_ms: 1 }));
+        m.feed(&ev(10, 0, EventKind::DetectorBound { node: 0, delta_hat_ms: 1 }));
         assert_eq!(m.bound_ms(), p.b_ms());
     }
 
@@ -511,14 +468,15 @@ mod tests {
     fn detector_bounds_widen_the_delivery_deadline() {
         let p = params();
         let d = p.d_ms();
-        let p_hat = BoundParams { pi_ms: 360, ..p };
+        // δ̂ = 60 (3× the configured δ = 20): d̂ = 2·120 + 3·60 = 420 > d = 300.
+        let p_hat = BoundParams { delta_ms: 60, ..p };
         let (b_hat, d_hat) = (p_hat.b_ms(), p_hat.d_ms());
         assert!(d_hat > d);
 
-        // π̂ = 3π: a delivery past the fixed d but within d̂ is clean.
+        // A delivery past the fixed d but within d̂ is clean.
         let mut m = TokenRoundMonitor::new(p);
         m.feed_all(&[
-            ev(5, 0, EventKind::DetectorBound { node: 0, delta_hat_ms: 20, pi_hat_ms: 360 }),
+            ev(5, 0, EventKind::DetectorBound { node: 0, delta_hat_ms: 60 }),
             ev(b_hat + 10, 1, EventKind::Bcast { node: 0, value: 4 }),
             ev(b_hat + 10 + d + 50, 2, EventKind::Brcv { node: 1, src: 0, value: 4 }),
         ]);
@@ -530,7 +488,7 @@ mod tests {
         // Past d̂ it still fires.
         let mut m = TokenRoundMonitor::new(p);
         m.feed_all(&[
-            ev(5, 0, EventKind::DetectorBound { node: 0, delta_hat_ms: 20, pi_hat_ms: 360 }),
+            ev(5, 0, EventKind::DetectorBound { node: 0, delta_hat_ms: 60 }),
             ev(b_hat + 10, 1, EventKind::Bcast { node: 0, value: 4 }),
             ev(b_hat + 10 + d_hat + 1, 2, EventKind::Brcv { node: 1, src: 0, value: 4 }),
         ]);

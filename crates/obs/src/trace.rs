@@ -162,17 +162,15 @@ pub enum EventKind {
         /// The operation.
         kind: FaultKind,
     },
-    /// An adaptive failure detector published new effective timing
-    /// bounds. The b/d monitors re-derive their windows from the
-    /// running maxima of these, so an adaptive run is judged against
-    /// the deadlines the detector actually enforced.
+    /// An adaptive failure detector published a new effective delay
+    /// bound. The b/d monitors re-derive their windows from the running
+    /// maximum of these, so an adaptive run is judged against the
+    /// deadlines the detector actually enforced.
     DetectorBound {
         /// The reporting node.
         node: u32,
         /// Effective per-hop delay bound `δ̂` in milliseconds.
         delta_hat_ms: u64,
-        /// Effective token period bound `π̂` in milliseconds.
-        pi_hat_ms: u64,
     },
 }
 

@@ -12,7 +12,7 @@ use gcs_model::{ProcId, Time, Value, View};
 use gcs_net::cluster::{ClusterTrace, GroupSpec, LoopbackCluster};
 use gcs_net::transport::{ShutdownReport, TransportConfig};
 use gcs_obs::Obs;
-use gcs_vsimpl::{DetectorPolicy, MembershipMode, ProtoConfig};
+use gcs_vsimpl::ProtoConfig;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::SocketAddr;
@@ -54,16 +54,11 @@ impl ShardClusterConfig {
     /// both the ambient set and P₀, with the standard timer scaling.
     pub fn proto(&self, g: usize) -> ProtoConfig {
         let members = &self.groups[g];
-        let k = members.len() as Time;
+        let k = members.len() as u32;
         ProtoConfig {
             procs: members.clone(),
             p0: members.clone(),
-            delta: self.delta_ms,
-            pi: 2 * k * self.delta_ms,
-            mu: 4 * k * self.delta_ms,
-            mode: MembershipMode::ThreeRound,
-            safe_delivery: false,
-            detector: DetectorPolicy::Fixed,
+            ..ProtoConfig::standard(k, self.delta_ms)
         }
     }
 }

@@ -96,16 +96,11 @@ impl HostileKind {
 /// π = 100, fixed token deadline 180 + id stagger.
 fn base_config(seed: u64) -> SimConfig {
     SimConfig {
-        n: 5,
-        delta_ms: 10,
+        seed,
         active_ms: 4_000,
         submits: 0, // filled in by the builder
         fault_budget: 0,
-        send_queue: 256,
-        seed,
-        fixed_delay: false,
-        bug_dup_token: false,
-        adaptive_detector: false,
+        ..SimConfig::default()
     }
 }
 

@@ -53,7 +53,7 @@ pub struct SimConfig {
     /// without the feature.
     pub bug_dup_token: bool,
     /// Run the nodes under the adaptive accrual failure detector
-    /// (`DetectorPolicy::adaptive()`) instead of the fixed δ/π timeouts.
+    /// (`DetectorPolicy::Adaptive`) instead of the fixed δ/π timeouts.
     /// The settle phase is stretched to cover the widest adaptive
     /// deadline (see [`settle_ms`]).
     pub adaptive_detector: bool,

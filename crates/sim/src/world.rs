@@ -359,7 +359,7 @@ impl<'a> World<'a> {
             .collect();
         let mut proto = ProtoConfig::standard(cfg.n, cfg.delta_ms);
         if cfg.adaptive_detector {
-            proto.detector = DetectorPolicy::adaptive();
+            proto.detector = DetectorPolicy::Adaptive;
         }
         World {
             sc,

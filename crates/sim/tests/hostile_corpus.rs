@@ -9,10 +9,37 @@
 use gcs_ioa::par_seeds_with;
 use gcs_sim::{build_hostile, run, run_pair, HostileKind, RegimeTotals, Scenario};
 
+/// What each smoke-seed run produces, pinned so a refactor of the
+/// detector or the node cannot move a run unnoticed: (kind, seed,
+/// adaptive, digest, views installed, deliveries during disturbance).
+const PINS: [(HostileKind, u64, bool, u64, usize, usize); 20] = [
+    (HostileKind::Flap, 0, false, 0xa893_6bf1_7268_c9f3, 30, 14),
+    (HostileKind::Flap, 0, true, 0x0a08_7dd6_60a8_49b9, 0, 14),
+    (HostileKind::Flap, 1, false, 0xf50a_80ba_3135_e6ce, 30, 14),
+    (HostileKind::Flap, 1, true, 0xbe28_5b33_a0ee_98ca, 0, 14),
+    (HostileKind::AsymSlow, 0, false, 0x287e_77c2_a53e_a98f, 57, 10),
+    (HostileKind::AsymSlow, 0, true, 0xa346_de10_d103_c99e, 0, 10),
+    (HostileKind::AsymSlow, 1, false, 0xe5dd_4095_02a3_faa2, 55, 10),
+    (HostileKind::AsymSlow, 1, true, 0xb524_4c52_cf24_787f, 0, 9),
+    (HostileKind::Bimodal, 0, false, 0x8096_2885_00d3_f3d8, 87, 0),
+    (HostileKind::Bimodal, 0, true, 0x9462_8d0f_baaa_c629, 0, 10),
+    (HostileKind::Bimodal, 1, false, 0x83d5_f1fa_f1ba_cc66, 59, 7),
+    (HostileKind::Bimodal, 1, true, 0xe7ba_3d07_2b8b_8c14, 0, 10),
+    (HostileKind::SplitStorm, 0, false, 0xd853_8405_8a84_4d59, 30, 7),
+    (HostileKind::SplitStorm, 0, true, 0x797f_bfb2_0bd2_36b4, 32, 7),
+    (HostileKind::SplitStorm, 1, false, 0xd688_2a1c_1f25_41f6, 31, 7),
+    (HostileKind::SplitStorm, 1, true, 0x87f8_3cba_6d4f_5599, 31, 7),
+    (HostileKind::Churn, 0, false, 0x109b_16d4_b70c_2eb1, 307, 10),
+    (HostileKind::Churn, 0, true, 0x237a_2a4a_1ae7_a9db, 368, 10),
+    (HostileKind::Churn, 1, false, 0x055a_c1d6_e27e_e49e, 222, 10),
+    (HostileKind::Churn, 1, true, 0x3e72_7ba0_25eb_b9b5, 304, 10),
+];
+
 /// Every corpus entry at the smoke seeds passes the per-run gate (zero
-/// violations under both policies), and every regime passes the regime
-/// gate (strictly fewer views in total under the adaptive detector on
-/// the strict flap/bimodal kinds).
+/// violations under both policies) and reproduces its pinned digest and
+/// counts, and every regime passes the regime gate (strictly fewer views
+/// in total under the adaptive detector on the strict flap/bimodal
+/// kinds).
 #[test]
 fn corpus_passes_the_acceptance_gate() {
     for kind in HostileKind::ALL {
@@ -25,6 +52,14 @@ fn corpus_passes_the_acceptance_gate() {
                 o.seed,
                 o.violations().first()
             );
+            for (adaptive, r) in [(false, &o.fixed), (true, &o.adaptive)] {
+                let got = (r.digest, r.views_installed, r.delivered_during_disturbance);
+                let pin = PINS
+                    .iter()
+                    .find(|p| p.0 == kind && p.1 == o.seed && p.2 == adaptive)
+                    .map(|p| (p.3, p.4, p.5));
+                assert_eq!(Some(got), pin, "{} seed {} adaptive={adaptive}", kind.name(), o.seed);
+            }
         }
         let t = RegimeTotals::of(kind, &outcomes);
         assert!(

@@ -7,9 +7,8 @@
 //! formation resets the ring, and the group pays a full stabilization
 //! round for a frame that was merely slow. Accrual failure detectors
 //! (φ-detectors) replace the constant with a *measured* model of the
-//! inter-arrival distribution: suspicion grows continuously with the
-//! current silence relative to what has actually been observed, so the
-//! detection threshold tracks the network instead of the spec sheet.
+//! inter-arrival distribution, so the detection threshold tracks the
+//! network instead of the spec sheet.
 //!
 //! This module keeps both worlds behind [`DetectorPolicy`]:
 //!
@@ -18,7 +17,7 @@
 //!   same simulation digests.
 //! - [`DetectorPolicy::Adaptive`] computes the token-loss timeout from
 //!   an [`AccrualEstimator`] over the measured inter-arrival gaps of
-//!   contiguous token receipts, clamped to `[fixed, cap_factor × fixed]`
+//!   contiguous token receipts, clamped to `[fixed, CAP_FACTOR × fixed]`
 //!   — the adaptive detector only ever *loosens* relative to the paper's
 //!   derivation, so a genuinely crashed peer is still detected within a
 //!   bounded multiple of the fixed deadline.
@@ -28,56 +27,37 @@
 //! same digest on any machine and under any worker count, which is the
 //! contract the deterministic simulation harness (`gcs-sim`) enforces.
 
-use gcs_model::{ProcId, Time};
-use std::collections::{BTreeMap, VecDeque};
+use gcs_model::Time;
+use std::collections::VecDeque;
 
-/// Tuning for the adaptive accrual detector.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AccrualConfig {
-    /// How many inter-arrival samples each estimator retains. Old
-    /// samples age out, so a timeout widened by a past disturbance
-    /// re-tightens once the network has been quiet for a full window.
-    pub window: usize,
-    /// Minimum samples before the measured estimate is trusted; below
-    /// this the detector behaves exactly like the fixed policy
-    /// (cold-start safety).
-    pub min_samples: usize,
-    /// Safety margin applied to the tail estimate, in percent (200 =
-    /// suspect only after twice the largest plausible gap).
-    pub margin_pct: u64,
-    /// Upper clamp on the adaptive timeout, as a multiple of the fixed
-    /// timeout: a real crash is detected within `cap_factor ×` the
-    /// paper's deadline no matter what the estimator has absorbed.
-    pub cap_factor: Time,
-}
+/// How many inter-arrival samples the estimator retains. Old samples
+/// age out, so a timeout widened by a past disturbance re-tightens once
+/// the network has been quiet for a full window.
+const WINDOW: usize = 16;
 
-impl Default for AccrualConfig {
-    fn default() -> Self {
-        AccrualConfig { window: 16, min_samples: 4, margin_pct: 200, cap_factor: 6 }
-    }
-}
+/// Minimum samples before the measured estimate is trusted; below this
+/// the detector behaves exactly like the fixed policy (cold-start
+/// safety).
+const MIN_SAMPLES: usize = 4;
+
+/// Safety margin applied to the tail estimate, in percent (200 =
+/// suspect only after twice the largest plausible gap).
+const MARGIN_PCT: Time = 200;
+
+/// Upper clamp on the adaptive timeout, as a multiple of the fixed
+/// timeout: a real crash is detected within `CAP_FACTOR ×` the paper's
+/// deadline no matter what the estimator has absorbed.
+const CAP_FACTOR: Time = 6;
 
 /// Which failure-detection policy a node runs (see module docs).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DetectorPolicy {
     /// The paper's fixed `π + (n+3)δ` token-loss timeout. The default:
     /// wire behavior, benchmarks, and simulation digests are identical
     /// to the pre-seam protocol.
     Fixed,
-    /// Accrual detection from measured inter-arrival gaps.
-    Adaptive(AccrualConfig),
-}
-
-impl DetectorPolicy {
-    /// The adaptive policy with default tuning.
-    pub fn adaptive() -> DetectorPolicy {
-        DetectorPolicy::Adaptive(AccrualConfig::default())
-    }
-
-    /// Whether this is the adaptive policy.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, DetectorPolicy::Adaptive(_))
-    }
+    /// Accrual detection from measured token inter-arrival gaps.
+    Adaptive,
 }
 
 /// Integer square root (largest `r` with `r² ≤ v`), Newton's method.
@@ -100,24 +80,14 @@ fn isqrt(v: u64) -> u64 {
 /// [`AccrualEstimator::observe`] records the gap since the previous
 /// arrival; [`AccrualEstimator::tail_estimate`] answers "how long a gap
 /// is still plausible?" as `max(largest windowed gap, mean + 4σ)` — the
-/// integer analog of the φ-detector's distribution tail. Suspicion is
-/// then the current silence scaled against that estimate
-/// ([`AccrualEstimator::suspicion_millis`]): 1000 means the silence has
-/// reached the tail estimate, 2000 twice it, and so on, growing
-/// monotonically while the silence lasts.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// integer analog of the φ-detector's distribution tail.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AccrualEstimator {
     samples: VecDeque<Time>,
-    window: usize,
     last: Option<Time>,
 }
 
 impl AccrualEstimator {
-    /// An empty estimator retaining at most `window` samples.
-    pub fn new(window: usize) -> AccrualEstimator {
-        AccrualEstimator { samples: VecDeque::new(), window: window.max(1), last: None }
-    }
-
     /// Records an arrival at `now`: the gap since the previous arrival
     /// becomes a sample (the first arrival only anchors).
     pub fn observe(&mut self, now: Time) {
@@ -146,7 +116,7 @@ impl AccrualEstimator {
     }
 
     fn push_gap(&mut self, gap: Time) {
-        if self.samples.len() == self.window {
+        if self.samples.len() == WINDOW {
             self.samples.pop_front();
         }
         self.samples.push_back(gap);
@@ -171,7 +141,7 @@ impl AccrualEstimator {
     }
 
     /// Integer standard deviation of the windowed samples.
-    pub fn stddev(&self) -> Time {
+    fn stddev(&self) -> Time {
         let k = self.samples.len() as Time;
         if k < 2 {
             return 0;
@@ -195,69 +165,24 @@ impl AccrualEstimator {
     }
 
     /// The tail estimate `max(max_gap, mean + 4σ)`, or `None` with
-    /// fewer than `min_samples` samples (cold start).
-    pub fn tail_estimate(&self, min_samples: usize) -> Option<Time> {
-        if self.samples.len() < min_samples.max(1) {
+    /// fewer than `MIN_SAMPLES` samples (cold start).
+    pub fn tail_estimate(&self) -> Option<Time> {
+        if self.samples.len() < MIN_SAMPLES {
             return None;
         }
         Some(self.max_gap().max(self.mean().saturating_add(4 * self.stddev())).max(1))
     }
-
-    /// Suspicion of the silence at `now`, in per-mille of the estimate:
-    /// `1000 × elapsed / estimate`. With a cold estimator the
-    /// `fallback_estimate` (the fixed-policy timeout) scales instead.
-    /// Monotone in `now` for a fixed estimator state.
-    pub fn suspicion_millis(&self, now: Time, fallback_estimate: Time, min_samples: usize) -> u64 {
-        let Some(last) = self.last else { return 0 };
-        let elapsed = now.saturating_sub(last);
-        let est = self.tail_estimate(min_samples).unwrap_or(fallback_estimate).max(1);
-        elapsed.saturating_mul(1000) / est
-    }
 }
 
-/// Effective detector-derived timing bounds, exported so the b/d
-/// monitors can widen the paper's formulas to what the detector is
-/// actually enforcing: `δ̂` solves `timeout = π + (n+3)δ̂`, so
-/// `b̂ = 9δ̂ + max{π̂ + (n+3)δ̂, μ}` again covers detection plus
-/// formation, and `d̂ = 2π̂ + nδ̂` covers two rotations at the
-/// learned pace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DetectorBounds {
-    /// Effective channel-delay bound δ̂, in ms (≥ the configured δ).
-    pub delta_hat_ms: Time,
-    /// Effective token period π̂, in ms (≥ the configured π).
-    pub pi_hat_ms: Time,
-}
-
-/// The per-node adaptive detector state: a token-gap estimator driving
-/// the loss timeout, plus per-peer arrival estimators for suspicion
-/// diagnostics.
-#[derive(Clone, Debug)]
+/// The per-node adaptive detector state: the gaps between contiguous
+/// token receipts — the ring heartbeat as this node experiences it —
+/// driving the loss timeout.
+#[derive(Clone, Debug, Default)]
 pub struct AdaptiveDetector {
-    cfg: AccrualConfig,
-    /// Gaps between contiguous token receipts — the ring heartbeat as
-    /// this node experiences it.
     token_gaps: AccrualEstimator,
-    /// Per-peer inter-arrival gaps over *any* message kind.
-    peer_gaps: BTreeMap<ProcId, AccrualEstimator>,
 }
 
 impl AdaptiveDetector {
-    /// A fresh detector.
-    pub fn new(cfg: AccrualConfig) -> AdaptiveDetector {
-        let window = cfg.window;
-        AdaptiveDetector {
-            cfg,
-            token_gaps: AccrualEstimator::new(window),
-            peer_gaps: BTreeMap::new(),
-        }
-    }
-
-    /// The tuning this detector runs with.
-    pub fn config(&self) -> &AccrualConfig {
-        &self.cfg
-    }
-
     /// Records a contiguous token receipt at `now`.
     pub fn observe_token(&mut self, now: Time) {
         self.token_gaps.observe(now);
@@ -275,49 +200,28 @@ impl AdaptiveDetector {
         self.token_gaps.observe_censored(elapsed);
     }
 
-    /// Records any message arrival from `peer` at `now`.
-    pub fn observe_peer(&mut self, peer: ProcId, now: Time) {
-        self.peer_gaps
-            .entry(peer)
-            .or_insert_with(|| AccrualEstimator::new(self.cfg.window))
-            .observe(now);
-    }
-
-    /// Per-peer suspicion at `now` in per-mille of that peer's tail
-    /// estimate (`fallback` scales a cold estimator); `None` when the
-    /// peer was never heard from.
-    pub fn peer_suspicion_millis(&self, peer: ProcId, now: Time, fallback: Time) -> Option<u64> {
-        let est = self.peer_gaps.get(&peer)?;
-        Some(est.suspicion_millis(now, fallback, self.cfg.min_samples))
-    }
-
-    /// The token-gap estimator (for tests and diagnostics).
-    pub fn token_estimator(&self) -> &AccrualEstimator {
-        &self.token_gaps
-    }
-
     /// The adaptive token-loss timeout given the fixed-policy timeout
     /// `fixed` (stagger excluded): the margined tail estimate, clamped
-    /// to `[fixed, cap_factor × fixed]`. Cold estimators fall back to
+    /// to `[fixed, CAP_FACTOR × fixed]`. Cold estimators fall back to
     /// `fixed` exactly.
     pub fn token_timeout(&self, fixed: Time) -> Time {
-        let cap = fixed.saturating_mul(self.cfg.cap_factor.max(1));
-        match self.token_gaps.tail_estimate(self.cfg.min_samples) {
-            Some(est) => (est.saturating_mul(self.cfg.margin_pct.max(100)) / 100).clamp(fixed, cap),
+        match self.token_gaps.tail_estimate() {
+            Some(est) => (est.saturating_mul(MARGIN_PCT) / 100)
+                .clamp(fixed, fixed.saturating_mul(CAP_FACTOR)),
             None => fixed,
         }
     }
 
-    /// The effective bounds the current timeout implies (see
-    /// [`DetectorBounds`]): `δ̂ = ⌈(timeout − π) / (n+3)⌉` clamped to at
-    /// least the configured δ, and `π̂ = π` (the launch period itself is
-    /// not adapted).
-    pub fn bounds(&self, fixed: Time, pi: Time, n: u32, delta: Time) -> DetectorBounds {
-        let timeout = self.token_timeout(fixed);
-        let span = timeout.saturating_sub(pi);
-        let denom = n as Time + 3;
-        let delta_hat = span.div_ceil(denom).max(delta);
-        DetectorBounds { delta_hat_ms: delta_hat, pi_hat_ms: pi }
+    /// The effective channel-delay bound δ̂ the current timeout implies,
+    /// exported so the b/d monitors can widen the paper's formulas to
+    /// what the detector is actually enforcing: `δ̂ = ⌈(timeout − π) /
+    /// (n+3)⌉`, clamped to at least the configured δ, solves `timeout =
+    /// π + (n+3)δ̂`, so `b̂ = 9δ̂ + max{π + (n+3)δ̂, μ}` again covers
+    /// detection plus formation and `d̂ = 2π + nδ̂` covers two rotations.
+    /// π itself is not adapted.
+    pub fn delta_hat(&self, fixed: Time, pi: Time, n: u32, delta: Time) -> Time {
+        let span = self.token_timeout(fixed).saturating_sub(pi);
+        span.div_ceil(n as Time + 3).max(delta)
     }
 }
 
@@ -336,15 +240,14 @@ mod tests {
 
     #[test]
     fn cold_estimator_falls_back_to_fixed() {
-        let d = AdaptiveDetector::new(AccrualConfig::default());
+        let d = AdaptiveDetector::default();
         assert_eq!(d.token_timeout(180), 180);
-        let b = d.bounds(180, 100, 5, 10);
-        assert_eq!(b, DetectorBounds { delta_hat_ms: 10, pi_hat_ms: 100 });
+        assert_eq!(d.delta_hat(180, 100, 5, 10), 10);
     }
 
     #[test]
     fn warm_estimator_loosens_but_stays_capped() {
-        let mut d = AdaptiveDetector::new(AccrualConfig::default());
+        let mut d = AdaptiveDetector::default();
         let mut t = 0;
         for _ in 0..8 {
             t += 130;
@@ -360,7 +263,7 @@ mod tests {
 
     #[test]
     fn censored_observation_backs_off() {
-        let mut d = AdaptiveDetector::new(AccrualConfig::default());
+        let mut d = AdaptiveDetector::default();
         for i in 1..=6u64 {
             d.observe_token(i * 100);
         }
@@ -372,66 +275,31 @@ mod tests {
 
     #[test]
     fn window_ages_out_old_disturbances() {
-        let cfg = AccrualConfig { window: 8, ..AccrualConfig::default() };
-        let mut d = AdaptiveDetector::new(cfg);
+        let mut d = AdaptiveDetector::default();
         d.observe_token(0);
-        d.observe_censored_n(900, 1);
-        // Eight quiet gaps push the 900 ms outlier out of the window.
+        d.observe_timeout(900);
+        // A full window of quiet gaps pushes the 900 ms outlier out.
         // (A censored sample does not move the anchor, so re-anchor as a
         // post-formation install would.)
         d.reanchor_token(1000);
         let mut t = 1000;
-        for _ in 0..8 {
+        for _ in 0..WINDOW {
             t += 100;
             d.observe_token(t);
         }
         assert!(d.token_timeout(180) <= 260, "old outlier must age out");
     }
 
-    impl AdaptiveDetector {
-        fn observe_censored_n(&mut self, gap: Time, n: usize) {
-            for _ in 0..n {
-                self.token_gaps.observe_censored(gap);
-            }
-        }
-    }
-
-    #[test]
-    fn suspicion_grows_with_silence_and_resets_on_arrival() {
-        let mut e = AccrualEstimator::new(16);
-        for i in 1..=6u64 {
-            e.observe(i * 100);
-        }
-        let s1 = e.suspicion_millis(700, 180, 4);
-        let s2 = e.suspicion_millis(900, 180, 4);
-        assert!(s2 > s1, "suspicion must grow while silent");
-        e.observe(900);
-        assert_eq!(e.suspicion_millis(900, 180, 4), 0, "arrival resets the silence");
-    }
-
-    #[test]
-    fn peer_suspicion_tracks_each_peer_separately() {
-        let mut d = AdaptiveDetector::new(AccrualConfig::default());
-        for i in 1..=5u64 {
-            d.observe_peer(ProcId(1), i * 50);
-            d.observe_peer(ProcId(2), i * 200);
-        }
-        let s1 = d.peer_suspicion_millis(ProcId(1), 1400, 180).unwrap();
-        let s2 = d.peer_suspicion_millis(ProcId(2), 1400, 180).unwrap();
-        assert!(s1 > s2, "same silence is more suspicious for a chattier peer");
-        assert_eq!(d.peer_suspicion_millis(ProcId(9), 1400, 180), None);
-    }
-
     #[test]
     fn bounds_cover_the_adaptive_timeout() {
-        let mut d = AdaptiveDetector::new(AccrualConfig::default());
+        let mut d = AdaptiveDetector::default();
         for i in 1..=8u64 {
             d.observe_token(i * 250);
         }
         let (fixed, pi, n, delta) = (180, 100, 5u32, 10);
-        let b = d.bounds(fixed, pi, n, delta);
+        let delta_hat = d.delta_hat(fixed, pi, n, delta);
         // π + (n+3)·δ̂ must reach the enforced timeout.
-        assert!(b.pi_hat_ms + (n as Time + 3) * b.delta_hat_ms >= d.token_timeout(fixed));
-        assert!(b.delta_hat_ms >= delta);
+        assert!(pi + (n as Time + 3) * delta_hat >= d.token_timeout(fixed));
+        assert!(delta_hat >= delta);
     }
 }

@@ -30,9 +30,9 @@
 //!   Section 7 ("a good processor takes any enabled step immediately").
 //!
 //! The analytical bounds of Section 8, for a stabilized group *Q* of size
-//! *n*, are `b = 9δ + max{π + (n+3)δ, μ}` and `d = 2π + nδ`
-//! ([`bounds`]); experiments E2/E4 measure the simulated stack against
-//! them.
+//! *n*, are `b = 9δ + max{π + (n+3)δ, μ}` and `d = 2π + nδ`; they
+//! live in `gcs_obs::BoundParams`, and experiments E2/E4 measure the
+//! simulated stack against them.
 //!
 //! [`convert`] turns a recorded implementation trace into the three
 //! shapes the checkers of `gcs-core` consume: raw `VS` actions (for the
@@ -48,50 +48,7 @@ pub mod node;
 pub mod timed_vstoto;
 pub mod wire;
 
-pub use detector::{
-    AccrualConfig, AccrualEstimator, AdaptiveDetector, DetectorBounds, DetectorPolicy,
-};
+pub use detector::{AccrualEstimator, AdaptiveDetector, DetectorPolicy};
 pub use node::{MembershipMode, ProtoConfig, StableState, VsNode};
 pub use timed_vstoto::TimedVsToTo;
 pub use wire::{ImplEvent, Token, TokenMsg, Wire};
-
-use gcs_model::Time;
-
-/// The analytical bounds of Section 8 for the token-ring implementation.
-///
-/// For a stabilized set of `n` processors with channel delay `delta`,
-/// token period `pi` (which must exceed `n·delta`) and merge-probe period
-/// `mu`:
-///
-/// - stabilization bound `b = 9δ + max{π + (n+3)δ, μ}`;
-/// - delivery bound `d = 2π + nδ`.
-pub mod bounds {
-    use super::Time;
-
-    /// The stabilization bound *b* of Section 8.
-    pub fn b(n: usize, delta: Time, pi: Time, mu: Time) -> Time {
-        9 * delta + (pi + (n as Time + 3) * delta).max(mu)
-    }
-
-    /// The safe-delivery bound *d* of Section 8.
-    pub fn d(n: usize, delta: Time, pi: Time) -> Time {
-        2 * pi + n as Time * delta
-    }
-
-    #[cfg(test)]
-    mod tests {
-        #[test]
-        fn bounds_match_the_paper_formulas() {
-            // n = 3, δ = 5, π = 20, μ = 40:
-            // b = 45 + max(20 + 30, 40) = 95; d = 40 + 15 = 55.
-            assert_eq!(super::b(3, 5, 20, 40), 95);
-            assert_eq!(super::d(3, 5, 20), 55);
-        }
-
-        #[test]
-        fn mu_dominates_when_large() {
-            // b = 9δ + μ when μ > π + (n+3)δ.
-            assert_eq!(super::b(3, 5, 20, 1000), 45 + 1000);
-        }
-    }
-}

@@ -1,7 +1,7 @@
 //! The VS service node: Cristian–Schmuck membership plus the token ring
 //! (Section 8), as a [`gcs_ioa::Process`].
 
-use crate::detector::{AdaptiveDetector, DetectorBounds, DetectorPolicy};
+use crate::detector::{AdaptiveDetector, DetectorPolicy};
 use crate::timed_vstoto::{ClientEffects, VsClient};
 use crate::wire::{ImplEvent, Token, TokenMsg, Wire};
 use gcs_ioa::{Context, Process};
@@ -224,10 +224,7 @@ impl<C: VsClient> VsNode<C> {
         assert!(cfg.pi > cfg.procs.len() as Time * cfg.delta, "token period π must exceed n·δ");
         let in_p0 = cfg.p0.contains(&id);
         let view = in_p0.then(|| View::initial(cfg.p0.clone()));
-        let detector = match &cfg.detector {
-            DetectorPolicy::Fixed => None,
-            DetectorPolicy::Adaptive(ac) => Some(AdaptiveDetector::new(ac.clone())),
-        };
+        let detector = (cfg.detector == DetectorPolicy::Adaptive).then(AdaptiveDetector::default);
         VsNode {
             id,
             cfg,
@@ -334,22 +331,13 @@ impl<C: VsClient> VsNode<C> {
         core + self.id.0 as Time
     }
 
-    /// The effective `δ̂/π̂` bounds the current detection deadline
-    /// implies, for the gcs-obs monitors; `None` under the fixed policy
-    /// (the configured bounds apply unchanged).
-    pub fn detector_bounds(&self) -> Option<DetectorBounds> {
+    /// The effective channel-delay bound δ̂ the current detection
+    /// deadline implies, for the gcs-obs monitors; `None` under the
+    /// fixed policy (the configured bounds apply unchanged).
+    pub fn detector_bounds(&self) -> Option<Time> {
         let d = self.detector.as_ref()?;
         let n = self.view.as_ref().map(|v| v.size()).unwrap_or(1) as u32;
-        Some(d.bounds(self.fixed_token_deadline(), self.cfg.pi, n, self.cfg.delta))
-    }
-
-    /// Per-peer accrual suspicion at `now`, in per-mille of that peer's
-    /// measured inter-arrival tail (1000 = the silence has reached the
-    /// tail estimate). `None` under the fixed policy or for a peer never
-    /// heard from.
-    pub fn peer_suspicion_millis(&self, peer: ProcId, now: Time) -> Option<u64> {
-        let fallback = self.fixed_token_deadline();
-        self.detector.as_ref()?.peer_suspicion_millis(peer, now, fallback)
+        Some(d.delta_hat(self.fixed_token_deadline(), self.cfg.pi, n, self.cfg.delta))
     }
 
     fn next_mid(&mut self) -> u64 {
@@ -860,9 +848,6 @@ impl<C: VsClient> Process for VsNode<C> {
 
     fn on_message(&mut self, from: ProcId, msg: Wire, ctx: &mut Context<'_, Wire, ImplEvent>) {
         self.heard.insert(from, ctx.now());
-        if let Some(d) = &mut self.detector {
-            d.observe_peer(from, ctx.now());
-        }
         match msg {
             Wire::Probe => {
                 let stranger = match &self.view {

@@ -1,11 +1,10 @@
 //! Property-based tests of the accrual failure-detection estimator:
 //! the laws the adaptive detector's safety argument rests on — cold
 //! starts are indistinguishable from the fixed policy, the adaptive
-//! timeout never leaves its `[fixed, cap × fixed]` clamp no matter what
-//! arrival history it absorbed, and suspicion grows monotonically with
-//! silence.
+//! timeout never leaves its `[fixed, 6 × fixed]` clamp no matter what
+//! arrival history it absorbed, and the exported δ̂ covers the timeout.
 
-use gcs_vsimpl::{AccrualConfig, AccrualEstimator, AdaptiveDetector};
+use gcs_vsimpl::{AccrualEstimator, AdaptiveDetector};
 use proptest::prelude::*;
 
 /// An arbitrary arrival history: positive inter-arrival gaps (the
@@ -19,7 +18,7 @@ fn arb_gaps(max_len: usize) -> impl Strategy<Value = Vec<u64>> {
 /// at t = 0, interleaving censored (timeout) observations where
 /// `censor` says so, and returns it with the final virtual time.
 fn detector_from(gaps: &[u64], censor: &[bool]) -> (AdaptiveDetector, u64) {
-    let mut d = AdaptiveDetector::new(AccrualConfig::default());
+    let mut d = AdaptiveDetector::default();
     let mut now = 0u64;
     d.observe_token(now);
     for (i, &g) in gaps.iter().enumerate() {
@@ -35,33 +34,10 @@ fn detector_from(gaps: &[u64], censor: &[bool]) -> (AdaptiveDetector, u64) {
 }
 
 proptest! {
-    /// Suspicion of a silent peer is monotone in elapsed time: once the
-    /// estimator stops hearing arrivals, longer silence can only raise
-    /// (never lower) the suspicion level. This is the property that
-    /// makes accrual thresholds meaningful as *deadlines*.
-    #[test]
-    fn suspicion_is_monotone_in_silence(
-        gaps in arb_gaps(24),
-        dt1 in 0u64..5_000,
-        dt2 in 0u64..5_000,
-    ) {
-        let mut est = AccrualEstimator::new(16);
-        let mut now = 0u64;
-        est.observe(now);
-        for g in &gaps {
-            now += g;
-            est.observe(now);
-        }
-        let (early, late) = (now + dt1.min(dt2), now + dt1.max(dt2));
-        let s1 = est.suspicion_millis(early, 180, 4);
-        let s2 = est.suspicion_millis(late, 180, 4);
-        prop_assert!(s1 <= s2, "suspicion fell with more silence: {s1} -> {s2}");
-    }
-
     /// The adaptive token timeout is bounded whatever the history —
     /// jitter, spikes, censored timeouts — it never undercuts the fixed
-    /// deadline (safety floor) and never exceeds `cap_factor × fixed`
-    /// (liveness ceiling).
+    /// deadline (safety floor) and never exceeds the 6× cap (liveness
+    /// ceiling).
     #[test]
     fn timeout_stays_inside_the_clamp(
         gaps in arb_gaps(64),
@@ -70,39 +46,37 @@ proptest! {
     ) {
         let (d, _) = detector_from(&gaps, &censor);
         let t = d.token_timeout(fixed);
-        let cap = fixed * d.config().cap_factor;
+        let cap = fixed * 6;
         prop_assert!(t >= fixed, "timeout {t} fell below the fixed floor {fixed}");
         prop_assert!(t <= cap, "timeout {t} exceeded the cap {cap}");
     }
 
-    /// Cold start: with fewer than `min_samples` gap observations the
-    /// detector is *exactly* the fixed policy — same timeout, same
-    /// effective bounds. This is what keeps short-lived nodes and fresh
-    /// incarnations byte-identical to the fixed-policy wire behavior.
+    /// Cold start: with fewer than four gap observations (the minimum
+    /// sample count) the detector is *exactly* the fixed policy — same
+    /// timeout, same effective δ. This is what keeps short-lived nodes
+    /// and fresh incarnations byte-identical to the fixed-policy wire
+    /// behavior.
     #[test]
     fn cold_start_is_exactly_fixed(
-        gaps in arb_gaps(3), // min_samples is 4: up to 3 gaps stays cold
+        gaps in arb_gaps(3), // up to 3 gaps stays cold
         fixed in 1u64..10_000,
     ) {
-        prop_assume!(gaps.len() < AccrualConfig::default().min_samples);
         let (d, _) = detector_from(&gaps, &[]);
         prop_assert_eq!(d.token_timeout(fixed), fixed);
         // With the deadline the standard config derives (π + (n+3)δ =
-        // 180 for n = 5, δ = 10), a cold detector's effective bounds
-        // are exactly the configured constants.
-        let b = d.bounds(180, 100, 5, 10);
-        prop_assert_eq!(b.delta_hat_ms, 10, "cold δ̂ must be the configured δ");
-        prop_assert_eq!(b.pi_hat_ms, 100, "π̂ is never adapted");
+        // 180 for n = 5, δ = 10), a cold detector's δ̂ is exactly the
+        // configured δ.
+        prop_assert_eq!(d.delta_hat(180, 100, 5, 10), 10, "cold δ̂ must be the configured δ");
     }
 
     /// The sliding window bounds memory: however long the history, at
-    /// most `window` samples are retained, and the tail estimate always
+    /// most 16 samples are retained, and the tail estimate always
     /// dominates the windowed mean (it is max(max_gap, mean + 4σ)).
     #[test]
     fn window_is_bounded_and_tail_dominates_mean(
         gaps in arb_gaps(200),
     ) {
-        let mut est = AccrualEstimator::new(16);
+        let mut est = AccrualEstimator::default();
         let mut now = 0u64;
         est.observe(now);
         for g in &gaps {
@@ -110,16 +84,16 @@ proptest! {
             est.observe(now);
         }
         prop_assert!(est.len() <= 16, "window overflow: {}", est.len());
-        if let Some(tail) = est.tail_estimate(4) {
+        if let Some(tail) = est.tail_estimate() {
             prop_assert!(tail >= est.mean());
             prop_assert!(tail >= est.max_gap());
         }
     }
 
     /// Effective bounds are conservative: δ̂ never undercuts the
-    /// configured δ, π̂ is exactly the configured π, and δ̂ is large
-    /// enough that re-deriving the timeout from the bounds formula
-    /// `π + (n+3)δ̂` covers the actual adaptive timeout.
+    /// configured δ, and δ̂ is large enough that re-deriving the timeout
+    /// from the bounds formula `π + (n+3)δ̂` covers the actual adaptive
+    /// timeout.
     #[test]
     fn effective_bounds_cover_the_timeout(
         gaps in arb_gaps(64),
@@ -127,10 +101,9 @@ proptest! {
     ) {
         let (d, _) = detector_from(&gaps, &censor);
         let (fixed, pi, n, delta) = (180u64, 100u64, 5u32, 10u64);
-        let b = d.bounds(fixed, pi, n, delta);
-        prop_assert!(b.delta_hat_ms >= delta);
-        prop_assert_eq!(b.pi_hat_ms, pi);
-        let implied = pi + (n as u64 + 3) * b.delta_hat_ms;
+        let delta_hat = d.delta_hat(fixed, pi, n, delta);
+        prop_assert!(delta_hat >= delta);
+        let implied = pi + (n as u64 + 3) * delta_hat;
         prop_assert!(
             implied >= d.token_timeout(fixed),
             "bounds imply {implied} < actual timeout {}",

@@ -3,15 +3,22 @@
 //! analytical bounds of Section 8, on partition, merge, and crash
 //! scenarios.
 
+use gcs_obs::BoundParams;
 use pgcs::harness::scenarios::{self, Scenario};
 use pgcs::spec::properties::{check_to_property, check_vs_property, PropertyParams};
-use pgcs::vsimpl::bounds;
+use pgcs::vsimpl::ProtoConfig;
+
+/// The Section 8 bounds `(b, d)` for a stabilized group of `nq` under
+/// `cfg`.
+fn bounds(nq: usize, cfg: &ProtoConfig) -> (u64, u64) {
+    let bp = BoundParams { n: nq as u32, delta_ms: cfg.delta, pi_ms: cfg.pi, mu_ms: cfg.mu };
+    (bp.b_ms(), bp.d_ms())
+}
 
 fn assert_both_properties(sc: &Scenario) {
     let nq = sc.q.len();
     let cfg = &sc.config.proto;
-    let b = bounds::b(nq, cfg.delta, cfg.pi, cfg.mu);
-    let d = bounds::d(nq, cfg.delta, cfg.pi);
+    let (b, d) = bounds(nq, cfg);
     let stack = sc.run();
     let ambient = cfg.procs.clone();
 
@@ -79,8 +86,7 @@ fn figure12_composition_on_one_trace() {
     for sc in [scenarios::partition(5, 3, 5, 12, 811), scenarios::merge(4, 3, 5, 12, 812)] {
         let nq = sc.q.len();
         let cfg = &sc.config.proto;
-        let b = bounds::b(nq, cfg.delta, cfg.pi, cfg.mu);
-        let d = bounds::d(nq, cfg.delta, cfg.pi);
+        let (b, d) = bounds(nq, cfg);
         let stack = sc.run();
         let ambient = cfg.procs.clone();
 
@@ -120,7 +126,7 @@ fn tightened_bounds_are_violated() {
         &stack.vs_obs(),
         &PropertyParams {
             b: 1, // absurdly tight
-            d: bounds::d(sc.q.len(), cfg.delta, cfg.pi),
+            d: bounds(sc.q.len(), cfg).1,
             q: sc.q.clone(),
             ambient: cfg.procs.clone(),
         },
