@@ -11,14 +11,14 @@
 //! group of consecutive atomic operations; a blank line ends its scope:
 //!
 //! ```text
-//! // ordering: Release pairs with the Acquire in recorded(); a reader
-//! // that observes seq n also observes every write before allocation n.
-//! let seq = self.inner.seq.fetch_add(1, Ordering::AcqRel);
+//! // ordering: SeqCst — merge stamps across all nodes of a cluster
+//! // must form one total order every thread agrees on.
+//! self.seq.fetch_add(n, Ordering::SeqCst)
 //! ```
 //!
 //! The archetypal hazard this guards: a Relaxed load/store pair that a
-//! consumer-side ordering dependency silently relies on (the trace
-//! ring's global `seq` vs. `snapshot_since` cursors). Relaxed is fine —
+//! consumer-side ordering dependency silently relies on (a flag stored
+//! after writing data that the flag's reader then reads). Relaxed is fine —
 //! common, even, for counters merged at quiescence — but it must say so.
 //! Test modules are exempt.
 

@@ -5,10 +5,10 @@
 //! [`Shims`] instead of naming `std::sync` types directly. Production
 //! code instantiates it with [`crate::StdShims`] — every method is an
 //! `#[inline(always)]` delegation to the `std` primitive, so the
-//! monomorphized result is byte-for-byte the direct code (the bench
-//! floors in ci.sh are the proof). Model tests instantiate
-//! [`crate::McShims`], which routes every access through the
-//! cooperative scheduler and the happens-before checker.
+//! monomorphized result is the direct code (the benchmark's saturating
+//! workloads, compared run against run, gate this). Model tests
+//! instantiate [`crate::McShims`], which routes every access through
+//! the cooperative scheduler and the happens-before checker.
 //!
 //! The surface is deliberately the *subset* the ported structures
 //! need, not all of `std::sync` — a smaller surface is easier to give
@@ -54,38 +54,6 @@ pub trait AtomicI64Api: Send + Sync + 'static {
     /// Atomic add; returns the previous value.
     #[track_caller]
     fn fetch_add(&self, v: i64, order: Ordering) -> i64;
-}
-
-/// Shim for `std::sync::atomic::AtomicUsize`.
-pub trait AtomicUsizeApi: Send + Sync + 'static {
-    /// New cell holding `v`.
-    #[track_caller]
-    fn new(v: usize) -> Self;
-    /// Atomic load with the declared ordering.
-    #[track_caller]
-    fn load(&self, order: Ordering) -> usize;
-    /// Atomic store with the declared ordering.
-    #[track_caller]
-    fn store(&self, v: usize, order: Ordering);
-    /// Atomic add; returns the previous value.
-    #[track_caller]
-    fn fetch_add(&self, v: usize, order: Ordering) -> usize;
-    /// Atomic subtract; returns the previous value.
-    #[track_caller]
-    fn fetch_sub(&self, v: usize, order: Ordering) -> usize;
-}
-
-/// Shim for `std::sync::atomic::AtomicBool`.
-pub trait AtomicBoolApi: Send + Sync + 'static {
-    /// New cell holding `v`.
-    #[track_caller]
-    fn new(v: bool) -> Self;
-    /// Atomic load with the declared ordering.
-    #[track_caller]
-    fn load(&self, order: Ordering) -> bool;
-    /// Atomic store with the declared ordering.
-    #[track_caller]
-    fn store(&self, v: bool, order: Ordering);
 }
 
 /// Shim for `std::sync::Mutex`.
@@ -148,10 +116,6 @@ pub trait Shims: Sized + Send + Sync + 'static {
     type AtomicU64: AtomicU64Api;
     /// `AtomicI64` shim.
     type AtomicI64: AtomicI64Api;
-    /// `AtomicUsize` shim.
-    type AtomicUsize: AtomicUsizeApi;
-    /// `AtomicBool` shim.
-    type AtomicBool: AtomicBoolApi;
     /// `Mutex` shim.
     type Mutex<T: Send + 'static>: MutexApi<T>;
     /// `Condvar` shim.
@@ -164,18 +128,6 @@ pub trait Shims: Sized + Send + Sync + 'static {
     /// Spawn a thread (a model thread under mc).
     #[track_caller]
     fn spawn<F: FnOnce() + Send + 'static>(f: F) -> Self::JoinHandle;
-
-    /// A small dense per-thread ordinal (0, 1, 2, …) stable for the
-    /// thread's lifetime. Ported code uses it for shard pinning; under
-    /// mc it is the model thread id, so shard assignment is a
-    /// deterministic function of the schedule.
-    #[track_caller]
-    fn thread_ordinal() -> usize;
-
-    /// Cooperative yield: a scheduling point under mc, a
-    /// `std::thread::yield_now` otherwise.
-    #[track_caller]
-    fn yield_now();
 
     /// Wait on `cv` with `guard`'s mutex released, until notified or
     /// timed out. Returns the reacquired guard and whether the wait

@@ -70,8 +70,8 @@ fn run_one(model: &Arc<dyn Fn() + Send + Sync>, source: Source, max_steps: u64) 
 
 impl Checker {
     /// A checker named `name` (names the repro artifact). The
-    /// preemption bound defaults to `GCS_MC_BOUND` (tier-1 CI sets 1;
-    /// nightly sets 2) or 1.
+    /// preemption bound is `GCS_MC_BOUND` when set (nightly CI sets 2),
+    /// else 1 (what tier-1 CI runs).
     pub fn new(name: &str) -> Checker {
         let bound =
             std::env::var("GCS_MC_BOUND").ok().and_then(|v| v.parse::<usize>().ok()).unwrap_or(1);

@@ -4,7 +4,7 @@
 //! time: a baton (the `active` slot of the engine state, guarded by a
 //! single mutex + condvar) is handed from thread to thread at every
 //! *visible operation* (atomic access, plain `Data` access, mutex
-//! lock/unlock, condvar wait/notify, spawn, join, yield, exit). Before
+//! lock/unlock, condvar wait/notify, spawn, join, exit). Before
 //! each visible op the running thread parks, the engine consults the
 //! schedule [`Source`] for who runs next, and the chosen thread
 //! performs its pending op while holding the engine lock — so the
@@ -110,11 +110,10 @@ struct MutexLoc {
 }
 
 /// Which RMW the shim asked for (value math is done in u64 space;
-/// i64/usize/bool are bit-cast by the shim layer).
+/// i64 is bit-cast by the shim layer).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum RmwKind {
     Add,
-    Sub,
     Max,
     Min,
 }
@@ -123,7 +122,6 @@ impl RmwKind {
     fn apply(self, old: u64, operand: u64) -> u64 {
         match self {
             RmwKind::Add => old.wrapping_add(operand),
-            RmwKind::Sub => old.wrapping_sub(operand),
             RmwKind::Max => old.max(operand),
             RmwKind::Min => old.min(operand),
         }
@@ -784,18 +782,6 @@ pub(crate) fn cv_notify_all(cvid: usize) {
         st.threads[tid].clock.bump(tid);
         st.fold_op(tid, 9, cvid, 0);
     })
-}
-
-pub(crate) fn yield_op(_loc: &'static Location<'static>) {
-    with_ctx(|eng, tid| {
-        let mut st = schedule_point(eng, tid);
-        st.threads[tid].clock.bump(tid);
-        st.fold_op(tid, 10, 0, 0);
-    })
-}
-
-pub(crate) fn cur_tid() -> usize {
-    with_ctx(|_, tid| tid)
 }
 
 // ---------------------------------------------------------------------------

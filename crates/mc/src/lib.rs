@@ -5,10 +5,10 @@
 //! *memory-model* layer the same treatment. A structure becomes
 //! generic over the [`Shims`] trait family instead of naming
 //! `std::sync` types; production code instantiates [`StdShims`]
-//! (zero-cost `#[inline(always)]` delegation, gated by the bench
-//! floors) and model tests instantiate [`McShims`], which routes every
-//! atomic access, mutex operation, condvar wait, spawn and join
-//! through a cooperative scheduler:
+//! (zero-cost `#[inline(always)]` delegation, gated by the benchmark's
+//! saturating workloads) and model tests instantiate [`McShims`],
+//! which routes every atomic access, mutex operation, condvar wait,
+//! spawn and join through a cooperative scheduler:
 //!
 //! - **Exploration**: DFS over the decision tree with iterative
 //!   preemption bounding (exhaust 0-preemption schedules, then 1, then
@@ -39,16 +39,12 @@ mod sched;
 mod shim_mc;
 mod shim_std;
 
-pub use api::{
-    AtomicBoolApi, AtomicI64Api, AtomicU64Api, AtomicUsizeApi, CondvarApi, DataApi, JoinApi,
-    MutexApi, Shims,
-};
+pub use api::{AtomicI64Api, AtomicU64Api, CondvarApi, DataApi, JoinApi, MutexApi, Shims};
 pub use checker::Checker;
 pub use report::{Failure, FailureKind, Report, Site};
 pub use sched::Schedule;
 pub use shim_mc::{
-    McAtomicBool, McAtomicI64, McAtomicU64, McAtomicUsize, McCondvar, McData, McJoinHandle,
-    McMutex, McMutexGuard, McShims,
+    McAtomicI64, McAtomicU64, McCondvar, McData, McJoinHandle, McMutex, McMutexGuard, McShims,
 };
 pub use shim_std::{StdData, StdShims};
 

@@ -10,10 +10,7 @@
 //! serializes model threads (exactly one ever runs) and flags any
 //! unsynchronized `Data` access as a race before it happens.
 
-use crate::api::{
-    AtomicBoolApi, AtomicI64Api, AtomicU64Api, AtomicUsizeApi, CondvarApi, DataApi, JoinApi,
-    MutexApi, Shims,
-};
+use crate::api::{AtomicI64Api, AtomicU64Api, CondvarApi, DataApi, JoinApi, MutexApi, Shims};
 use crate::engine::{self, RmwKind};
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
@@ -72,48 +69,6 @@ impl AtomicI64Api for McAtomicI64 {
     fn fetch_add(&self, v: i64, order: Ordering) -> i64 {
         // Two's-complement wrapping add in u64 space equals i64 add.
         engine::atomic_rmw(self.id, RmwKind::Add, v as u64, order, Location::caller()) as i64
-    }
-}
-
-/// Engine-backed `AtomicUsize`.
-#[derive(Debug)]
-pub struct McAtomicUsize {
-    id: usize,
-}
-
-impl AtomicUsizeApi for McAtomicUsize {
-    fn new(v: usize) -> Self {
-        McAtomicUsize { id: engine::alloc_atomic(v as u64, Location::caller()) }
-    }
-    fn load(&self, order: Ordering) -> usize {
-        engine::atomic_load(self.id, order, Location::caller()) as usize
-    }
-    fn store(&self, v: usize, order: Ordering) {
-        engine::atomic_store(self.id, v as u64, order, Location::caller())
-    }
-    fn fetch_add(&self, v: usize, order: Ordering) -> usize {
-        engine::atomic_rmw(self.id, RmwKind::Add, v as u64, order, Location::caller()) as usize
-    }
-    fn fetch_sub(&self, v: usize, order: Ordering) -> usize {
-        engine::atomic_rmw(self.id, RmwKind::Sub, v as u64, order, Location::caller()) as usize
-    }
-}
-
-/// Engine-backed `AtomicBool` (0/1 in u64 space).
-#[derive(Debug)]
-pub struct McAtomicBool {
-    id: usize,
-}
-
-impl AtomicBoolApi for McAtomicBool {
-    fn new(v: bool) -> Self {
-        McAtomicBool { id: engine::alloc_atomic(v as u64, Location::caller()) }
-    }
-    fn load(&self, order: Ordering) -> bool {
-        engine::atomic_load(self.id, order, Location::caller()) != 0
-    }
-    fn store(&self, v: bool, order: Ordering) {
-        engine::atomic_store(self.id, v as u64, order, Location::caller())
     }
 }
 
@@ -237,8 +192,6 @@ impl JoinApi for McJoinHandle {
 impl Shims for McShims {
     type AtomicU64 = McAtomicU64;
     type AtomicI64 = McAtomicI64;
-    type AtomicUsize = McAtomicUsize;
-    type AtomicBool = McAtomicBool;
     type Mutex<T: Send + 'static> = McMutex<T>;
     type Condvar = McCondvar;
     type Data<T: Copy + Send + 'static> = McData<T>;
@@ -246,14 +199,6 @@ impl Shims for McShims {
 
     fn spawn<F: FnOnce() + Send + 'static>(f: F) -> McJoinHandle {
         McJoinHandle { target: engine::spawn_model(Box::new(f)) }
-    }
-
-    fn thread_ordinal() -> usize {
-        engine::cur_tid()
-    }
-
-    fn yield_now() {
-        engine::yield_op(Location::caller());
     }
 
     fn cv_wait_timeout<'a, T: Send + 'static>(

@@ -1,14 +1,11 @@
 //! `StdShims`: the production instantiation. Every method is an
 //! `#[inline(always)]` delegation to the `std` primitive, so a
 //! structure generic over [`Shims`](crate::Shims) monomorphizes to
-//! exactly the code it replaced. The loopback/shard bench floors in
-//! ci.sh gate on this staying true.
+//! exactly the code it replaced. The benchmark's saturating workloads,
+//! compared run against run, gate on this staying true.
 
-use crate::api::{
-    AtomicBoolApi, AtomicI64Api, AtomicU64Api, AtomicUsizeApi, CondvarApi, DataApi, JoinApi,
-    MutexApi, Shims,
-};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use crate::api::{AtomicI64Api, AtomicU64Api, CondvarApi, DataApi, JoinApi, MutexApi, Shims};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -59,44 +56,6 @@ impl AtomicI64Api for AtomicI64 {
     #[inline(always)]
     fn fetch_add(&self, v: i64, order: Ordering) -> i64 {
         AtomicI64::fetch_add(self, v, order)
-    }
-}
-
-impl AtomicUsizeApi for AtomicUsize {
-    #[inline(always)]
-    fn new(v: usize) -> Self {
-        AtomicUsize::new(v)
-    }
-    #[inline(always)]
-    fn load(&self, order: Ordering) -> usize {
-        AtomicUsize::load(self, order)
-    }
-    #[inline(always)]
-    fn store(&self, v: usize, order: Ordering) {
-        AtomicUsize::store(self, v, order)
-    }
-    #[inline(always)]
-    fn fetch_add(&self, v: usize, order: Ordering) -> usize {
-        AtomicUsize::fetch_add(self, v, order)
-    }
-    #[inline(always)]
-    fn fetch_sub(&self, v: usize, order: Ordering) -> usize {
-        AtomicUsize::fetch_sub(self, v, order)
-    }
-}
-
-impl AtomicBoolApi for AtomicBool {
-    #[inline(always)]
-    fn new(v: bool) -> Self {
-        AtomicBool::new(v)
-    }
-    #[inline(always)]
-    fn load(&self, order: Ordering) -> bool {
-        AtomicBool::load(self, order)
-    }
-    #[inline(always)]
-    fn store(&self, v: bool, order: Ordering) {
-        AtomicBool::store(self, v, order)
     }
 }
 
@@ -155,22 +114,9 @@ impl JoinApi for std::thread::JoinHandle<()> {
     }
 }
 
-/// Ticket counter + thread-local for dense per-thread ordinals (used
-/// for shard pinning by the ported structures).
-static NEXT_ORDINAL: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static MY_ORDINAL: usize =
-        // ordering: Relaxed — a pure ticket draw; nothing is published
-        // through this counter, uniqueness is all that matters.
-        NEXT_ORDINAL.fetch_add(1, Ordering::Relaxed);
-}
-
 impl Shims for StdShims {
     type AtomicU64 = AtomicU64;
     type AtomicI64 = AtomicI64;
-    type AtomicUsize = AtomicUsize;
-    type AtomicBool = AtomicBool;
     type Mutex<T: Send + 'static> = Mutex<T>;
     type Condvar = Condvar;
     type Data<T: Copy + Send + 'static> = StdData<T>;
@@ -179,16 +125,6 @@ impl Shims for StdShims {
     #[inline(always)]
     fn spawn<F: FnOnce() + Send + 'static>(f: F) -> Self::JoinHandle {
         std::thread::spawn(f)
-    }
-
-    #[inline(always)]
-    fn thread_ordinal() -> usize {
-        MY_ORDINAL.with(|o| *o)
-    }
-
-    #[inline(always)]
-    fn yield_now() {
-        std::thread::yield_now()
     }
 
     #[inline(always)]

@@ -259,15 +259,3 @@ fn artifact_is_written_for_failures() {
     assert!(body.contains("model: artifact-check"), "{body}");
     assert!(body.contains(&format!("schedule: {}", f.schedule)), "{body}");
 }
-
-#[test]
-fn thread_ordinal_is_model_tid() {
-    let report = Checker::new("ordinal").preemption_bound(0).check(|| {
-        assert_eq!(McShims::thread_ordinal(), 0);
-        let t = McShims::spawn(|| {
-            assert_eq!(McShims::thread_ordinal(), 1);
-        });
-        t.join();
-    });
-    report.assert_ok();
-}

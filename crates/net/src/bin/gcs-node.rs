@@ -158,16 +158,17 @@ fn main() {
     let params = BoundParams::standard(n, delta as u64);
     let mut stab = StabilizationMonitor::new(params);
     let mut round = TokenRoundMonitor::new(params);
-    let mut seen_seq = 0u64;
+    // The first event the monitors have not seen yet.
+    let mut next_seq = 0u64;
     let mut reported_stab = 0usize;
     let mut reported_round = 0usize;
 
     println!("gcs-node {me}: listening on {}, {} peers, delta {delta} ms", addrs[&me], n - 1);
     loop {
         std::thread::sleep(Duration::from_secs(2));
-        let fresh = obs.trace.snapshot_since(seen_seq);
+        let fresh = obs.trace.snapshot_since(next_seq);
         if let Some(last) = fresh.last() {
-            seen_seq = last.seq;
+            next_seq = last.seq + 1;
         }
         stab.feed_all(&fresh);
         round.feed_all(&fresh);

@@ -22,9 +22,10 @@
 //! specs need across a restart.
 
 use crate::transport::{
-    GroupEndpoint, Incoming, LockExt, ShutdownReport, TcpTransport, Transport, TransportConfig,
+    GroupEndpoint, Incoming, ShutdownReport, TcpTransport, Transport, TransportConfig,
 };
 use gcs_ioa::{CollectedEffects, Process, TimedTrace, TraceEvent};
+use gcs_mc::MutexApi;
 use gcs_model::{Majority, ProcId, Time, Value, View};
 use gcs_obs::{trace::TraceBuf, Counter, EventKind, Gauge, Obs};
 use gcs_vsimpl::{ImplEvent, ProtoConfig, StableState, TimedVsToTo, VsNode, Wire};
@@ -91,15 +92,6 @@ impl Clock {
         }
     }
 
-    /// The next global event sequence number.
-    pub fn next_seq(&self) -> u64 {
-        // ordering: SeqCst — merge stamps across all nodes of a cluster
-        // must form one total order every thread agrees on; (time, seq)
-        // is the tiebreaker when per-node traces are merged for the
-        // safety checkers, so this counter pays for the strongest order.
-        self.seq.fetch_add(1, Ordering::SeqCst)
-    }
-
     /// Claims a contiguous block of `n` sequence numbers and returns the
     /// first. One atomic per flush instead of one per event: the block is
     /// claimed before the flush's sends go out, so any event another node
@@ -107,7 +99,10 @@ impl Clock {
     /// block — the merged order stays causally consistent, it is merely
     /// coarsened to flush granularity between concurrent nodes.
     pub fn next_seq_block(&self, n: u64) -> u64 {
-        // ordering: SeqCst — same total-order contract as next_seq.
+        // ordering: SeqCst — merge stamps across all nodes of a cluster
+        // must form one total order every thread agrees on; (time, seq)
+        // is the tiebreaker when per-node traces are merged for the
+        // safety checkers, so this counter pays for the strongest order.
         self.seq.fetch_add(n, Ordering::SeqCst)
     }
 }
@@ -419,21 +414,6 @@ impl NodeCore {
     /// Shared handle to the installed-view history.
     pub fn views_handle(&self) -> Arc<Mutex<Vec<View>>> {
         self.views.clone()
-    }
-
-    /// What this node has delivered to its client so far.
-    pub fn delivered(&self) -> Vec<(ProcId, Value)> {
-        self.delivered.lock_clean().clone()
-    }
-
-    /// Every view this node has installed, in order.
-    pub fn views(&self) -> Vec<View> {
-        self.views.lock_clean().clone()
-    }
-
-    /// A snapshot of this node's recorded (stamped) trace events.
-    pub fn recorded(&self) -> Vec<Recorded> {
-        self.recorded.lock_clean().clone()
     }
 }
 

@@ -23,6 +23,11 @@
 
 use crate::codec::{read_frame, write_frame, Frame, FrameWriter, HelloKind};
 use crate::queue::{self, QueueReceiver, QueueSender, RecvTimeoutError, TrySendError};
+// `MutexApi::lock_clean` locks a std mutex, recovering the guard from a
+// poisoned one: every structure these mutexes guard is updated in single
+// consistent steps, and one panicking thread must not cascade into
+// killing the accept loop, every reader and every writer.
+use gcs_mc::MutexApi;
 use gcs_model::{ProcId, Value, View};
 use gcs_obs::{Counter, DropReason, EventKind, FaultKind, Obs};
 use gcs_vsimpl::Wire;
@@ -31,29 +36,9 @@ use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Mutex locking that survives a poisoned lock instead of panicking.
-///
-/// Every structure guarded by these mutexes is updated in single steps
-/// that leave it consistent (push to a queue, take a socket, replace a
-/// map entry), so a thread that panicked while holding the guard cannot
-/// have left the data half-written — recovering the guard is safe. The
-/// alternative, `.lock().expect(…)`, turns one panicking thread into a
-/// cascade that silently kills the accept loop, every reader, and every
-/// writer: a dead daemon thread looks exactly like a partition.
-pub(crate) trait LockExt<T> {
-    /// Locks, recovering the guard from a poisoned mutex.
-    fn lock_clean(&self) -> MutexGuard<'_, T>;
-}
-
-impl<T> LockExt<T> for Mutex<T> {
-    fn lock_clean(&self) -> MutexGuard<'_, T> {
-        self.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
 
 /// What the node runtime needs from a transport — the seam between the
 /// protocol stack and the wire. [`TcpTransport`] is the deployable

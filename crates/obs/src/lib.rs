@@ -2,10 +2,10 @@
 //!
 //! Three pieces, all pure `std`:
 //!
-//! - [`metrics`]: a sharded registry of atomic [`Counter`]s,
+//! - [`metrics`]: a registry of atomic [`Counter`]s,
 //!   [`Gauge`]s, and log-scale [`Histogram`]s with mergeable snapshots
 //!   and Prometheus-style text rendering ([`Registry::render_text`]).
-//! - [`trace`]: a bounded, lock-light structured event ring
+//! - [`trace`]: a bounded structured event ring under one lock
 //!   ([`TraceBuf`]) with typed events for view changes, sends/receives,
 //!   drops, reconnects, and fault injection.
 //! - [`monitor`]: online monitors that replay the event stream against
@@ -23,8 +23,8 @@
 //! are generic over the [`gcs_mc::Shims`] sync surface. The default
 //! (`StdShims`) monomorphizes to exactly the plain-`std` code it
 //! replaced; instantiating with `McShims` runs the identical structure
-//! under the gcs-mc model checker, which is how their lock and ordering
-//! protocols are verified (crates/obs/tests/mc_*.rs, docs/
+//! under the gcs-mc model checker, which is how their lock protocols
+//! are verified (crates/obs/tests/mc_*.rs, docs/
 //! CONCURRENCY.md).
 
 #![forbid(unsafe_code)]

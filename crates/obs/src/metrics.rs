@@ -1,11 +1,9 @@
-//! The sharded metrics registry: named counters, gauges, and log-scale
+//! The metrics registry: named counters, gauges, and log-scale
 //! histograms with snapshot/merge and Prometheus-style text exposition.
 //!
 //! Handles are looked up (or created) once and then operate on plain
-//! atomics — the registry's shard locks are touched only at
-//! registration and snapshot time, never on the hot increment path.
-//! Shards are selected by a hash of the metric name, so concurrent
-//! registration of unrelated metrics rarely contends.
+//! atomics — the registry's one lock is touched only at registration
+//! and snapshot time, never on the hot increment path.
 //!
 //! The registry is generic over the [`gcs_mc::Shims`] sync surface:
 //! `Registry` (the `StdShims` default) is the zero-cost production
@@ -16,18 +14,14 @@
 
 use crate::hist::{HistCore, HistSnapshot, Histogram};
 use gcs_mc::{AtomicI64Api, AtomicU64Api, MutexApi, Shims, StdShims};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 type A64<S> = <S as Shims>::AtomicU64;
 type AI64<S> = <S as Shims>::AtomicI64;
-
-const N_SHARDS: usize = 8;
 
 /// A monotonically increasing counter. Cloning shares the cell.
 pub struct Counter<S: Shims = StdShims> {
@@ -149,16 +143,14 @@ impl<S: Shims> Clone for Slot<S> {
     }
 }
 
-type Shard<S> = <S as Shims>::Mutex<BTreeMap<MetricKey, Slot<S>>>;
-
 /// The registry. Cloning shares the underlying metric store.
 pub struct Registry<S: Shims = StdShims> {
-    shards: Arc<[Shard<S>; N_SHARDS]>,
+    slots: Arc<S::Mutex<BTreeMap<MetricKey, Slot<S>>>>,
 }
 
 impl<S: Shims> Clone for Registry<S> {
     fn clone(&self) -> Self {
-        Registry { shards: Arc::clone(&self.shards) }
+        Registry { slots: Arc::clone(&self.slots) }
     }
 }
 
@@ -174,12 +166,6 @@ impl<S: Shims> Default for Registry<S> {
     }
 }
 
-fn shard_of(name: &str) -> usize {
-    let mut h = DefaultHasher::new();
-    name.hash(&mut h);
-    (h.finish() as usize) % N_SHARDS
-}
-
 fn key(name: &str, labels: &[(&str, &str)]) -> MetricKey {
     MetricKey {
         name: name.to_string(),
@@ -190,7 +176,7 @@ fn key(name: &str, labels: &[(&str, &str)]) -> MetricKey {
 impl<S: Shims> Registry<S> {
     /// An empty registry.
     pub fn new() -> Self {
-        Registry { shards: Arc::new(std::array::from_fn(|_| Shard::<S>::new(BTreeMap::new()))) }
+        Registry { slots: Arc::new(S::Mutex::new(BTreeMap::new())) }
     }
 
     /// The counter `name` with no labels, created on first use.
@@ -207,8 +193,8 @@ impl<S: Shims> Registry<S> {
     /// metric type.
     pub fn counter_labeled(&self, name: &str, labels: &[(&str, &str)]) -> Counter<S> {
         let k = key(name, labels);
-        let mut shard = self.shards[shard_of(name)].lock_clean();
-        let slot = shard.entry(k).or_insert_with(|| Slot::Counter(Arc::new(A64::<S>::new(0))));
+        let mut slots = self.slots.lock_clean();
+        let slot = slots.entry(k).or_insert_with(|| Slot::Counter(Arc::new(A64::<S>::new(0))));
         match slot {
             Slot::Counter(c) => Counter { cell: c.clone() },
             _ => panic!("metric {name} already registered with a different type"),
@@ -227,8 +213,8 @@ impl<S: Shims> Registry<S> {
     /// Panics on a metric-type conflict.
     pub fn gauge_labeled(&self, name: &str, labels: &[(&str, &str)]) -> Gauge<S> {
         let k = key(name, labels);
-        let mut shard = self.shards[shard_of(name)].lock_clean();
-        let slot = shard.entry(k).or_insert_with(|| Slot::Gauge(Arc::new(AI64::<S>::new(0))));
+        let mut slots = self.slots.lock_clean();
+        let slot = slots.entry(k).or_insert_with(|| Slot::Gauge(Arc::new(AI64::<S>::new(0))));
         match slot {
             Slot::Gauge(g) => Gauge { cell: g.clone() },
             _ => panic!("metric {name} already registered with a different type"),
@@ -248,9 +234,9 @@ impl<S: Shims> Registry<S> {
     /// Panics on a metric-type conflict.
     pub fn histogram_labeled(&self, name: &str, labels: &[(&str, &str)]) -> Histogram<S> {
         let k = key(name, labels);
-        let mut shard = self.shards[shard_of(name)].lock_clean();
+        let mut slots = self.slots.lock_clean();
         let slot =
-            shard.entry(k).or_insert_with(|| Slot::Histogram(Histogram::new().core().clone()));
+            slots.entry(k).or_insert_with(|| Slot::Histogram(Histogram::new().core().clone()));
         match slot {
             Slot::Histogram(h) => Histogram::from_core(h.clone()),
             _ => panic!("metric {name} already registered with a different type"),
@@ -259,9 +245,11 @@ impl<S: Shims> Registry<S> {
 
     /// A frozen, ordered copy of every registered metric.
     pub fn snapshot(&self) -> Snapshot {
-        let mut entries = BTreeMap::new();
-        for shard in self.shards.iter() {
-            for (k, slot) in shard.lock_clean().iter() {
+        let entries = self
+            .slots
+            .lock_clean()
+            .iter()
+            .map(|(k, slot)| {
                 let value = match slot {
                     // ordering: Relaxed — scrape-time reads; a snapshot
                     // is not a consistent cut across metrics (the
@@ -273,9 +261,9 @@ impl<S: Shims> Registry<S> {
                         MetricValue::Histogram(Histogram::from_core(h.clone()).snapshot())
                     }
                 };
-                entries.insert(k.clone(), value);
-            }
-        }
+                (k.clone(), value)
+            })
+            .collect();
         Snapshot { entries }
     }
 

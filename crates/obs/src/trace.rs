@@ -1,16 +1,16 @@
-//! A bounded, lock-light structured event-tracing ring buffer.
+//! A bounded structured event-tracing ring buffer.
 //!
-//! Writers are expected to be long-lived threads (transport writer and
-//! reader loops, node runtimes). Each thread is pinned to one of a small
-//! fixed set of ring shards, so its shard mutex is effectively
-//! uncontended — the only cross-thread traffic on the record path is a
-//! single fetch-add for the global sequence number. When a shard
-//! overflows, its oldest event is evicted and counted; the eviction
-//! counter lets a consumer distinguish "complete record" from "window
-//! onto a longer run".
+//! One mutex guards the whole ring: the event deque, the next sequence
+//! number, the eviction count and the manual clock. `record` and
+//! `record_many` stamp and push under that lock, so the buffered events
+//! are always one contiguous, seq-ordered run — every snapshot is a
+//! prefix-closed window onto one total order, and a `snapshot_since`
+//! cursor never skips an event another thread is still recording. When
+//! the ring is full the oldest event is evicted and counted; the
+//! eviction counter lets a consumer distinguish "complete record" from
+//! "window onto a longer run".
 //!
-//! Events carry a `(t_ms, seq)` stamp from the buffer's own epoch, so a
-//! snapshot merged across shards is one globally ordered stream — the
+//! Events carry a `(t_ms, seq)` stamp from the buffer's own epoch — the
 //! shape the [`crate::monitor`] bound monitors consume.
 //!
 //! The ring is generic over the [`gcs_mc::Shims`] sync surface:
@@ -19,29 +19,20 @@
 //! exhaustively check the record/snapshot protocol under every
 //! bounded interleaving (see docs/CONCURRENCY.md).
 
-use gcs_mc::{AtomicU64Api, MutexApi, Shims, StdShims};
+use gcs_mc::{MutexApi, Shims, StdShims};
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-const N_SHARDS: usize = 8;
-
-/// The seq-counter publish ordering. The Release half is load-bearing:
-/// it is what makes `recorded()` a safe high-water cursor (see the
-/// `// ordering:` comment at the fetch_add in [`TraceBuf::record`]).
-// ordering: AcqRel — paired with the Acquire load in recorded();
-// checked by the `ring_seeded_relaxed_bug` gcs-mc model, which proves
-// the Relaxed downgrade below is caught as a vacuous acquire.
-#[cfg(not(feature = "mc-seeded-bug"))]
-const SEQ_PUBLISH: Ordering = Ordering::AcqRel;
-/// Seeded-bug build: deliberately downgraded so the mc meta-test can
-/// assert the happens-before checker reports the broken publish pair
-/// with correct file:line on both sides. Never enabled in production
-/// profiles; ci.sh only passes the feature to the meta-test target.
-// ordering: Relaxed — the injected bug under test (see above).
-#[cfg(feature = "mc-seeded-bug")]
-const SEQ_PUBLISH: Ordering = Ordering::Relaxed;
+/// Events a ring reserves when it is created; it grows from there to its
+/// capacity as events arrive. This is the block each of the eight
+/// shards of the earlier sharded ring reserved, and the size matters
+/// through glibc's dynamic mmap threshold, which rises to the largest
+/// mapped block freed: reserving the whole default capacity up front
+/// cost the benchmark's open-loop workloads 40 % more resident memory
+/// per operation, and reserving nothing lowered its saturating
+/// throughput.
+const INITIAL_EVENTS: usize = 8192;
 
 /// Why an outbound frame was dropped at the transport.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -179,23 +170,51 @@ pub enum EventKind {
 pub struct ObsEvent {
     /// Milliseconds since the trace buffer's epoch.
     pub t_ms: u64,
-    /// Global sequence number (total order across shards).
+    /// Sequence number (the ring's total order).
     pub seq: u64,
     /// The event.
     pub kind: EventKind,
 }
 
+/// Everything the ring's one lock guards.
+struct Ring {
+    /// `(t_ms, kind)` of the buffered events, oldest first. Their
+    /// sequence numbers are not stored: they are consecutive, ending
+    /// just below `next_seq`.
+    events: VecDeque<(u64, EventKind)>,
+    /// The sequence number the next recorded event gets.
+    next_seq: u64,
+    evicted: u64,
+    /// When present, the buffer is on a *manual* (virtual) clock:
+    /// events are stamped from this register instead of the wall clock,
+    /// so a deterministic simulation can feed the monitors virtual-time
+    /// streams. Advanced via [`TraceBuf::set_now_ms`].
+    manual_ms: Option<u64>,
+}
+
 struct TraceInner<S: Shims> {
     epoch: Instant,
-    /// When present, the buffer is on a *manual* (virtual) clock:
-    /// `record` stamps events from this register instead of the wall
-    /// clock, so a deterministic simulation can feed the monitors
-    /// virtual-time streams. Advanced via [`TraceBuf::set_now_ms`].
-    manual_ms: Option<S::AtomicU64>,
-    seq: S::AtomicU64,
-    shards: Vec<S::Mutex<VecDeque<ObsEvent>>>,
-    cap_per_shard: usize,
-    evicted: S::AtomicU64,
+    capacity: usize,
+    ring: S::Mutex<Ring>,
+}
+
+impl Ring {
+    /// The buffered events with `seq >= next`, with their stamps.
+    fn since(&self, next: u64) -> Vec<ObsEvent> {
+        let first = self.next_seq - self.events.len() as u64;
+        let next = next.clamp(first, self.next_seq);
+        self.events
+            .range((next - first) as usize..)
+            .zip(next..)
+            .map(|((t_ms, kind), seq)| ObsEvent { t_ms: *t_ms, seq, kind: kind.clone() })
+            .collect()
+    }
+}
+
+impl<S: Shims> TraceInner<S> {
+    fn now_ms(&self, ring: &Ring) -> u64 {
+        ring.manual_ms.unwrap_or_else(|| self.epoch.elapsed().as_millis() as u64)
+    }
 }
 
 /// The bounded tracing ring. Cloning shares the buffer.
@@ -228,25 +247,17 @@ impl<S: Shims> Default for TraceBuf<S> {
     }
 }
 
-/// Threads are pinned to shards by their dense per-thread ordinal
-/// (round-robin over shards). Under `StdShims` the ordinal is a global
-/// ticket, so assignment balances across every `TraceBuf`; under
-/// `McShims` it is the model thread id, so shard choice is a
-/// deterministic function of the schedule.
-fn my_shard<S: Shims>() -> usize {
-    S::thread_ordinal() % N_SHARDS
-}
-
 impl<S: Shims> TraceBuf<S> {
     /// A ring with the default capacity (65536 events).
     pub fn new() -> Self {
         TraceBuf::with_capacity(1 << 16)
     }
 
-    /// A ring holding up to `capacity` events in total (split evenly
-    /// across the internal shards; at least one event per shard).
+    /// A ring holding up to `capacity` events (at least one). The ring
+    /// grows on demand: a generous capacity costs memory only once that
+    /// many events are recorded.
     pub fn with_capacity(capacity: usize) -> Self {
-        TraceBuf::build(capacity, false)
+        TraceBuf::build(capacity, None)
     }
 
     /// A ring on a *manual* clock: events are stamped from a virtual-time
@@ -254,110 +265,65 @@ impl<S: Shims> TraceBuf<S> {
     /// instead of the wall clock. Deterministic simulations use this so
     /// the [`crate::monitor`] bound monitors see virtual milliseconds.
     pub fn with_manual_clock(capacity: usize) -> Self {
-        TraceBuf::build(capacity, true)
+        TraceBuf::build(capacity, Some(0))
     }
 
-    fn build(capacity: usize, manual: bool) -> Self {
-        let cap_per_shard = (capacity / N_SHARDS).max(1);
-        TraceBuf {
-            inner: Arc::new(TraceInner {
-                epoch: Instant::now(),
-                manual_ms: manual.then(|| S::AtomicU64::new(0)),
-                seq: S::AtomicU64::new(0),
-                shards: (0..N_SHARDS)
-                    .map(|_| S::Mutex::new(VecDeque::with_capacity(cap_per_shard)))
-                    .collect(),
-                cap_per_shard,
-                evicted: S::AtomicU64::new(0),
-            }),
-        }
+    fn build(capacity: usize, manual_ms: Option<u64>) -> Self {
+        let capacity = capacity.max(1);
+        let events = VecDeque::with_capacity(capacity.min(INITIAL_EVENTS));
+        let ring = Ring { events, next_seq: 0, evicted: 0, manual_ms };
+        let inner = TraceInner { epoch: Instant::now(), capacity, ring: S::Mutex::new(ring) };
+        TraceBuf { inner: Arc::new(inner) }
     }
 
     /// Milliseconds since this buffer's epoch (the stamp `record` uses):
     /// wall-clock elapsed time, or the manual register for a buffer
     /// created with [`TraceBuf::with_manual_clock`].
     pub fn now_ms(&self) -> u64 {
-        match &self.inner.manual_ms {
-            // ordering: Relaxed — monotone virtual-time register with no
-            // dependent data; stamps are advisory and snapshots re-sort
-            // by seq.
-            Some(m) => m.load(Ordering::Relaxed),
-            None => self.inner.epoch.elapsed().as_millis() as u64,
-        }
+        self.inner.now_ms(&self.inner.ring.lock_clean())
     }
 
     /// Advances the manual clock to `t_ms` (no-op on a wall-clock
     /// buffer). The register is monotone: moving backwards is ignored.
     pub fn set_now_ms(&self, t_ms: u64) {
-        if let Some(m) = &self.inner.manual_ms {
-            // ordering: Relaxed — fetch_max keeps the register monotone
-            // by itself; nothing is published under this store.
-            m.fetch_max(t_ms, Ordering::Relaxed);
+        if let Some(m) = &mut self.inner.ring.lock_clean().manual_ms {
+            *m = (*m).max(t_ms);
         }
     }
 
     /// Records an event, stamped with the current time and the next
-    /// global sequence number. Evicts the oldest event in this thread's
-    /// shard when full.
+    /// sequence number. Evicts the oldest event when full.
     pub fn record(&self, kind: EventKind) {
-        let t_ms = self.now_ms();
-        // ordering: AcqRel (via SEQ_PUBLISH) — the Release half pairs
-        // with the Acquire load in recorded(): a reader that observes
-        // seq >= n also observes every write the recording thread made
-        // before claiming sequence n-1, so `recorded()` is a safe
-        // high-water cursor for `snapshot_since` polling loops. (The
-        // claimed event itself is published under the shard mutex
-        // below; an in-flight writer may still be between the two —
-        // the `ring_snapshot_since_gap` gcs-mc model pins down exactly
-        // what that can and cannot cause.)
-        let seq = self.inner.seq.fetch_add(1, SEQ_PUBLISH);
-        let mut shard = self.inner.shards[my_shard::<S>()].lock_clean();
-        if shard.len() >= self.inner.cap_per_shard {
-            shard.pop_front();
-            // ordering: Relaxed — eviction counter; read only by the
-            // advisory evicted() accessor, merged at quiescence.
-            self.inner.evicted.fetch_add(1, Ordering::Relaxed);
-        }
-        shard.push_back(ObsEvent { t_ms, seq, kind });
+        self.record_many(std::iter::once(kind));
     }
 
-    /// Records a batch of events with one clock read, one claimed
-    /// sequence block, and one shard lock — the hot-path form of
-    /// [`TraceBuf::record`] for recorders that flush events in bursts
-    /// (e.g. every delivery a batched token round produced at once). The
-    /// block is claimed before the caller's effects propagate anywhere,
-    /// so causally later recordings still claim later sequence numbers;
-    /// concurrent unrelated recorders are merely coarsened to batch
-    /// granularity, which the merged order never promised to refine.
+    /// Records a batch of events under one lock and one clock read: the
+    /// batch holds consecutive sequence numbers in submission order.
     pub fn record_many<I>(&self, kinds: I)
     where
         I: IntoIterator<Item = EventKind>,
         I::IntoIter: ExactSizeIterator,
     {
         let kinds = kinds.into_iter();
-        let n = kinds.len() as u64;
-        if n == 0 {
+        if kinds.len() == 0 {
             return;
         }
-        let t_ms = self.now_ms();
-        // ordering: AcqRel (via SEQ_PUBLISH) — same publication
-        // contract as record().
-        let seq0 = self.inner.seq.fetch_add(n, SEQ_PUBLISH);
-        let mut shard = self.inner.shards[my_shard::<S>()].lock_clean();
-        for (i, kind) in kinds.enumerate() {
-            if shard.len() >= self.inner.cap_per_shard {
-                shard.pop_front();
-                // ordering: Relaxed — advisory eviction counter, as in
-                // record().
-                self.inner.evicted.fetch_add(1, Ordering::Relaxed);
+        let mut guard = self.inner.ring.lock_clean();
+        let ring = &mut *guard;
+        let t_ms = self.inner.now_ms(ring);
+        for kind in kinds {
+            if ring.events.len() >= self.inner.capacity {
+                ring.events.pop_front();
+                ring.evicted += 1;
             }
-            shard.push_back(ObsEvent { t_ms, seq: seq0 + i as u64, kind });
+            ring.events.push_back((t_ms, kind));
+            ring.next_seq += 1;
         }
     }
 
     /// Number of events currently buffered.
     pub fn len(&self) -> usize {
-        self.inner.shards.iter().map(|s| s.lock_clean().len()).sum()
+        self.inner.ring.lock_clean().events.len()
     }
 
     /// Whether no events are buffered.
@@ -368,49 +334,26 @@ impl<S: Shims> TraceBuf<S> {
     /// Number of events evicted by ring overflow. Zero means the
     /// snapshot is a complete record of everything ever recorded.
     pub fn evicted(&self) -> u64 {
-        // ordering: Relaxed — advisory counter, meaningful at quiescence.
-        self.inner.evicted.load(Ordering::Relaxed)
+        self.inner.ring.lock_clean().evicted
     }
 
-    /// Total events ever recorded (buffered + evicted).
+    /// Total events ever recorded (buffered + evicted): the sequence
+    /// number the next event gets.
     pub fn recorded(&self) -> u64 {
-        // ordering: Acquire — pairs with the AcqRel fetch_add in
-        // record(): observing seq >= n here happens-after everything the
-        // thread that claimed n-1 did first, making this a safe
-        // high-water mark for snapshot_since polling.
-        self.inner.seq.load(Ordering::Acquire)
+        self.inner.ring.lock_clean().next_seq
     }
 
-    /// A merged snapshot of every shard, ordered by sequence number.
+    /// Every buffered event, in sequence order.
     pub fn snapshot(&self) -> Vec<ObsEvent> {
-        let mut all: Vec<ObsEvent> = Vec::with_capacity(self.len());
-        for s in &self.inner.shards {
-            all.extend(s.lock_clean().iter().cloned());
-        }
-        all.sort_by_key(|e| e.seq);
-        all
+        self.inner.ring.lock_clean().since(0)
     }
 
-    /// Like [`TraceBuf::snapshot`], but only events with `seq > after`;
-    /// for incremental online consumption.
-    ///
-    /// A writer that has claimed a sequence number but not yet pushed
-    /// into its shard is invisible to this call, so one poll may see
-    /// seq `n+1` without `n`; a later poll (same `after`) fills the
-    /// gap, and at quiescence the record is complete. The
-    /// `ring_snapshot_since_gap` gcs-mc model (crates/obs/tests/
-    /// mc_ring.rs) explores every bounded interleaving of this
-    /// protocol: it witnesses the transient gap and proves it is the
-    /// *only* anomaly — no event is lost, duplicated, or reordered
-    /// past [`TraceBuf::recorded`], and quiescent snapshots are always
-    /// a complete, seq-unique prefix.
-    pub fn snapshot_since(&self, after: u64) -> Vec<ObsEvent> {
-        let mut all: Vec<ObsEvent> = Vec::new();
-        for s in &self.inner.shards {
-            all.extend(s.lock_clean().iter().filter(|e| e.seq > after).cloned());
-        }
-        all.sort_by_key(|e| e.seq);
-        all
+    /// The buffered events with `seq >= next`, in sequence order; for
+    /// incremental online consumption. Start the cursor at 0 and move
+    /// it to one past the last event returned: each poll then continues
+    /// exactly where the previous one ended.
+    pub fn snapshot_since(&self, next: u64) -> Vec<ObsEvent> {
+        self.inner.ring.lock_clean().since(next)
     }
 }
 
@@ -448,13 +391,18 @@ mod tests {
 
     #[test]
     fn overflow_evicts_and_counts() {
-        let t: TraceBuf = TraceBuf::with_capacity(8); // 1 slot per shard
+        let t: TraceBuf = TraceBuf::with_capacity(8);
         for i in 0..100 {
             t.record(EventKind::Bcast { node: 0, value: i });
         }
-        assert!(t.len() <= 8);
-        assert_eq!(t.evicted() + t.len() as u64, 100);
+        assert_eq!(t.len(), 8);
+        assert_eq!(t.evicted(), 92);
         assert_eq!(t.recorded(), 100);
+        // The newest events survive, still in sequence order.
+        assert_eq!(
+            t.snapshot().iter().map(|e| e.seq).collect::<Vec<_>>(),
+            (92..100).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -468,9 +416,42 @@ mod tests {
         for i in 10..15 {
             t.record(EventKind::Bcast { node: 0, value: i });
         }
-        let rest = t.snapshot_since(last_seq);
+        let rest = t.snapshot_since(last_seq + 1);
         assert_eq!(rest.len(), 5);
         assert!(rest.iter().all(|e| e.seq > last_seq));
+        // A cursor past the end, or behind an evicted prefix, is clamped.
+        assert!(t.snapshot_since(15).is_empty());
+        let small: TraceBuf = TraceBuf::with_capacity(4);
+        for i in 0..10 {
+            small.record(EventKind::Bcast { node: 0, value: i });
+        }
+        assert_eq!(small.snapshot_since(0), small.snapshot());
+    }
+
+    #[test]
+    fn polling_cursor_sees_every_event_exactly_once() {
+        let t: TraceBuf = TraceBuf::new();
+        let mut next = 0u64;
+        let mut polled = Vec::new();
+        let mut poll = |t: &TraceBuf| {
+            let fresh = t.snapshot_since(next);
+            if let Some(last) = fresh.last() {
+                next = last.seq + 1;
+            }
+            polled.extend(fresh);
+        };
+        poll(&t);
+        t.record(EventKind::Bcast { node: 0, value: 0 });
+        poll(&t);
+        t.record_many([EventKind::Send { from: 0, to: 1 }, EventKind::Send { from: 0, to: 2 }]);
+        t.record(EventKind::Recv { node: 1, from: 0 });
+        poll(&t);
+        poll(&t);
+        t.record_many([EventKind::Brcv { node: 1, src: 0, value: 0 }]);
+        t.record_many(Vec::new());
+        poll(&t);
+        assert_eq!(polled.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(polled, t.snapshot());
     }
 
     #[test]

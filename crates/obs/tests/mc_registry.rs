@@ -1,12 +1,7 @@
-//! gcs-mc models for the sharded metrics registry: concurrent
-//! registration must converge on one shared cell, scrapes racing
-//! writers must be exact at quiescence (the "merge-under-write"
-//! surface), and the histogram's all-Relaxed recording protocol must
-//! lose nothing.
-//!
-//! Compiled out under the `mc-seeded-bug` feature (which breaks the
-//! trace ring these builds share a lib with).
-#![cfg(not(feature = "mc-seeded-bug"))]
+//! gcs-mc models for the metrics registry: concurrent registration
+//! must converge on one shared cell, scrapes racing writers must be
+//! exact at quiescence (the "merge-under-write" surface), and the
+//! histogram's all-Relaxed recording protocol must lose nothing.
 
 use gcs_mc::{Checker, JoinApi, McShims, Shims};
 use gcs_obs::{Histogram, MetricValue, Registry};

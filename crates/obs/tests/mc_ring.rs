@@ -1,20 +1,17 @@
-//! gcs-mc models for the trace ring: the concurrent record/snapshot
-//! protocol, and the `snapshot_since` in-flight-writer gap that PR 5
-//! documented as a caveat. The gap model both *witnesses* the transient
-//! anomaly (so the documentation is honest) and proves it is benign:
-//! no event is lost, duplicated, or left missing at quiescence, under
-//! every interleaving within the preemption bound.
-//!
-//! Compiled out under the `mc-seeded-bug` feature, which deliberately
-//! breaks the seq publish ordering these models certify.
-#![cfg(not(feature = "mc-seeded-bug"))]
+//! gcs-mc models for the trace ring: concurrent `record`,
+//! `record_many` and snapshots under the ring's one lock. Every
+//! snapshot, mid-flight or quiescent, is a contiguous run of sequence
+//! numbers, so a `snapshot_since` cursor never skips an event another
+//! thread is still recording.
 
 use gcs_mc::{Checker, JoinApi, McShims, Shims};
-use gcs_obs::trace::{EventKind, TraceBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use gcs_obs::trace::{EventKind, ObsEvent, TraceBuf};
 
 type McTraceBuf = TraceBuf<McShims>;
+
+fn seqs(events: &[ObsEvent]) -> Vec<u64> {
+    events.iter().map(|e| e.seq).collect()
+}
 
 #[test]
 fn ring_concurrent_record_snapshot_is_clean() {
@@ -28,18 +25,15 @@ fn ring_concurrent_record_snapshot_is_clean() {
             }));
         }
         // Poll mid-flight, as an online consumer would: whatever is
-        // visible must already be seq-unique and sorted.
+        // visible is already a gap-free prefix of the sequence.
         let mid = buf.snapshot();
-        assert!(mid.len() <= 2);
-        for w in mid.windows(2) {
-            assert!(w[0].seq < w[1].seq, "dup/unsorted mid-flight snapshot");
-        }
+        assert_eq!(seqs(&mid), (0..mid.len() as u64).collect::<Vec<_>>());
         for j in joins {
             j.join();
         }
         // Quiescence: a complete record.
         let fin = buf.snapshot();
-        assert_eq!(fin.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(seqs(&fin), vec![0, 1]);
         assert_eq!(buf.recorded(), 2);
         assert_eq!(buf.evicted(), 0);
     });
@@ -57,7 +51,7 @@ fn ring_record_many_blocks_are_contiguous() {
         buf.record(EventKind::Bcast { node: 1, value: 7 });
         t.join();
         let fin = buf.snapshot();
-        assert_eq!(fin.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(seqs(&fin), vec![0, 1, 2]);
         // The batch's two events hold adjacent sequence numbers in
         // submission order regardless of how the single record lands.
         let batch: Vec<u64> = fin
@@ -72,79 +66,57 @@ fn ring_record_many_blocks_are_contiguous() {
     report.assert_ok();
 }
 
-/// The PR 5 `snapshot_since` caveat, resolved: a writer preempted
-/// between claiming its sequence number and pushing into its shard is
-/// invisible to a concurrent poll, so the poll can observe seq `n+1`
-/// without `n`. This model (a) asserts the invariants that must hold
-/// even mid-flight — visible events are seq-unique and sorted — and
-/// (b) proves the gap heals: at quiescence every claimed sequence
-/// number is present exactly once. The witness flag confirms the
-/// exploration actually visited a gap interleaving, so the caveat text
-/// in `TraceBuf::snapshot_since` describes a real (and now
-/// model-checked) phenomenon rather than folklore.
+/// An online consumer polling with a cursor (the first unseen seq)
+/// while a writer records: every poll returns exactly the contiguous
+/// range `cursor..cursor + len`, so advancing the cursor past the last
+/// returned event never skips one, and the polls concatenated are the
+/// whole record.
 #[test]
-fn ring_snapshot_since_gap_is_transient_and_heals() {
-    let saw_gap = Arc::new(AtomicBool::new(false));
-    let saw = Arc::clone(&saw_gap);
-    let report = Checker::new("ring-snapshot-since-gap").preemption_bound(2).check(move || {
+fn ring_snapshot_since_polls_are_contiguous() {
+    let report = Checker::new("ring-snapshot-since").check(|| {
         let buf: McTraceBuf = TraceBuf::with_manual_clock(64);
         let b = buf.clone();
         let t = McShims::spawn(move || {
             b.record(EventKind::Send { from: 0, to: 1 });
+            b.record_many([
+                EventKind::Recv { node: 1, from: 0 },
+                EventKind::Recv { node: 2, from: 0 },
+            ]);
         });
         buf.record(EventKind::Send { from: 1, to: 0 });
-        // One online poll racing the spawned writer.
-        let polled = buf.snapshot();
-        for w in polled.windows(2) {
-            assert!(w[0].seq < w[1].seq, "dup/unsorted poll");
-        }
-        if let Some(last) = polled.last() {
-            let present: Vec<u64> = polled.iter().map(|e| e.seq).collect();
-            if (0..last.seq).any(|s| !present.contains(&s)) {
-                // Witness only: never branch model control flow on
-                // this, so the schedule space stays deterministic.
-                saw.store(true, Ordering::Relaxed);
-            }
+        let mut next = 0u64;
+        let mut polled = Vec::new();
+        for _ in 0..2 {
+            let fresh = buf.snapshot_since(next);
+            assert_eq!(seqs(&fresh), (next..next + fresh.len() as u64).collect::<Vec<_>>());
+            next += fresh.len() as u64;
+            polled.extend(fresh);
         }
         t.join();
-        // The gap has healed: complete, seq-unique, nothing evicted.
-        let fin = buf.snapshot();
-        assert_eq!(fin.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(buf.recorded(), 2);
-        assert_eq!(buf.evicted(), 0);
+        polled.extend(buf.snapshot_since(next));
+        assert_eq!(seqs(&polled), vec![0, 1, 2, 3]);
+        assert_eq!(polled, buf.snapshot());
     });
     report.assert_ok();
-    assert!(
-        saw_gap.load(Ordering::Relaxed),
-        "exploration never witnessed the documented transient gap"
-    );
 }
 
-/// `recorded()` as a high-water cursor: once the Acquire load observes
-/// seq == n after joining the writers, everything is visible and the
-/// eviction accounting balances. Overflow model: capacity 8 means one
-/// slot per shard, so same-shard writers evict.
+/// Overflow evicts the oldest events ring-wide: capacity is the exact
+/// total, whichever threads recorded.
 #[test]
 fn ring_overflow_accounting_balances() {
     let report = Checker::new("ring-overflow").check(|| {
-        let buf: McTraceBuf = TraceBuf::with_manual_clock(8);
+        let buf: McTraceBuf = TraceBuf::with_manual_clock(2);
         let b = buf.clone();
         let t = McShims::spawn(move || {
-            // Model tid 1 → shard 1.
             b.record(EventKind::Bcast { node: 1, value: 1 });
             b.record(EventKind::Bcast { node: 1, value: 2 });
         });
         buf.record(EventKind::Bcast { node: 0, value: 0 });
         t.join();
-        // The spawned writer's second record evicted its first (one
-        // slot per shard); main's shard is untouched.
         assert_eq!(buf.recorded(), 3);
         assert_eq!(buf.evicted(), 1);
         assert_eq!(buf.len(), 2);
-        let fin = buf.snapshot();
-        for w in fin.windows(2) {
-            assert!(w[0].seq < w[1].seq);
-        }
+        assert_eq!(seqs(&buf.snapshot()), vec![1, 2]);
     });
     report.assert_ok();
 }

@@ -2,10 +2,9 @@
 # The full CI gate: release build, every example run to a clean exit,
 # and the complete test suite of every workspace crate (the root
 # manifest's `default-members`, so the plain commands cover crates/*
-# and their binaries), the crate-graph shape
-# gate (the deployable stack links no simulator), the gcs-mc
-# model-checking gate (bound-1 interleaving exploration + seeded-bug
-# detection), a deterministic-simulation smoke sweep, the repository
+# and their binaries; the gcs-mc model suites run there at preemption
+# bound 1), the crate-graph shape gate (the deployable stack links no
+# simulator), a deterministic-simulation smoke sweep, the repository
 # benchmark's smoke run with every checker on, and clippy over every
 # target (tests and examples too) with warnings promoted to errors.
 # Everything runs offline against the vendored dependency set; a clean
@@ -63,28 +62,16 @@ fi
 # #[ignore]d for time (the slowest, gcs-core's eager_schedule, runs ~60 s
 # on 2 CPUs; every other single test is under ~30 s);
 # the one #[ignore] in the tree regenerates a corpus file and must not
-# run here, so there is no `-- --ignored` stage.
+# run here, so there is no `-- --ignored` stage. This includes the
+# gcs-mc model-checking gate (see docs/CONCURRENCY.md): gcs-mc's own
+# self-tests and the models of the ported structures — obs trace ring,
+# metrics registry/histogram, net send queue — explore every
+# interleaving within preemption bound 1, the default when
+# GCS_MC_BOUND is unset (the CHESS result: most real concurrency bugs
+# need <=2 preemptions; bound 2 runs nightly). Zero races, zero
+# deadlocks, zero assertion failures is the bar, in <30 s total.
 echo "==> cargo test -q"
 cargo test -q
-
-# gcs-mc model-checking gate (see docs/CONCURRENCY.md): exhaustively
-# explore every interleaving of the ported structures — obs trace ring,
-# metrics registry/histogram, net send queue — within preemption bound
-# 1 (the CHESS result: most real concurrency bugs need <=2 preemptions;
-# bound 2 runs nightly). Zero races, zero deadlocks, zero assertion
-# failures is the bar. Budget: <30 s total.
-echo "==> gcs-mc models at preemption bound 1 (ring, registry, queue)"
-GCS_MC_BOUND=1 cargo test -q -p gcs-mc
-GCS_MC_BOUND=1 cargo test -q -p gcs-obs --test mc_ring --test mc_registry
-GCS_MC_BOUND=1 cargo test -q -p gcs-net --test mc_queue
-
-# Seeded-bug meta-test: with the mc-seeded-bug feature the trace ring's
-# seq publish is downgraded AcqRel -> Relaxed; the happens-before
-# checker must catch it (VacuousAcquire, file:line on both sides) and
-# the failing schedule must replay. This proves the checker can see the
-# class of bug the clean runs above claim is absent.
-echo "==> gcs-mc seeded-bug detection (mc-seeded-bug feature)"
-cargo test -q -p gcs-obs --features mc-seeded-bug --test mc_seeded_bug
 
 echo "==> gcs-sim run --seeds 10 (smoke)"
 ./target/release/gcs-sim run --seeds 10
