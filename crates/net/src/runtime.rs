@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -542,11 +542,6 @@ pub struct NetNode {
     id: ProcId,
     transport: Arc<TcpTransport>,
     groups: BTreeMap<u32, GroupHandle>,
-    /// Keeps the group-0 route receiver alive when this node does not
-    /// host group 0 (the transport pre-registers group 0 at start;
-    /// dropping the receiver would turn misrouted frames into reader
-    /// disconnects instead of harmless drops).
-    _park_rx: Option<Receiver<Incoming>>,
 }
 
 impl NetNode {
@@ -577,7 +572,10 @@ impl NetNode {
             tx0.clone(),
             obs.clone(),
         )?;
-        let mut rx0 = Some(rx0);
+        // Group 0 rides the route the transport pre-registered at start
+        // (local submissions reuse the same channel); a node that hosts
+        // no group 0 drops it, and the transport drops frames sent there.
+        let mut group0 = Some((tx0, rx0));
         let mut handles = BTreeMap::new();
         for (g, hosted) in groups {
             let (sink, label) = match &hosted.obs {
@@ -590,12 +588,9 @@ impl NetNode {
                 }
                 None => NodeCore::new_in_group(id, hosted.proto, clock.clone(), sink, label),
             };
-            // Group 0 rides the route the transport pre-registered at
-            // start; local submissions reuse the same channel.
-            let (events_tx, events_rx) = match (g, rx0.take()) {
-                (0, Some(rx)) => (tx0.clone(), rx),
-                (_, keep) => {
-                    rx0 = keep;
+            let (events_tx, events_rx) = match group0.take() {
+                Some(route) if g == 0 => route,
+                _ => {
                     let (tx, rx) = mpsc::channel::<Incoming>();
                     transport.register_group(g, tx.clone());
                     (tx, rx)
@@ -610,7 +605,7 @@ impl NetNode {
                 std::thread::spawn(move || run_core_loop(core, events_rx, &endpoint, &clock));
             handles.insert(g, GroupHandle { events_tx, thread, recorded, delivered, views });
         }
-        Ok(NetNode { id, transport, groups: handles, _park_rx: rx0 })
+        Ok(NetNode { id, transport, groups: handles })
     }
 
     /// This node's identifier.

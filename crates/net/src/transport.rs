@@ -109,6 +109,22 @@ impl ShutdownReport {
         self.joined += other.joined;
         self.leaked += other.leaked;
     }
+
+    /// Joins `h` if it finishes by `deadline`, else counts it leaked.
+    fn join(&mut self, h: JoinHandle<()>, deadline: Instant) {
+        loop {
+            if h.is_finished() {
+                let _ = h.join();
+                self.joined += 1;
+                return;
+            }
+            if Instant::now() >= deadline {
+                self.leaked += 1;
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 }
 
 /// Transport tuning knobs.
@@ -254,8 +270,6 @@ struct LinkStats {
     /// Current connection generation (bumped on every established
     /// connection).
     generation: AtomicU64,
-    /// Whether the outbound side is currently connected.
-    connected: AtomicBool,
 }
 
 struct PeerLink {
@@ -263,9 +277,28 @@ struct PeerLink {
     /// tags non-zero groups with [`Frame::PeerGroup`] on the wire.
     tx: QueueSender<(u32, Wire)>,
     stats: Arc<LinkStats>,
-    /// The live outbound socket, kept so `sever`/`kick` can close it out
-    /// from under the writer thread.
-    current: Arc<Mutex<Option<TcpStream>>>,
+}
+
+/// What a live socket of the endpoint serves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Role {
+    /// Accepted; its `Hello` has not arrived yet.
+    Pending,
+    /// This node's writer's link to the peer.
+    Outbound(ProcId),
+    /// The peer's link into this node.
+    Inbound(ProcId),
+    /// A client: a target of delivery and view pushes.
+    Client,
+}
+
+/// One entry of [`Shared::conns`].
+struct Conn {
+    role: Role,
+    stream: Arc<TcpStream>,
+    /// The thread reading an accepted socket; `None` for an outbound
+    /// link, whose writer thread outlives its connections.
+    reader: Option<JoinHandle<()>>,
 }
 
 /// Shared state the reader/acceptor threads need.
@@ -278,16 +311,18 @@ struct Shared {
     /// Highest hello generation seen per peer; readers on stale
     /// connections stop delivering as soon as a newer one appears.
     latest_gen: Mutex<BTreeMap<ProcId, u64>>,
-    /// Live inbound peer sockets, for severing.
-    inbound: Mutex<Vec<(ProcId, TcpStream)>>,
-    /// Live client connections, for delivery push.
-    subscribers: Mutex<Vec<TcpStream>>,
-    /// Every accepted socket, append-only. A reader that never delivers
-    /// its `Hello` is registered nowhere else, so `stop` closes these to
-    /// guarantee every reader unblocks (deterministic shutdown).
-    accepted: Mutex<Vec<TcpStream>>,
-    /// Per-connection reader threads, joined (bounded) at `stop`.
-    readers: Mutex<Vec<JoinHandle<()>>>,
+    /// One entry per live socket: outbound links, inbound peer links,
+    /// clients, and accepted sockets still waiting for their `Hello`.
+    /// A writer drops its link's entry when the link goes down, and
+    /// `sever`/`kick` drop it first to tell the writer. An accepted
+    /// socket's entry stays until its reader exits; the accept loop then
+    /// joins the reader and drops the entry, closing the socket.
+    conns: Mutex<Vec<Conn>>,
+    /// Serializes client writes: two group instances may push at once,
+    /// and their frames must not interleave on one socket. Holds the
+    /// push's targets, copied out of `conns` so that a client that stops
+    /// reading stalls other pushes but never `sever`, `kick` or accept.
+    client_writes: Mutex<Vec<Arc<TcpStream>>>,
     /// Inbound routing: group id → the event channel of the `NodeCore`
     /// hosting that group instance. Group 0 is the channel passed to
     /// `start_with_obs`, so a single-group node never touches this
@@ -300,6 +335,22 @@ struct Shared {
 impl Shared {
     fn is_blocked(&self, p: ProcId) -> bool {
         self.blocked.lock_clean().contains(&p)
+    }
+
+    /// Runs `f` on the entry of `stream`, if it is still in the table.
+    fn with_conn<R>(&self, stream: &Arc<TcpStream>, f: impl FnOnce(&mut Conn) -> R) -> Option<R> {
+        self.conns.lock_clean().iter_mut().find(|c| Arc::ptr_eq(&c.stream, stream)).map(f)
+    }
+
+    /// Joins the readers that have exited and drops their entries.
+    fn reap(&self) {
+        self.conns.lock_clean().retain_mut(|c| match c.reader.take_if(|h| h.is_finished()) {
+            Some(h) => {
+                let _ = h.join();
+                false
+            }
+            None => true,
+        });
     }
 }
 
@@ -346,10 +397,8 @@ impl TcpTransport {
             shutdown: AtomicBool::new(false),
             blocked: Mutex::new(BTreeSet::new()),
             latest_gen: Mutex::new(BTreeMap::new()),
-            inbound: Mutex::new(Vec::new()),
-            subscribers: Mutex::new(Vec::new()),
-            accepted: Mutex::new(Vec::new()),
-            readers: Mutex::new(Vec::new()),
+            conns: Mutex::new(Vec::new()),
+            client_writes: Mutex::new(Vec::new()),
             routes: Mutex::new(BTreeMap::from([(0, events.clone())])),
             netobs: NetObs::new(obs, me),
         });
@@ -372,17 +421,15 @@ impl TcpTransport {
             }
             let (tx, rx) = queue::bounded::<(u32, Wire), _>(config.send_queue);
             let stats = Arc::new(LinkStats::default());
-            let current = Arc::new(Mutex::new(None));
             {
                 let shared = shared.clone();
                 let stats = stats.clone();
-                let current = current.clone();
                 let config = config.clone();
                 handles.push(std::thread::spawn(move || {
-                    writer_loop(p, addr, rx, shared, stats, current, config);
+                    writer_loop(p, addr, rx, shared, stats, config);
                 }));
             }
-            links.insert(p, PeerLink { tx, stats, current });
+            links.insert(p, PeerLink { tx, stats });
         }
 
         Ok(Arc::new(TcpTransport { shared, links, local_addr, handles: Mutex::new(handles) }))
@@ -432,13 +479,6 @@ impl TcpTransport {
         self.shared.routes.lock_clean().insert(group, tx);
     }
 
-    /// Pushes a delivery notification to every connected client.
-    pub fn push_delivery(&self, src: ProcId, a: &Value) {
-        let frame = Frame::Deliver { src, a: a.clone() };
-        let mut subs = self.shared.subscribers.lock_clean();
-        subs.retain_mut(|stream| write_frame(stream, &frame).is_ok());
-    }
-
     /// Pushes a batch of deliveries: the whole batch travels as one
     /// `DeliverBatch` frame, encoded once, and lands on each client
     /// socket as a single write instead of one frame (and one decode
@@ -454,29 +494,39 @@ impl TcpTransport {
         if batch.is_empty() {
             return;
         }
-        let mut subs = self.shared.subscribers.lock_clean();
-        if subs.is_empty() {
-            return;
-        }
-        let mut fw = FrameWriter::new();
-        let frame = if group == 0 {
-            Frame::DeliverBatch(batch.to_vec())
-        } else {
-            Frame::DeliverGroup { group, batch: batch.to_vec() }
-        };
-        fw.push(&frame);
-        subs.retain_mut(|stream| fw.write_to(stream).is_ok());
+        self.push_to_clients(|| {
+            if group == 0 {
+                Frame::DeliverBatch(batch.to_vec())
+            } else {
+                Frame::DeliverGroup { group, batch: batch.to_vec() }
+            }
+        });
     }
 
     /// Pushes a view-change notification for a group instance to every
     /// subscribed client — the shard-map refresh path for routers.
     pub fn push_view_group(&self, group: u32, view: &View) {
-        let mut subs = self.shared.subscribers.lock_clean();
-        if subs.is_empty() {
+        self.push_to_clients(|| Frame::View { group, view: view.clone() });
+    }
+
+    /// Writes the frame `make` builds (only if some client is connected)
+    /// to every client. A client whose write fails is shut down; its
+    /// reader then exits and the accept loop drops its entry.
+    fn push_to_clients(&self, make: impl FnOnce() -> Frame) {
+        let mut targets = self.shared.client_writes.lock_clean();
+        let conns = self.shared.conns.lock_clean();
+        targets.extend(conns.iter().filter(|c| c.role == Role::Client).map(|c| c.stream.clone()));
+        drop(conns);
+        if targets.is_empty() {
             return;
         }
-        let frame = Frame::View { group, view: view.clone() };
-        subs.retain_mut(|stream| write_frame(stream, &frame).is_ok());
+        let mut fw = FrameWriter::new();
+        fw.push(&make());
+        for stream in targets.drain(..) {
+            if fw.write_to(&mut &*stream).is_err() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        }
     }
 
     /// Emulates a network partition from this node to `p`: closes the live
@@ -503,28 +553,21 @@ impl TcpTransport {
         self.close_sockets(p);
     }
 
+    /// Shuts down both links with `p`. The outbound entry goes at once,
+    /// which is how its writer learns to reconnect; the inbound one stays
+    /// until its reader has seen the EOF.
     fn close_sockets(&self, p: ProcId) {
-        if let Some(link) = self.links.get(&p) {
-            if let Some(stream) = link.current.lock_clean().take() {
-                let _ = stream.shutdown(Shutdown::Both);
+        self.shared.conns.lock_clean().retain(|c| {
+            if c.role == Role::Outbound(p) || c.role == Role::Inbound(p) {
+                let _ = c.stream.shutdown(Shutdown::Both);
             }
-        }
-        let mut inbound = self.shared.inbound.lock_clean();
-        inbound.retain(|(q, stream)| {
-            if *q == p {
-                let _ = stream.shutdown(Shutdown::Both);
-                false
-            } else {
-                true
-            }
+            c.role != Role::Outbound(p)
         });
     }
 
     /// Whether the outbound link to `p` is currently established.
     pub fn connected(&self, p: ProcId) -> bool {
-        // ordering: Relaxed — advisory status bit read by tests/metrics;
-        // no data is synchronized through it (see the writer loop).
-        self.links.get(&p).is_some_and(|l| l.stats.connected.load(Ordering::Relaxed))
+        self.shared.conns.lock_clean().iter().any(|c| c.role == Role::Outbound(p))
     }
 
     /// Connection attempts made toward `p` (reconnect/backoff activity).
@@ -588,42 +631,26 @@ impl TcpTransport {
         // SeqCst too, keeping the reasoning trivial, and none of these
         // sites are on the frame hot path.
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        for link in self.links.values() {
-            if let Some(stream) = link.current.lock_clean().take() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
+        // Closing every socket unblocks every thread: readers see EOF and
+        // a writer stuck in a write fails.
+        for c in self.shared.conns.lock_clean().iter() {
+            let _ = c.stream.shutdown(Shutdown::Both);
         }
-        for (_, stream) in self.shared.inbound.lock_clean().drain(..) {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        for stream in self.shared.subscribers.lock_clean().drain(..) {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        // Close *every* socket ever accepted: a reader still waiting for
-        // its `Hello` holds a socket registered nowhere else, and it must
-        // see EOF now or it would outlive this test.
-        for stream in self.shared.accepted.lock_clean().drain(..) {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        let mut pending: Vec<JoinHandle<()>> = std::mem::take(&mut *self.handles.lock_clean());
-        pending.extend(std::mem::take(&mut *self.shared.readers.lock_clean()));
         // Worst legitimate exit latency: a writer inside connect_timeout
         // (500 ms) or a backoff sleep (≤ `BACKOFF_MAX`); readers unblock at
         // socket close. 5 s is comfortably past all of it.
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut report = ShutdownReport::default();
-        for h in pending {
-            loop {
-                if h.is_finished() {
-                    let _ = h.join();
-                    report.joined += 1;
-                    break;
-                }
-                if Instant::now() >= deadline {
-                    report.leaked += 1;
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
+        for h in std::mem::take(&mut *self.handles.lock_clean()) {
+            report.join(h, deadline);
+        }
+        // The accept loop and the writers are gone, so the table only
+        // shrinks now; close what an accept added meanwhile and join
+        // every reader.
+        for c in std::mem::take(&mut *self.shared.conns.lock_clean()) {
+            let _ = c.stream.shutdown(Shutdown::Both);
+            if let Some(h) = c.reader {
+                report.join(h, deadline);
             }
         }
         report
@@ -636,7 +663,7 @@ impl Transport for TcpTransport {
     }
 
     fn push_delivery(&self, src: ProcId, a: &Value) {
-        TcpTransport::push_delivery(self, src, a);
+        TcpTransport::push_deliveries(self, &[(src, a.clone())]);
     }
 
     fn push_deliveries(&self, batch: &[(ProcId, Value)]) {
@@ -699,39 +726,40 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     // ordering: SeqCst — shutdown-flag poll; pairs with the SeqCst store
     // in stop(), no payload rides on it.
     while !shared.shutdown.load(Ordering::SeqCst) {
+        shared.reap();
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
-                // Keep a closable clone of every accepted socket and the
-                // reader's handle: `stop` closes the sockets (so readers
-                // see EOF even before their `Hello`) and then joins the
-                // threads with a bounded deadline.
-                if let Ok(clone) = stream.try_clone() {
-                    shared.accepted.lock_clean().push(clone);
-                }
-                let reader_shared = shared.clone();
-                let handle = std::thread::spawn(move || reader_loop(stream, reader_shared));
-                shared.readers.lock_clean().push(handle);
+                let stream = Arc::new(stream);
+                // Spawned under the table lock, so the entry is there
+                // before its reader looks for it.
+                let mut conns = shared.conns.lock_clean();
+                let reader = {
+                    let (stream, shared) = (stream.clone(), shared.clone());
+                    std::thread::spawn(move || reader_loop(stream, shared))
+                };
+                conns.push(Conn { role: Role::Pending, stream, reader: Some(reader) });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
+            // Nothing pending, or a transient failure (EMFILE, ENOBUFS,
+            // a connection reset before it was accepted): only the
+            // shutdown flag ends the loop.
+            Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
 }
 
-fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
+fn reader_loop(socket: Arc<TcpStream>, shared: Arc<Shared>) {
     // Buffer reads: coalesced writers put many frames into one segment,
     // and decoding them one read_exact at a time straight off the socket
     // would pay two syscalls per frame.
-    let mut stream = io::BufReader::with_capacity(64 * 1024, stream);
+    let mut stream = io::BufReader::with_capacity(64 * 1024, &*socket);
     // The first frame must identify the connection.
-    let hello = match read_frame(&mut stream) {
-        Ok(Some(Frame::Hello { node, generation, kind })) => (node, generation, kind),
-        _ => return,
+    let Ok(Some(Frame::Hello { node, generation, kind })) = read_frame(&mut stream) else {
+        return;
     };
-    let (node, generation, kind) = hello;
+    // Snapshot of the group route table; refreshed on a miss, so the
+    // steady state pays no lock per frame.
+    let mut routes = shared.routes.lock_clean().clone();
     match kind {
         HelloKind::Peer => {
             {
@@ -743,106 +771,88 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
                 }
                 *e = generation;
             }
-            let Ok(clone) = stream.get_ref().try_clone() else { return };
-            shared.inbound.lock_clean().push((node, clone));
-            // Snapshot of the group route table; refreshed on a miss, so
-            // the steady state pays no lock per frame.
-            let mut routes = shared.routes.lock_clean().clone();
+            shared.with_conn(&socket, |c| c.role = Role::Inbound(node));
             loop {
-                match read_frame(&mut stream) {
-                    Ok(Some(frame @ (Frame::Peer(_) | Frame::PeerGroup { .. }))) => {
-                        // ordering: SeqCst — shutdown-flag poll; pairs
-                        // with the SeqCst store in stop().
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        let (group, wire) = match frame {
-                            Frame::Peer(wire) => (0, wire),
-                            Frame::PeerGroup { group, wire } => (group, wire),
-                            _ => return,
-                        };
-                        let stale = {
-                            let latest = shared.latest_gen.lock_clean();
-                            latest.get(&node).copied().unwrap_or(0) > generation
-                        };
-                        if stale || shared.is_blocked(node) {
-                            shared.netobs.on_reject(node);
-                            if stale {
-                                return;
-                            }
-                            continue;
-                        }
-                        if !routes.contains_key(&group) {
-                            routes = shared.routes.lock_clean().clone();
-                        }
-                        let Some(route) = routes.get(&group) else {
-                            // No group instance registered here: drop the
-                            // frame, keep the connection (other groups
-                            // share it).
-                            shared.netobs.on_reject(node);
-                            continue;
-                        };
-                        shared.netobs.on_recv(node);
-                        if route.send(Incoming::Wire { from: node, wire }).is_err() {
-                            return;
-                        }
+                let (group, wire) = match read_frame(&mut stream) {
+                    Ok(Some(Frame::Peer(wire))) => (0, wire),
+                    Ok(Some(Frame::PeerGroup { group, wire })) => (group, wire),
+                    _ => return,
+                };
+                // ordering: SeqCst — shutdown-flag poll; pairs with the
+                // SeqCst store in stop().
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    return;
+                }
+                let stale =
+                    shared.latest_gen.lock_clean().get(&node).is_some_and(|&g| g > generation);
+                if stale || shared.is_blocked(node) {
+                    shared.netobs.on_reject(node);
+                    if stale {
+                        return;
                     }
-                    Ok(Some(_)) | Ok(None) | Err(_) => return,
+                    continue;
+                }
+                // No live instance of the group here: drop the frame, keep
+                // the connection (other groups share it).
+                if dispatch(&shared, &mut routes, group, Incoming::Wire { from: node, wire }) {
+                    shared.netobs.on_recv(node);
+                } else {
+                    shared.netobs.on_reject(node);
                 }
             }
         }
         HelloKind::Client => {
-            if let Ok(clone) = stream.get_ref().try_clone() {
-                shared.subscribers.lock_clean().push(clone);
-            }
-            let mut routes = shared.routes.lock_clean().clone();
+            shared.with_conn(&socket, |c| c.role = Role::Client);
             loop {
-                match read_frame(&mut stream) {
-                    Ok(Some(
-                        first @ (Frame::Submit(_)
-                        | Frame::SubmitBatch(_)
-                        | Frame::SubmitGroup { .. }),
-                    )) => {
-                        // ordering: SeqCst — shutdown-flag poll; pairs
-                        // with the SeqCst store in stop().
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        let (group, mut batch) = match first {
-                            Frame::Submit(a) => (0, vec![a]),
-                            Frame::SubmitBatch(b) => (0, b),
-                            Frame::SubmitGroup { group, batch } => (group, batch),
-                            _ => return,
-                        };
-                        // Coalesce the burst: whatever same-group submit
-                        // frames the read buffer already holds ride in
-                        // the same event. Only complete buffered frames
-                        // are taken — a frame split across segments (or
-                        // destined for another group) waits for the next
-                        // loop pass rather than blocking the batch.
-                        while batch.len() < 4096 {
-                            match peek_buffered_submit(&mut stream, group) {
-                                Some(mut more) => batch.append(&mut more),
-                                None => break,
-                            }
-                        }
-                        if !routes.contains_key(&group) {
-                            routes = shared.routes.lock_clean().clone();
-                        }
-                        let Some(route) = routes.get(&group) else {
-                            // Unroutable submission: drop it, keep the
-                            // client connection alive.
-                            continue;
-                        };
-                        if route.send(Incoming::Submit { batch }).is_err() {
-                            return;
-                        }
-                    }
-                    Ok(Some(_)) | Ok(None) | Err(_) => return,
+                let (group, mut batch) = match read_frame(&mut stream) {
+                    Ok(Some(Frame::Submit(a))) => (0, vec![a]),
+                    Ok(Some(Frame::SubmitBatch(b))) => (0, b),
+                    Ok(Some(Frame::SubmitGroup { group, batch })) => (group, batch),
+                    _ => return,
+                };
+                // ordering: SeqCst — shutdown-flag poll; pairs with the
+                // SeqCst store in stop().
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    return;
                 }
+                // Coalesce the burst: whatever same-group submit frames
+                // the read buffer already holds ride in the same event.
+                // Only complete buffered frames are taken — a frame split
+                // across segments (or destined for another group) waits
+                // for the next loop pass rather than blocking the batch.
+                while batch.len() < 4096 {
+                    match peek_buffered_submit(&mut stream, group) {
+                        Some(mut more) => batch.append(&mut more),
+                        None => break,
+                    }
+                }
+                // An unroutable submission is dropped; the client
+                // connection stays.
+                dispatch(&shared, &mut routes, group, Incoming::Submit { batch });
             }
         }
     }
+}
+
+/// Hands `ev` to the node runtime hosting `group`. On a miss, or when
+/// that runtime's loop has stopped, the reader's route snapshot is
+/// refreshed and the send tried once more; `false` if it still fails
+/// (no live instance of the group behind this endpoint).
+fn dispatch(
+    shared: &Shared,
+    routes: &mut BTreeMap<u32, Sender<Incoming>>,
+    group: u32,
+    ev: Incoming,
+) -> bool {
+    let ev = match routes.get(&group) {
+        Some(route) => match route.send(ev) {
+            Ok(()) => return true,
+            Err(unsent) => unsent.0,
+        },
+        None => ev,
+    };
+    *routes = shared.routes.lock_clean().clone();
+    routes.get(&group).is_some_and(|route| route.send(ev).is_ok())
 }
 
 /// Decodes one complete submit frame (`Submit`, `SubmitBatch`, or
@@ -851,7 +861,7 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
 /// for the caller's blocking `read_frame` — when the buffer holds no
 /// complete frame, or when the next frame is not a submission for the
 /// same group (batches must not merge across groups).
-fn peek_buffered_submit(stream: &mut io::BufReader<TcpStream>, group: u32) -> Option<Vec<Value>> {
+fn peek_buffered_submit(stream: &mut io::BufReader<&TcpStream>, group: u32) -> Option<Vec<Value>> {
     use std::io::BufRead;
     let buf = stream.buffer();
     let hdr: [u8; 4] = buf.get(..4)?.try_into().ok()?;
@@ -891,11 +901,13 @@ fn writer_loop(
     rx: QueueReceiver<(u32, Wire)>,
     shared: Arc<Shared>,
     stats: Arc<LinkStats>,
-    current: Arc<Mutex<Option<TcpStream>>>,
     config: TransportConfig,
 ) {
+    // Fault injection is defined per frame: with a send delay, every
+    // frame pays it and goes out alone.
+    let coalesce = if config.inject_send_delay.is_some() { 1 } else { COALESCE_FRAMES };
     let mut backoff = BACKOFF_MIN;
-    'reconnect: loop {
+    loop {
         // ordering: SeqCst — shutdown-flag poll; pairs with the SeqCst
         // store in stop().
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -914,7 +926,7 @@ fn writer_loop(
         // connect_attempts() accessor reads it.
         stats.attempts.fetch_add(1, Ordering::Relaxed);
         let stream = match TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
-            Ok(s) => s,
+            Ok(s) => Arc::new(s),
             Err(_) => {
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(BACKOFF_MAX);
@@ -929,90 +941,71 @@ fn writer_loop(
         // must never appear to move backwards from any thread's view.
         let generation =
             config.generation_base + stats.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        let mut write_half = stream;
-        if write_frame(
-            &mut write_half,
-            &Frame::Hello { node: shared.me, generation, kind: HelloKind::Peer },
-        )
-        .is_err()
-        {
+        let hello = Frame::Hello { node: shared.me, generation, kind: HelloKind::Peer };
+        if write_frame(&mut &*stream, &hello).is_err() {
             std::thread::sleep(backoff);
             continue;
         }
-        if let Ok(clone) = write_half.try_clone() {
-            *current.lock_clean() = Some(clone);
-        }
-        // ordering: Relaxed — advisory status bit for connected(); link
-        // correctness never depends on observing it promptly.
-        stats.connected.store(true, Ordering::Relaxed);
+        shared.conns.lock_clean().push(Conn {
+            role: Role::Outbound(peer),
+            stream: stream.clone(),
+            reader: None,
+        });
         shared.netobs.on_link_up(peer, generation);
         let mut batch = FrameWriter::new();
-        loop {
+        let reconnect = loop {
             match rx.recv_timeout(Duration::from_millis(50)) {
                 Ok((group, wire)) => {
                     if shared.is_blocked(peer) {
                         shared.netobs.on_drop(peer, DropReason::Blocked);
-                        break;
+                        break true;
                     }
                     if let Some(delay) = config.inject_send_delay {
-                        // Fault injection is defined per frame — skip
-                        // coalescing so every frame pays the delay.
                         std::thread::sleep(delay);
-                        if write_frame(&mut write_half, &peer_frame(group, wire)).is_err() {
-                            shared.netobs.on_drop(peer, DropReason::WriteError);
-                            break;
-                        }
-                        shared.netobs.on_send(peer);
-                        continue;
                     }
                     // Coalesce: drain whatever queued behind this frame
                     // (bounded) and flush the whole batch as one vectored
                     // write instead of one syscall per frame.
                     batch.clear();
                     batch.push(&peer_frame(group, wire));
-                    while batch.len() < COALESCE_FRAMES && batch.payload_bytes() < COALESCE_BYTES {
+                    while batch.len() < coalesce && batch.payload_bytes() < COALESCE_BYTES {
                         match rx.try_recv() {
                             Ok((g, w)) => batch.push(&peer_frame(g, w)),
                             Err(_) => break,
                         }
                     }
-                    if batch.write_to(&mut write_half).is_err() {
+                    if batch.write_to(&mut &*stream).is_err() {
                         // The stream is torn mid-batch; count every frame
                         // of it lost (some bytes may have landed, but the
                         // peer's length-prefix framing discards the tail).
                         for _ in 0..batch.len() {
                             shared.netobs.on_drop(peer, DropReason::WriteError);
                         }
-                        break;
+                        break true;
                     }
                     for _ in 0..batch.len() {
                         shared.netobs.on_send(peer);
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    // ordering: SeqCst shutdown poll (pairs with stop());
-                    // Relaxed for the advisory connected() status bit.
+                    // ordering: SeqCst — shutdown-flag poll; pairs with
+                    // the SeqCst store in stop().
                     if shared.shutdown.load(Ordering::SeqCst) {
-                        stats.connected.store(false, Ordering::Relaxed);
-                        return;
+                        break false;
                     }
-                    if shared.is_blocked(peer) || current.lock_clean().is_none() {
-                        // Severed or kicked out from under us.
-                        break;
+                    // Severed or kicked out from under us.
+                    if shared.is_blocked(peer) || shared.with_conn(&stream, |_| ()).is_none() {
+                        break true;
                     }
                 }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // ordering: Relaxed — advisory connected() status bit.
-                    stats.connected.store(false, Ordering::Relaxed);
-                    return;
-                }
+                Err(RecvTimeoutError::Disconnected) => break false,
             }
+        };
+        shared.conns.lock_clean().retain(|c| !Arc::ptr_eq(&c.stream, &stream));
+        let _ = stream.shutdown(Shutdown::Both);
+        if !reconnect {
+            return;
         }
-        // ordering: Relaxed — advisory connected() status bit.
-        stats.connected.store(false, Ordering::Relaxed);
         shared.netobs.on_link_down(peer);
-        let _ = write_half.shutdown(Shutdown::Both);
-        *current.lock_clean() = None;
-        continue 'reconnect;
     }
 }

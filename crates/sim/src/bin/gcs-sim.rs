@@ -3,7 +3,7 @@
 //! ```text
 //! gcs-sim run --seeds 200 [--workers W] [--n 5] [--delta 10]
 //!             [--duration 5000] [--submits 40] [--faults 6]
-//!             [--queue 256] [--fixed-delay] [--out DIR]
+//!             [--queue 256] [--fixed-delay] [--bug-dup-token] [--out DIR]
 //! gcs-sim run --seed 42 --verbose
 //! gcs-sim replay scenario.txt [--verbose]
 //! ```
@@ -52,7 +52,7 @@ fn usage(err: &str) -> ExitCode {
     eprintln!(
         "usage: gcs-sim run [--seeds N | --seed X] [--workers W] [--n N] [--delta MS]\n\
          \u{20}                  [--duration MS] [--submits K] [--faults F] [--queue Q]\n\
-         \u{20}                  [--fixed-delay] [--verbose] [--out DIR]\n\
+         \u{20}                  [--fixed-delay] [--bug-dup-token] [--verbose] [--out DIR]\n\
          \u{20}      gcs-sim hostile [--seeds N] [--workers W] [--kinds a,b,..] [--verbose]\n\
          \u{20}      gcs-sim follower\n\
          \u{20}      gcs-sim replay FILE [--verbose]"
@@ -87,7 +87,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--fixed-delay" => args.config.fixed_delay = true,
             "--verbose" => args.verbose = true,
             "--out" => args.out_dir = val("--out")?.to_string(),
-            #[cfg(feature = "bug-hook")]
             "--bug-dup-token" => args.config.bug_dup_token = true,
             other => return Err(format!("unknown flag {other}")),
         }

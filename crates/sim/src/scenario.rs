@@ -47,10 +47,10 @@ pub struct SimConfig {
     /// Deliver every frame after exactly δ (the boundary case for the
     /// b/d monitors) instead of uniformly in `[1, δ]`.
     pub fixed_delay: bool,
-    /// With the `bug-hook` feature: `Dup` operations duplicate a *live*
-    /// Token frame (both copies processed) instead of a stale one — a
-    /// real safety bug the checkers must catch. Ignored (and harmless)
-    /// without the feature.
+    /// Test hook: `Dup` operations duplicate a *live* Token frame with
+    /// fabricated acknowledgments (both copies processed) instead of a
+    /// stale one — a real safety bug the checkers must catch. Off by
+    /// default; `gcs-sim run --bug-dup-token` turns it on.
     pub bug_dup_token: bool,
     /// Run the nodes under the adaptive accrual failure detector
     /// (`DetectorPolicy::Adaptive`) instead of the fixed δ/π timeouts.
@@ -171,11 +171,10 @@ pub enum FaultOp {
         /// Window length.
         dur_ms: Time,
     },
-    /// Arm the `p → q` link to duplicate its next frame. Without the
-    /// `bug-hook` feature the duplicate arrives as a *stale* copy and
-    /// must be rejected by the receiver (exercising the transport's
-    /// stale-connection filter semantics); with it, see
-    /// [`SimConfig::bug_dup_token`].
+    /// Arm the `p → q` link to duplicate its next frame. The duplicate
+    /// arrives as a *stale* copy and must be rejected by the receiver
+    /// (exercising the transport's stale-connection filter semantics);
+    /// under [`SimConfig::bug_dup_token`] it is a live, corrupted token.
     Dup {
         /// The duplicating sender.
         p: u32,

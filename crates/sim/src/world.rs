@@ -63,21 +63,12 @@ pub fn settle_ms(cfg: &SimConfig) -> Time {
     }
 }
 
-#[cfg(feature = "bug-hook")]
-fn bug_active(cfg: &SimConfig) -> bool {
-    cfg.bug_dup_token
-}
-#[cfg(not(feature = "bug-hook"))]
-fn bug_active(_: &SimConfig) -> bool {
-    false
-}
-
-/// The injected safety bug (`bug-hook` feature): the duplicated token
-/// copy claims every member has received the whole message list — a
-/// retransmission path that fabricates acknowledgments. The receiver's
-/// safe prefix jumps past what slower members actually hold, so it
-/// issues `safe` indications the VS specification does not enable.
-#[cfg(feature = "bug-hook")]
+/// The injected safety bug ([`SimConfig::bug_dup_token`]): the
+/// duplicated token copy claims every member has received the whole
+/// message list — a retransmission path that fabricates acknowledgments.
+/// The receiver's safe prefix jumps past what slower members actually
+/// hold, so it issues `safe` indications the VS specification does not
+/// enable.
 fn corrupt_token_acks(bytes: &[u8]) -> Option<Vec<u8>> {
     match decode_payload(bytes) {
         Ok(Frame::Peer(Wire::Token(mut tok))) => {
@@ -467,7 +458,7 @@ impl<'a> World<'a> {
                     self.drop_frame(from, to, DropReason::QueueFull);
                     continue;
                 }
-                let dup_live = bug_active(&self.sc.config)
+                let dup_live = self.sc.config.bug_dup_token
                     && self.links[li].dup_token_armed
                     && matches!(wire, Wire::Token(_));
                 let dup_stale = !dup_live && self.links[li].dup_armed;
@@ -503,14 +494,11 @@ impl<'a> World<'a> {
                     } else {
                         self.rng.gen_range(1..=delta)
                     };
-                    #[cfg(feature = "bug-hook")]
                     let dup_bytes = if dup_live {
                         corrupt_token_acks(&bytes).unwrap_or_else(|| bytes.clone())
                     } else {
                         bytes.clone()
                     };
-                    #[cfg(not(feature = "bug-hook"))]
-                    let dup_bytes = bytes.clone();
                     self.push(
                         t_del + extra,
                         Ev::Deliver {
@@ -684,7 +672,7 @@ impl<'a> World<'a> {
             }
             FaultOp::Dup { p, q } => {
                 let li = self.link_idx(ProcId(*p), ProcId(*q));
-                if bug_active(&self.sc.config) {
+                if self.sc.config.bug_dup_token {
                     self.links[li].dup_token_armed = true;
                 } else {
                     self.links[li].dup_armed = true;

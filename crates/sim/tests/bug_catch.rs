@@ -1,12 +1,10 @@
-//! End-to-end proof that the harness has teeth: with the `bug-hook`
-//! feature, `Dup` operations deliver a duplicated token whose
-//! per-member receipt counts are fabricated (every member "has"
-//! everything), so receivers issue `safe` indications the VS
+//! End-to-end proof that the harness has teeth: with
+//! `SimConfig::bug_dup_token`, `Dup` operations deliver a duplicated
+//! token whose per-member receipt counts are fabricated (every member
+//! "has" everything), so receivers issue `safe` indications the VS
 //! specification does not enable. The checkers must catch it, the
 //! shrinker must reduce the schedule to a handful of operations, and
 //! the minimized scenario must replay to the same failure.
-//!
-//! Run with: `cargo test -p gcs-sim --features bug-hook --test bug_catch`
 
 use gcs_sim::{run, shrink, Scenario, SimConfig};
 
@@ -57,8 +55,8 @@ fn injected_ack_fabrication_is_caught_and_shrunk() {
     assert_eq!(again.digest, result.report.digest, "replay diverged from shrink result");
 }
 
-/// The hook is inert without the config flag even when compiled in:
-/// the same seeds stay green.
+/// The hook is inert without the config flag: the same seeds stay
+/// green.
 #[test]
 fn bug_hook_requires_opt_in() {
     for seed in 0..5 {
