@@ -4,7 +4,6 @@ use bytes::Bytes;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::Range;
 
 /// The FNV-1a 64-bit offset basis: the state [`fnv1a`] starts from.
 pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -53,17 +52,6 @@ enum Repr {
 }
 
 impl Value {
-    /// The value `buf[range]`: a payload over 23 bytes is an O(1) sub-view
-    /// sharing `buf`'s allocation, a shorter one an inline copy that does
-    /// not keep `buf` alive. Panics if `range` is out of bounds.
-    pub fn slice_of(buf: &Bytes, range: Range<usize>) -> Self {
-        if range.len() <= INLINE_MAX {
-            Value::from(&buf[range])
-        } else {
-            Value(Repr::Shared(buf.slice(range)))
-        }
-    }
-
     /// Encodes a `u64` as a value (big-endian).
     pub fn from_u64(x: u64) -> Self {
         Value::from(&x.to_be_bytes()[..])
@@ -159,11 +147,7 @@ impl From<&str> for Value {
 
 impl From<Vec<u8>> for Value {
     fn from(v: Vec<u8>) -> Self {
-        if v.len() <= INLINE_MAX {
-            Value::from(&v[..])
-        } else {
-            Value(Repr::Shared(Bytes::from(v)))
-        }
+        Value::from(&v[..])
     }
 }
 
@@ -218,8 +202,8 @@ mod tests {
         assert_eq!(Value::from("a").fingerprint(), 0xaf63_dc4c_8601_ec8c, "FNV-1a test vector");
     }
 
-    /// Across the inline limit, a fresh copy and a sub-view of a larger
-    /// buffer are the same value by every observation.
+    /// Across the inline limit, a value built from a slice and one built
+    /// from a vector are the same value by every observation.
     #[test]
     fn representation_is_invisible_at_every_length() {
         use std::collections::hash_map::DefaultHasher;
@@ -228,21 +212,18 @@ mod tests {
             v.hash(&mut h);
             h.finish()
         };
-        let frame = Bytes::from((0..200u8).collect::<Vec<_>>());
+        let frame: Vec<u8> = (0..200u8).collect();
         for len in 0..=64 {
             let bytes = &frame[3..3 + len];
-            let fresh = Value::from(bytes.to_vec());
-            let view = Value::slice_of(&frame, 3..3 + len);
-            assert_eq!(fresh.as_bytes(), bytes);
-            assert_eq!(view.as_bytes(), bytes);
-            assert_eq!(fresh, view, "len {len}");
-            assert_eq!(fresh.cmp(&view), Ordering::Equal);
-            assert_eq!(digest(&fresh), digest(&view));
-            assert_eq!(fresh.fingerprint(), view.fingerprint());
-            assert_eq!(format!("{fresh:?}"), format!("{view:?}"));
-            // Only a payload past the limit shares the buffer.
-            let aliases = view.as_bytes().as_ptr() == frame[3..].as_ptr();
-            assert_eq!(aliases, len > INLINE_MAX, "len {len}");
+            let sliced = Value::from(bytes);
+            let owned = Value::from(bytes.to_vec());
+            assert_eq!(sliced.as_bytes(), bytes);
+            assert_eq!(owned.as_bytes(), bytes);
+            assert_eq!(sliced, owned, "len {len}");
+            assert_eq!(sliced.cmp(&owned), Ordering::Equal);
+            assert_eq!(digest(&sliced), digest(&owned));
+            assert_eq!(sliced.fingerprint(), owned.fingerprint());
+            assert_eq!(format!("{sliced:?}"), format!("{owned:?}"));
         }
         assert_eq!(Value::default(), Value::from(""));
         assert!(Value::from(vec![0; 64]) < Value::from_u64(1), "order is bytewise");

@@ -16,7 +16,6 @@
 //! input yields a [`CodecError`], never a panic, and every frame must
 //! consume its payload exactly (trailing bytes are an error).
 
-use bytes::Bytes;
 use gcs_core::msg::AppMsg;
 use gcs_model::{ContentMap, Label, ProcId, Summary, Value, View, ViewId};
 use gcs_vsimpl::{Token, TokenMsg, Wire};
@@ -324,35 +323,15 @@ fn put_wire(out: &mut Vec<u8>, w: &Wire) {
 // Primitive readers
 // ---------------------------------------------------------------------
 
-/// Smallest payload whose decoded values share its buffer. A value
-/// outlives its frame by as long as the application keeps it, and a
-/// sub-view pins the whole payload: an idle ring's token frame (~70
-/// bytes around one 8-byte value) would stay resident at every member
-/// for each value delivered. Below this size a value is copied out and
-/// the frame is freed; batch frames (hundreds of entries, or KiB-sized
-/// values) are far above it and stay zero-copy. At any frame size a
-/// value short enough to live inline (see [`Value::slice_of`]) is
-/// copied, so it never pins its frame either.
-const SHARE_MIN_PAYLOAD: usize = 512;
-
 /// A bounds-checked cursor over a frame payload.
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
-    /// When the payload lives in a shared [`Bytes`] buffer of at least
-    /// [`SHARE_MIN_PAYLOAD`] bytes, decoded values past the inline limit
-    /// are O(1) sub-views of it instead of per-value copies.
-    /// `backing.as_slice()` is always identical to `buf`.
-    backing: Option<&'a Bytes>,
 }
 
 impl<'a> Cursor<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0, backing: None }
-    }
-
-    fn with_backing(backing: &'a Bytes) -> Self {
-        Cursor { buf: backing.as_slice(), pos: 0, backing: Some(backing) }
+        Cursor { buf, pos: 0 }
     }
 
     fn remaining(&self) -> usize {
@@ -423,17 +402,13 @@ impl<'a> Cursor<'a> {
         Ok(View { id, set })
     }
 
+    /// A decoded value owns a copy of its bytes, so it never keeps the
+    /// frame it came in alive.
     fn value(&mut self) -> DecodeResult<Value> {
         let n = self.len("byte string length")?;
         let (start, end) = (self.pos, self.pos + n);
         self.pos = end;
-        Ok(match self.backing {
-            // Zero-copy: a value too long to store inline is a sub-view of
-            // the frame payload, sharing its allocation for as long as
-            // the value lives.
-            Some(b) if b.len() >= SHARE_MIN_PAYLOAD => Value::slice_of(b, start..end),
-            _ => Value::from(&self.buf[start..end]),
-        })
+        Ok(Value::from(&self.buf[start..end]))
     }
 
     fn label(&mut self) -> DecodeResult<Label> {
@@ -705,33 +680,23 @@ pub fn decode_payload(buf: &[u8]) -> DecodeResult<Frame> {
     Ok(frame)
 }
 
-/// Decodes a frame payload held in a shared [`Bytes`] buffer. Identical
-/// to [`decode_payload`], except every [`Value`] decoded from a payload
-/// large enough for sharing to pay (a batch, or large values) is an O(1)
-/// sub-view of `payload` rather than a copy — one allocation per frame
-/// instead of one per value, which is the read-path complement of the
-/// gather-writing [`FrameWriter`].
-pub fn decode_payload_shared(payload: &Bytes) -> DecodeResult<Frame> {
-    let mut c = Cursor::with_backing(payload);
-    let frame = c.frame()?;
-    if c.remaining() != 0 {
-        return Err(CodecError::TrailingBytes(c.remaining()));
-    }
-    Ok(frame)
+/// The payload of the complete frame at the start of `buf`, or `None`
+/// while `buf` holds less than one whole frame. A reader asks this of
+/// the bytes it has already buffered, so taking that frame cannot block
+/// on the socket.
+pub(crate) fn buffered_payload(buf: &[u8]) -> Option<&[u8]> {
+    let len = u32::from_be_bytes(buf.get(..4)?.try_into().ok()?) as usize;
+    buf.get(4..4usize.checked_add(len)?)
 }
 
-/// Encodes a full frame: 4-byte big-endian length prefix plus payload.
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let payload = encode_payload(frame);
-    let mut out = Vec::with_capacity(payload.len() + 4);
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
-
-/// Writes one frame to a stream.
+/// Writes one frame to a stream: the 4-byte big-endian payload length,
+/// then the payload.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    w.write_all(&encode_frame(frame))
+    let mut out = vec![0; 4];
+    encode_payload_into(&mut out, frame);
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_be_bytes());
+    w.write_all(&out)
 }
 
 /// A reusable gather-writer for batches of frames.
@@ -821,27 +786,28 @@ impl FrameWriter {
     }
 }
 
-/// Reads one frame from a stream. Returns `Ok(None)` on a clean EOF at a
-/// frame boundary; decoding failures and mid-frame EOFs are errors.
+/// Reads one frame from a stream. Returns `Ok(None)` when the stream
+/// ends at a frame boundary; a stream that ends inside a frame (its
+/// length header included) is [`io::ErrorKind::UnexpectedEof`], and a
+/// payload that does not decode is [`io::ErrorKind::InvalidData`].
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
     let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    loop {
+        match r.read(&mut len[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
+    r.read_exact(&mut len[1..])?;
     let len = u32::from_be_bytes(len) as usize;
     if len > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidData, CodecError::Oversized(len)));
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    // Decode out of a shared buffer so the values inside the frame
-    // borrow the payload allocation instead of copying out of it.
-    let payload = Bytes::from(payload);
-    decode_payload_shared(&payload)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    decode_payload(&payload).map(Some).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -1043,6 +1009,34 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), None);
     }
 
+    /// Only a stream that ends before a frame's first byte ends cleanly;
+    /// one that ends inside the length header is torn.
+    #[test]
+    fn torn_header_is_an_error_and_an_empty_stream_is_not() {
+        assert_eq!(read_frame(&mut &[][..]).unwrap(), None);
+        for cut in 1..4 {
+            let err = read_frame(&mut &[0u8, 0, 1][..cut]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{cut} header bytes");
+        }
+    }
+
+    #[test]
+    fn buffered_payload_needs_the_whole_frame() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &Frame::Submit(Value::from("abc"))).unwrap();
+        let payload = buf[4..].to_vec();
+        for cut in 0..buf.len() {
+            assert_eq!(buffered_payload(&buf[..cut]), None, "prefix {cut}");
+        }
+        assert_eq!(buffered_payload(&buf), Some(&payload[..]));
+        buf.push(0xff);
+        assert_eq!(
+            buffered_payload(&buf),
+            Some(&payload[..]),
+            "the next frame's byte is not part of it"
+        );
+    }
+
     #[test]
     fn bad_version_and_tags_error_cleanly() {
         assert_eq!(decode_payload(&[9, 0]), Err(CodecError::BadVersion(9)));
@@ -1100,48 +1094,5 @@ mod tests {
             group: 5,
             view: View::new(ViewId::new(2, ProcId(1)), ProcId::range(3)),
         });
-    }
-
-    /// Shared-decodes a `batch` of identical `len`-byte values and
-    /// reports whether each decoded value aliases the payload buffer.
-    fn shared_decode_aliasing(len: usize, batch: usize) -> Vec<bool> {
-        let frame =
-            Frame::SubmitGroup { group: 1, batch: vec![Value::from(vec![0xabu8; len]); batch] };
-        let payload = Bytes::from(encode_payload(&frame));
-        let decoded = decode_payload_shared(&payload).expect("decodes");
-        assert_eq!(decoded, frame);
-        // The plain slice-based decode always copies (no backing buffer
-        // to borrow from) and agrees on the result.
-        assert_eq!(decode_payload(payload.as_slice()).expect("decodes"), frame);
-        let Frame::SubmitGroup { batch, .. } = decoded else { unreachable!() };
-        let lo = payload.as_slice().as_ptr() as usize;
-        let hi = lo + payload.len();
-        batch
-            .iter()
-            .map(|v| {
-                let p = v.as_bytes().as_ptr() as usize;
-                p >= lo && p + v.len() <= hi
-            })
-            .collect()
-    }
-
-    #[test]
-    fn shared_decode_values_borrow_the_payload_buffer() {
-        // 8 × 64 bytes of values: a payload above SHARE_MIN_PAYLOAD.
-        assert_eq!(shared_decode_aliasing(64, 8), [true; 8], "value was copied, not borrowed");
-    }
-
-    #[test]
-    fn shared_decode_of_a_small_frame_copies_its_values_out() {
-        // An idle ring's frame: one small value must not pin the payload.
-        assert_eq!(shared_decode_aliasing(8, 1), [false], "small frame pinned by its value");
-        assert_eq!(shared_decode_aliasing(64, 2), [false; 2], "small frame pinned by its values");
-    }
-
-    #[test]
-    fn shared_decode_of_a_large_frame_copies_short_values_inline() {
-        // 100 × 8 bytes of values: a payload above SHARE_MIN_PAYLOAD whose
-        // values are still stored inline, not as sub-views of it.
-        assert_eq!(shared_decode_aliasing(8, 100), [false; 100], "8-byte value pinned the frame");
     }
 }

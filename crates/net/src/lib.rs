@@ -56,8 +56,8 @@ pub mod transport;
 
 pub use cluster::{ClusterConfig, ClusterTrace, GroupSpec, LoopbackCluster};
 pub use codec::{
-    decode_payload, decode_payload_shared, encode_frame, encode_payload, read_frame, write_frame,
-    CodecError, Frame, HelloKind, MAX_FRAME, WIRE_VERSION,
+    decode_payload, encode_payload, read_frame, write_frame, CodecError, Frame, HelloKind,
+    MAX_FRAME, WIRE_VERSION,
 };
 pub use load::{run_load, Histogram, LoadConfig, LoadMode, LoadReport};
 pub use runtime::{

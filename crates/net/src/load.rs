@@ -11,7 +11,7 @@
 //!   This measures how the ring behaves when the offered load is
 //!   independent of its progress.
 
-use crate::codec::{read_frame, write_frame, Frame, FrameWriter, HelloKind};
+use crate::codec::{buffered_payload, read_frame, write_frame, Frame, FrameWriter, HelloKind};
 use gcs_model::{ProcId, Value};
 use std::collections::BTreeMap;
 use std::io;
@@ -89,16 +89,6 @@ pub struct LoadConfig {
     pub warmup: u64,
 }
 
-/// Whether the reader's buffer already holds one complete frame (so
-/// draining it cannot block on the socket).
-fn buffer_has_frame(r: &io::BufReader<TcpStream>) -> bool {
-    let buf = r.buffer();
-    let Some(hdr) = buf.get(..4) else { return false };
-    let Ok(hdr) = <[u8; 4]>::try_from(hdr) else { return false };
-    let len = u32::from_be_bytes(hdr) as usize;
-    buf.len() >= 4usize.saturating_add(len)
-}
-
 /// Forwards the fingerprints of the values `group` delivers, with their
 /// arrival instant; exits on EOF/error. Deliveries arrive in bursts (the
 /// node writes one vectored batch per flush), so the reader drains every
@@ -124,7 +114,7 @@ fn read_deliveries(stream: TcpStream, group: u32, tx: mpsc::Sender<(Vec<u64>, In
             // until the next delivery arrives.
             _ => {}
         }
-        if burst.is_empty() || buffer_has_frame(&stream) {
+        if burst.is_empty() || buffered_payload(stream.buffer()).is_some() {
             continue;
         }
         if tx.send((std::mem::take(&mut burst), Instant::now())).is_err() {

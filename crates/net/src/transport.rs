@@ -21,7 +21,9 @@
 //! `NodeCore` runs unchanged over this TCP endpoint or over the
 //! deterministic in-process transport of `gcs-sim`.
 
-use crate::codec::{read_frame, write_frame, Frame, FrameWriter, HelloKind};
+use crate::codec::{
+    buffered_payload, decode_payload, read_frame, write_frame, Frame, FrameWriter, HelloKind,
+};
 use crate::queue::{self, QueueReceiver, QueueSender, RecvTimeoutError, TrySendError};
 // `MutexApi::lock_clean` locks a std mutex, recovering the guard from a
 // poisoned one: every structure these mutexes guard is updated in single
@@ -863,25 +865,16 @@ fn dispatch(
 /// same group (batches must not merge across groups).
 fn peek_buffered_submit(stream: &mut io::BufReader<&TcpStream>, group: u32) -> Option<Vec<Value>> {
     use std::io::BufRead;
-    let buf = stream.buffer();
-    let hdr: [u8; 4] = buf.get(..4)?.try_into().ok()?;
-    let len = u32::from_be_bytes(hdr) as usize;
-    let payload = buf.get(4..4usize.checked_add(len)?)?;
-    match crate::codec::decode_payload(payload) {
-        Ok(Frame::Submit(a)) if group == 0 => {
-            stream.consume(4 + len);
-            Some(vec![a])
-        }
-        Ok(Frame::SubmitBatch(b)) if group == 0 => {
-            stream.consume(4 + len);
-            Some(b)
-        }
-        Ok(Frame::SubmitGroup { group: g, batch }) if g == group => {
-            stream.consume(4 + len);
-            Some(batch)
-        }
-        _ => None,
-    }
+    let payload = buffered_payload(stream.buffer())?;
+    let frame_len = 4 + payload.len();
+    let batch = match decode_payload(payload) {
+        Ok(Frame::Submit(a)) if group == 0 => vec![a],
+        Ok(Frame::SubmitBatch(b)) if group == 0 => b,
+        Ok(Frame::SubmitGroup { group: g, batch }) if g == group => batch,
+        _ => return None,
+    };
+    stream.consume(frame_len);
+    Some(batch)
 }
 
 /// The on-wire shape of an outbound queue entry: group 0 rides the

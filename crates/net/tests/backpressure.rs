@@ -6,8 +6,7 @@
 //! safety checkers, because the protocol recovers dropped tokens through
 //! its token-loss and probe timers.
 
-use gcs_core::cause::check_trace;
-use gcs_core::to_trace::check_to_trace;
+use gcs_core::check_conformance;
 use gcs_model::{ProcId, Value, View, ViewId};
 use gcs_net::cluster::{wait_for, ClusterConfig, LoopbackCluster};
 use gcs_net::transport::{Incoming, TcpTransport, TransportConfig, COALESCE_FRAMES};
@@ -171,10 +170,9 @@ fn tiny_send_queue_cluster_survives_partition_and_passes_checkers() {
     for (i, d) in delivered.iter().enumerate() {
         assert_eq!(&delivered[0][..50], &d[..50], "total orders diverge at node {i}");
     }
-    let to = check_to_trace(&to_obs(&trace).untimed());
-    assert!(to.ok(), "TO checker failed: {:?}", to.violations.first());
-    let cause = check_trace(&vs_actions(&trace), &ProcId::range(n));
-    assert!(cause.ok(), "cause checker failed: {:?}", cause.violations.first());
+    let report =
+        check_conformance(&vs_actions(&trace), &to_obs(&trace).untimed(), &ProcId::range(n));
+    assert!(report.ok(), "conformance failed: {:?}", report.violations().first());
 
     // Every drop the partition caused is visible in the registry and
     // mirrored one-for-one in the trace ring.

@@ -1,14 +1,15 @@
 //! Property tests for the wire codec: every `Frame`/`Wire`/`AppMsg`
-//! variant round-trips bit-exactly through encode/decode, and decoding
-//! any truncated or corrupted byte string returns a clean error — never
-//! a panic, never an allocation blow-up.
+//! variant round-trips bit-exactly through encode/decode and through the
+//! `write_frame`/`read_frame` stream path the transport runs, and
+//! decoding any truncated or corrupted byte string returns a clean error
+//! — never a panic, never an allocation blow-up.
 //!
 //! The vendored proptest stub has no `prop_oneof`, so variant selection
 //! is an integer-range strategy dispatched in `prop_map`/`prop_flat_map`.
 
 use gcs_core::msg::AppMsg;
 use gcs_model::{Label, ProcId, Summary, Value, View, ViewId};
-use gcs_net::codec::{decode_payload, encode_frame, encode_payload, Frame, HelloKind};
+use gcs_net::codec::{decode_payload, encode_payload, read_frame, write_frame, Frame, HelloKind};
 use gcs_vsimpl::{Token, TokenMsg, Wire};
 use proptest::prelude::*;
 use proptest::{collection, option, BoxedStrategy};
@@ -53,12 +54,15 @@ fn view_strategy() -> impl Strategy<Value = View> {
         .prop_map(|(id, set)| View::new(id, set))
 }
 
+/// Short values either side of `Value`'s inline limit, and 1 KiB ones
+/// (the payload size of the benchmark's bulk workload).
 fn value_strategy() -> BoxedStrategy<Value> {
-    (0u8..3)
+    (0u8..4)
         .prop_flat_map(|variant| -> BoxedStrategy<Value> {
             match variant {
                 0 => any::<u64>().prop_map(Value::from_u64).boxed(),
                 1 => collection::vec(any::<u8>(), 0..64).prop_map(Value::from).boxed(),
+                2 => collection::vec(any::<u8>(), 1024).prop_map(Value::from).boxed(),
                 _ => (0usize..1).prop_map(|_| Value::default()).boxed(),
             }
         })
@@ -191,6 +195,35 @@ fn frame_strategy() -> BoxedStrategy<Frame> {
         .boxed()
 }
 
+/// A submit or deliver batch of 64–127 values of at least 8 bytes each,
+/// so its payload is at least 512 bytes: the shape a loaded ring's
+/// clients send and receive.
+fn large_batch_frame_strategy() -> BoxedStrategy<Frame> {
+    let long_value = (0u8..4).prop_flat_map(|variant| -> BoxedStrategy<Value> {
+        match variant {
+            0 => collection::vec(any::<u8>(), 1024).prop_map(Value::from).boxed(),
+            _ => any::<u64>().prop_map(Value::from_u64).boxed(),
+        }
+    });
+    let values = collection::vec(long_value, 64..128);
+    (0u8..2, group_strategy(), values, collection::vec(proc_strategy(), 128))
+        .prop_map(|(variant, group, batch, srcs)| match variant {
+            0 => Frame::SubmitGroup { group, batch },
+            _ => Frame::DeliverGroup { group, batch: srcs.into_iter().zip(batch).collect() },
+        })
+        .boxed()
+}
+
+/// Any frame, or a large batch.
+fn stream_frame_strategy() -> BoxedStrategy<Frame> {
+    (0u8..2)
+        .prop_flat_map(|large| match large {
+            0 => frame_strategy(),
+            _ => large_batch_frame_strategy(),
+        })
+        .boxed()
+}
+
 /// A token mid-rotation under load: a large `entries` delta (hundreds of
 /// messages) with realistic monotone cursors. The small `token_strategy`
 /// above keeps the general frame tests fast; this one exists so the
@@ -244,16 +277,18 @@ proptest! {
     #[test]
     fn encoding_is_deterministic(frame in frame_strategy()) {
         prop_assert_eq!(encode_payload(&frame), encode_payload(&frame));
-        prop_assert_eq!(encode_frame(&frame), encode_frame(&frame));
+        prop_assert_eq!(framed(&frame), framed(&frame));
     }
 
-    /// The length prefix in `encode_frame` matches the payload exactly.
+    /// The length prefix `write_frame` puts in front of a payload
+    /// matches the payload exactly.
     #[test]
     fn length_prefix_matches_payload(frame in frame_strategy()) {
-        let framed = encode_frame(&frame);
+        let framed = framed(&frame);
         prop_assert!(framed.len() >= 4);
         let len = u32::from_be_bytes([framed[0], framed[1], framed[2], framed[3]]) as usize;
         prop_assert_eq!(len, framed.len() - 4);
+        prop_assert_eq!(&framed[4..], &encode_payload(&frame)[..]);
         prop_assert_eq!(decode_payload(&framed[4..]).ok(), Some(frame));
     }
 
@@ -300,6 +335,13 @@ proptest! {
     }
 }
 
+/// One frame as `write_frame` puts it on a stream.
+fn framed(frame: &Frame) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_frame(&mut out, frame).expect("a Vec takes every byte");
+    out
+}
+
 proptest! {
     // Large tokens are expensive to generate; fewer cases keep the suite
     // interactive while still sweeping hundreds of batch shapes.
@@ -335,6 +377,23 @@ proptest! {
             );
             cut += stride;
         }
+    }
+
+    /// The stream path every TCP reader runs: frames written back to back
+    /// by `write_frame` are read back in order by `read_frame`, and the
+    /// stream then ends cleanly.
+    #[test]
+    fn written_frames_read_back_in_order(frames in collection::vec(stream_frame_strategy(), 0..8)) {
+        let mut stream = Vec::new();
+        for f in &frames {
+            write_frame(&mut stream, f).expect("a Vec takes every byte");
+        }
+        let mut r = &stream[..];
+        for (i, f) in frames.iter().enumerate() {
+            let back = read_frame(&mut r);
+            prop_assert!(matches!(&back, Ok(Some(g)) if g == f), "frame {} read back as {:?}", i, back);
+        }
+        prop_assert!(matches!(read_frame(&mut r), Ok(None)), "stream did not end cleanly");
     }
 
     /// Corrupting a single byte of a batched token never panics.

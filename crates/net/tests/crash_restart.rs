@@ -5,8 +5,7 @@
 //! no value delivered twice at any location and the merged
 //! cross-incarnation trace passing the VS/TO safety checkers.
 
-use gcs_core::cause::check_trace;
-use gcs_core::to_trace::check_to_trace;
+use gcs_core::check_conformance;
 use gcs_model::{ProcId, Value};
 use gcs_net::cluster::{wait_for, ClusterConfig, LoopbackCluster};
 use gcs_vsimpl::convert::{to_obs, vs_actions};
@@ -96,8 +95,7 @@ fn crash_and_restart_recovers_without_duplicate_deliveries() {
     // leaks no threads.
     let (trace, shutdown) = cluster.stop_report();
     assert!(shutdown.clean(), "leaked {} transport threads", shutdown.leaked);
-    let to = check_to_trace(&to_obs(&trace).untimed());
-    assert!(to.ok(), "TO checker failed: {:?}", to.violations.first());
-    let cause = check_trace(&vs_actions(&trace), &ProcId::range(n));
-    assert!(cause.ok(), "cause checker failed: {:?}", cause.violations.first());
+    let report =
+        check_conformance(&vs_actions(&trace), &to_obs(&trace).untimed(), &ProcId::range(n));
+    assert!(report.ok(), "conformance failed: {:?}", report.violations().first());
 }

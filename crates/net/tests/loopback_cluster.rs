@@ -3,8 +3,7 @@
 //! partitions, with every recorded trace passing the same VS/TO safety
 //! checkers the simulator runs against.
 
-use gcs_core::cause::check_trace;
-use gcs_core::to_trace::check_to_trace;
+use gcs_core::check_conformance;
 use gcs_model::{ProcId, Value, View};
 use gcs_net::cluster::{wait_for, ClusterConfig, LoopbackCluster};
 use gcs_net::load::{run_load, LoadConfig, LoadMode};
@@ -28,10 +27,8 @@ fn assert_checkers_pass(
     trace: &gcs_ioa::TimedTrace<gcs_ioa::TraceEvent<gcs_vsimpl::ImplEvent>>,
     n: u32,
 ) {
-    let to = check_to_trace(&to_obs(trace).untimed());
-    assert!(to.ok(), "TO checker failed: {:?}", to.violations.first());
-    let cause = check_trace(&vs_actions(trace), &ProcId::range(n));
-    assert!(cause.ok(), "cause checker failed: {:?}", cause.violations.first());
+    let report = check_conformance(&vs_actions(trace), &to_obs(trace).untimed(), &ProcId::range(n));
+    assert!(report.ok(), "conformance failed: {:?}", report.violations().first());
 }
 
 #[test]

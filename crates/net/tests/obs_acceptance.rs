@@ -4,8 +4,7 @@
 //! b/d bound monitors pass on a clean run but fire when a covert send
 //! delay violates the configured δ underneath a quiet-looking network.
 
-use gcs_core::cause::check_trace;
-use gcs_core::to_trace::check_to_trace;
+use gcs_core::check_conformance;
 use gcs_model::{ProcId, Value};
 use gcs_net::cluster::{wait_for, ClusterConfig, LoopbackCluster};
 use gcs_net::transport::TransportConfig;
@@ -23,10 +22,12 @@ fn assert_checkers_pass(
     cluster_trace: &gcs_ioa::TimedTrace<gcs_ioa::TraceEvent<gcs_vsimpl::ImplEvent>>,
     n: u32,
 ) {
-    let to = check_to_trace(&to_obs(cluster_trace).untimed());
-    assert!(to.ok(), "TO checker failed: {:?}", to.violations.first());
-    let cause = check_trace(&vs_actions(cluster_trace), &ProcId::range(n));
-    assert!(cause.ok(), "cause checker failed: {:?}", cause.violations.first());
+    let report = check_conformance(
+        &vs_actions(cluster_trace),
+        &to_obs(cluster_trace).untimed(),
+        &ProcId::range(n),
+    );
+    assert!(report.ok(), "conformance failed: {:?}", report.violations().first());
 }
 
 /// The latest disturbance (fault injection or link churn) in the stream,

@@ -44,7 +44,10 @@ echo "==> gcs-lint --root . (project lints; see docs/LINTS.md)"
 # new edge has to be added here on purpose. The protocol and the runtime
 # name no RNG themselves; `rand` still reaches them through gcs-ioa's
 # seeded Runner and gcs-core's adversary (the executable specification's
-# scheduler), so that check is on direct edges.
+# scheduler), so that check is on direct edges. The same holds for
+# `bytes`: it stays in the closure because gcs-model's `Value` stores
+# long payloads in it, but the codec decodes into owned values and has
+# no use for the buffer type itself.
 echo "==> dependency shape (cargo tree -e normal: gcs-vsimpl, gcs-net, gcs-shard, gcs-sim)"
 unexpected="$(cargo tree -e normal --prefix none -p gcs-vsimpl -p gcs-net -p gcs-shard -p gcs-sim \
   | awk 'NF { print $1 }' | sort -u \
@@ -53,8 +56,8 @@ if [[ -n "$unexpected" ]]; then
   echo "the deployable stack and gcs-sim link crates outside their allowed set:" $unexpected >&2
   exit 1
 fi
-if cargo tree -e normal --depth 1 --prefix none -p gcs-vsimpl -p gcs-net | grep -E '^rand'; then
-  echo "gcs-vsimpl and gcs-net must not depend on rand directly" >&2
+if cargo tree -e normal --depth 1 --prefix none -p gcs-vsimpl -p gcs-net | grep -E '^(rand|bytes)'; then
+  echo "gcs-vsimpl and gcs-net must not depend on rand or bytes directly" >&2
   exit 1
 fi
 
