@@ -12,14 +12,17 @@
 //! un-interposed operation is invisible to both the interleaving
 //! explorer and the happens-before checker.
 //!
-//! This lint pins the ported files to the shim surface. Allowed from
-//! `std::sync`: `Arc` (pure refcounting, no blocking or ordering
-//! decisions the checker needs to see) and `atomic::Ordering` (the
-//! shim API takes the real enum). Everything else — atomic cells,
-//! `Mutex`/`Condvar`/`RwLock`, `mpsc` channels, `std::thread` — must go
-//! through the `Shims` associated types (`S::AtomicU64`, `S::Mutex`,
-//! `S::Condvar`, `S::spawn`). Test modules are exempt: `StdShims`-typed
-//! unit tests may drive the structure with real threads.
+//! This lint pins the ported files to the shim surface: relaxed `u64`
+//! cells, a mutex, a condvar, spawn and join. Allowed from `std::sync`:
+//! `Arc` (pure refcounting, no blocking or ordering decisions the
+//! checker needs to see) and `atomic::Ordering` (an enum, not a
+//! primitive; the shim atomics take none, so a ported file has no use
+//! for it). Everything else — atomic cells, `Mutex`/`Condvar`/`RwLock`,
+//! `mpsc` channels, `std::thread` — must go through the `Shims`
+//! associated types (`S::AtomicU64`, signed values bit-cast;
+//! `S::Mutex`, `S::Condvar`, `S::spawn`). Test modules are exempt:
+//! `StdShims`-typed unit tests may drive the structure with real
+//! threads.
 //!
 //! See docs/CONCURRENCY.md for the porting recipe.
 
@@ -43,9 +46,9 @@ const FORBIDDEN_SYNC: &[(&str, &str)] = &[
     ("AtomicU32", "S::AtomicU64"),
     ("AtomicU64", "S::AtomicU64"),
     ("AtomicUsize", "S::AtomicU64"),
-    ("AtomicI32", "S::AtomicI64"),
-    ("AtomicI64", "S::AtomicI64"),
-    ("AtomicIsize", "S::AtomicI64"),
+    ("AtomicI32", "S::AtomicU64 (bit-cast)"),
+    ("AtomicI64", "S::AtomicU64 (bit-cast)"),
+    ("AtomicIsize", "S::AtomicU64 (bit-cast)"),
     ("AtomicPtr", "a shim-visible cell"),
     ("Mutex", "S::Mutex"),
     ("Condvar", "S::Condvar"),

@@ -1,9 +1,8 @@
 // Known-good fixture for the `mc_shim` lint: the same structure on the
 // Shims surface — atomics and locks are associated types, threads come
-// from S::spawn, and only Arc and atomic::Ordering are taken from
-// std::sync.
+// from S::spawn, and only Arc is taken from std::sync. Shim atomics are
+// relaxed cells and take no Ordering.
 use gcs_mc::{AtomicU64Api, MutexApi, Shims, StdShims};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 type A64<S> = <S as Shims>::AtomicU64;
@@ -15,8 +14,7 @@ pub struct Good<S: Shims = StdShims> {
 
 impl<S: Shims> Good<S> {
     pub fn bump(&self) -> u64 {
-        // ordering: Relaxed — fixture counter, no edges claimed.
-        self.seq.fetch_add(1, Ordering::Relaxed)
+        self.seq.fetch_add(1)
     }
 
     pub fn run() {

@@ -12,48 +12,29 @@
 //!
 //! The surface is deliberately the *subset* the ported structures
 //! need, not all of `std::sync` — a smaller surface is easier to give
-//! faithful model semantics.
+//! faithful model semantics. Its atomics are relaxed `u64` cells: a
+//! cell publishes nothing but its own value, so anything that must
+//! publish other memory goes through [`Shims::Mutex`].
 
 use std::ops::DerefMut;
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-/// Shim for `std::sync::atomic::AtomicU64`.
+/// Shim for `std::sync::atomic::AtomicU64`, every access `Relaxed`.
+/// A signed value is stored bit-cast (`v as u64`); two's-complement
+/// wrapping add in `u64` space is `i64` add.
 pub trait AtomicU64Api: Send + Sync + 'static {
     /// New cell holding `v`.
-    #[track_caller]
     fn new(v: u64) -> Self;
-    /// Atomic load with the declared ordering.
-    #[track_caller]
-    fn load(&self, order: Ordering) -> u64;
-    /// Atomic store with the declared ordering.
-    #[track_caller]
-    fn store(&self, v: u64, order: Ordering);
-    /// Atomic add; returns the previous value.
-    #[track_caller]
-    fn fetch_add(&self, v: u64, order: Ordering) -> u64;
-    /// Atomic max; returns the previous value.
-    #[track_caller]
-    fn fetch_max(&self, v: u64, order: Ordering) -> u64;
-    /// Atomic min; returns the previous value.
-    #[track_caller]
-    fn fetch_min(&self, v: u64, order: Ordering) -> u64;
-}
-
-/// Shim for `std::sync::atomic::AtomicI64`.
-pub trait AtomicI64Api: Send + Sync + 'static {
-    /// New cell holding `v`.
-    #[track_caller]
-    fn new(v: i64) -> Self;
-    /// Atomic load with the declared ordering.
-    #[track_caller]
-    fn load(&self, order: Ordering) -> i64;
-    /// Atomic store with the declared ordering.
-    #[track_caller]
-    fn store(&self, v: i64, order: Ordering);
-    /// Atomic add; returns the previous value.
-    #[track_caller]
-    fn fetch_add(&self, v: i64, order: Ordering) -> i64;
+    /// Relaxed load.
+    fn load(&self) -> u64;
+    /// Relaxed store.
+    fn store(&self, v: u64);
+    /// Relaxed wrapping add; returns the previous value.
+    fn fetch_add(&self, v: u64) -> u64;
+    /// Relaxed max; returns the previous value.
+    fn fetch_max(&self, v: u64) -> u64;
+    /// Relaxed min; returns the previous value.
+    fn fetch_min(&self, v: u64) -> u64;
 }
 
 /// Shim for `std::sync::Mutex`.
@@ -86,22 +67,6 @@ pub trait CondvarApi: Send + Sync + 'static {
     fn new() -> Self;
 }
 
-/// A non-atomic shared cell for plain data the checker should treat as
-/// race-checked (any unsynchronized conflicting pair is a bug, not a
-/// value choice). Under `StdShims` this is a safe mutex-backed cell;
-/// models are the only users, so it is never on a production hot path.
-pub trait DataApi<T: Copy + Send>: Send + Sync + 'static {
-    /// New cell holding `v`.
-    #[track_caller]
-    fn new(v: T) -> Self;
-    /// Read the value (a checked plain read under mc).
-    #[track_caller]
-    fn get(&self) -> T;
-    /// Overwrite the value (a checked plain write under mc).
-    #[track_caller]
-    fn set(&self, v: T);
-}
-
 /// Shim for `std::thread::JoinHandle<()>`.
 pub trait JoinApi {
     /// Join the thread; propagates model aborts under mc.
@@ -112,16 +77,12 @@ pub trait JoinApi {
 /// The full shim family. See the module docs; production code uses
 /// `StdShims`, model tests use `McShims`.
 pub trait Shims: Sized + Send + Sync + 'static {
-    /// `AtomicU64` shim.
+    /// Relaxed `AtomicU64` shim.
     type AtomicU64: AtomicU64Api;
-    /// `AtomicI64` shim.
-    type AtomicI64: AtomicI64Api;
     /// `Mutex` shim.
     type Mutex<T: Send + 'static>: MutexApi<T>;
     /// `Condvar` shim.
     type Condvar: CondvarApi;
-    /// Race-checked plain cell.
-    type Data<T: Copy + Send + 'static>: DataApi<T>;
     /// Thread join handle.
     type JoinHandle: JoinApi;
 

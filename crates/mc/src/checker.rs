@@ -1,5 +1,5 @@
 //! The exploration driver: systematic DFS with iterative preemption
-//! bounding, seeded random sampling, and single-schedule replay.
+//! bounding, and single-schedule replay.
 
 use crate::engine::{self, Engine};
 use crate::report::{Failure, FailureKind, Report};
@@ -9,27 +9,23 @@ use std::sync::Arc;
 
 /// Execution-count ceiling: a runaway model fails loudly instead of
 /// hanging CI.
-const DEFAULT_MAX_EXECUTIONS: u64 = 200_000;
-/// Per-execution visible-op ceiling (see [`FailureKind::StepCap`]).
-const DEFAULT_MAX_STEPS: u64 = 20_000;
+const MAX_EXECUTIONS: u64 = 200_000;
 
 /// A configured model checker for one named model.
 ///
 /// ```no_run
-/// use gcs_mc::{Checker, McShims, Shims, AtomicU64Api};
+/// use gcs_mc::{AtomicU64Api, Checker, JoinApi, McShims, Shims};
 /// use std::sync::Arc;
-/// use std::sync::atomic::Ordering;
 ///
 /// let report = Checker::new("counter").check(|| {
 ///     let c = Arc::new(<McShims as Shims>::AtomicU64::new(0));
 ///     let c2 = Arc::clone(&c);
 ///     let t = McShims::spawn(move || {
-///         c2.fetch_add(1, Ordering::AcqRel);
+///         c2.fetch_add(1);
 ///     });
-///     c.fetch_add(1, Ordering::AcqRel);
-///     use gcs_mc::JoinApi;
+///     c.fetch_add(1);
 ///     t.join();
-///     assert_eq!(c.load(Ordering::Acquire), 2);
+///     assert_eq!(c.load(), 2);
 /// });
 /// report.assert_ok();
 /// ```
@@ -37,8 +33,6 @@ const DEFAULT_MAX_STEPS: u64 = 20_000;
 pub struct Checker {
     name: String,
     bound: usize,
-    max_executions: u64,
-    max_steps: u64,
 }
 
 /// Outcome of a single execution (internal).
@@ -48,8 +42,8 @@ struct Exec {
     source: Source,
 }
 
-fn run_one(model: &Arc<dyn Fn() + Send + Sync>, source: Source, max_steps: u64) -> Exec {
-    let eng = Arc::new(Engine::new(source, max_steps));
+fn run_one(model: &Arc<dyn Fn() + Send + Sync>, source: Source) -> Exec {
+    let eng = Arc::new(Engine::new(source));
     engine::install_root(&eng);
     let m = Arc::clone(model);
     let eng2 = Arc::clone(&eng);
@@ -75,24 +69,13 @@ impl Checker {
     pub fn new(name: &str) -> Checker {
         let bound =
             std::env::var("GCS_MC_BOUND").ok().and_then(|v| v.parse::<usize>().ok()).unwrap_or(1);
-        Checker {
-            name: name.to_string(),
-            bound,
-            max_executions: DEFAULT_MAX_EXECUTIONS,
-            max_steps: DEFAULT_MAX_STEPS,
-        }
+        Checker { name: name.to_string(), bound }
     }
 
     /// Override the preemption bound (`0` = no preemptions, CHESS
     /// round 0).
     pub fn preemption_bound(mut self, bound: usize) -> Checker {
         self.bound = bound;
-        self
-    }
-
-    /// Override the execution budget.
-    pub fn max_executions(mut self, n: u64) -> Checker {
-        self.max_executions = n;
         self
     }
 
@@ -137,7 +120,7 @@ impl Checker {
             // the new frontier and keeps the driver state trivial.
             let mut dfs = Dfs::new(b);
             loop {
-                if executions >= self.max_executions {
+                if executions >= MAX_EXECUTIONS {
                     let failure = Failure {
                         kind: FailureKind::ExecutionCap,
                         schedule: Schedule(Vec::new()),
@@ -146,7 +129,7 @@ impl Checker {
                     return self.finish(executions, last_digest, Some(failure));
                 }
                 dfs.begin();
-                let exec = run_one(&model, Source::Dfs(dfs), self.max_steps);
+                let exec = run_one(&model, Source::Dfs(dfs));
                 executions += 1;
                 last_digest = exec.digest;
                 if let Some(f) = exec.failure {
@@ -169,60 +152,7 @@ impl Checker {
     /// the same failure deterministically.
     pub fn replay<F: Fn() + Send + Sync + 'static>(&self, model: F, schedule: &Schedule) -> Report {
         let model: Arc<dyn Fn() + Send + Sync> = Arc::new(model);
-        let exec = run_one(&model, Source::replay(schedule), self.max_steps);
+        let exec = run_one(&model, Source::replay(schedule));
         self.finish(1, exec.digest, exec.failure)
-    }
-
-    /// Seeded random schedule sampling for depth beyond the exhaustive
-    /// bound: `seeds` executions with preemptions allowed up to
-    /// `sample_bound`, fanned out over `workers` OS threads. The
-    /// combined digest and the reported failure (lowest failing seed
-    /// wins) are independent of `workers` — the determinism tests gate
-    /// on exactly that.
-    pub fn sample<F: Fn() + Send + Sync + 'static>(
-        &self,
-        model: F,
-        seeds: u64,
-        sample_bound: usize,
-        workers: usize,
-    ) -> Report {
-        let model: Arc<dyn Fn() + Send + Sync> = Arc::new(model);
-        let workers = workers.max(1);
-        let mut digests: Vec<u64> = vec![0; seeds as usize];
-        let mut failures: Vec<(u64, Failure)> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut joins = Vec::new();
-            for w in 0..workers {
-                let model = Arc::clone(&model);
-                let max_steps = self.max_steps;
-                joins.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut seed = w as u64;
-                    while seed < seeds {
-                        let exec = run_one(&model, Source::random(seed, sample_bound), max_steps);
-                        out.push((seed, exec.digest, exec.failure));
-                        seed += workers as u64;
-                    }
-                    out
-                }));
-            }
-            for j in joins {
-                for (seed, digest, failure) in j.join().expect("sample worker") {
-                    digests[seed as usize] = digest;
-                    if let Some(f) = failure {
-                        failures.push((seed, f));
-                    }
-                }
-            }
-        });
-        // Combine in seed order so the digest is worker-count
-        // independent.
-        let mut combined = 0xcbf2_9ce4_8422_2325u64;
-        for d in &digests {
-            combined = (combined ^ d).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        failures.sort_by_key(|(seed, _)| *seed);
-        let failure = failures.into_iter().next().map(|(_, f)| f);
-        self.finish(seeds, combined, failure)
     }
 }

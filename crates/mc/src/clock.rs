@@ -2,7 +2,7 @@
 //!
 //! One component per model thread. Every visible operation a thread
 //! performs bumps its own component; synchronizing operations (spawn,
-//! join, mutex hand-off, release-store → acquire-load) join clocks.
+//! join, mutex hand-off) join clocks.
 //! `a` happened-before `b` iff `a`'s thread component at the time of
 //! `a` is covered by `b`'s thread's clock at the time of `b`.
 

@@ -3,20 +3,19 @@
 //! One real OS thread per model thread, but exactly one ever runs at a
 //! time: a baton (the `active` slot of the engine state, guarded by a
 //! single mutex + condvar) is handed from thread to thread at every
-//! *visible operation* (atomic access, plain `Data` access, mutex
-//! lock/unlock, condvar wait/notify, spawn, join, exit). Before
+//! *visible operation* (atomic access, mutex lock/unlock, condvar
+//! wait/notify, spawn, join, exit). Before
 //! each visible op the running thread parks, the engine consults the
 //! schedule [`Source`] for who runs next, and the chosen thread
 //! performs its pending op while holding the engine lock — so the
 //! interleaving is exactly the decision string and nothing else.
 //!
 //! The happens-before state rides along: every thread carries a vector
-//! clock; spawn/join/mutex-hand-off/release-acquire chains join
-//! clocks; atomic locations keep their full store history so weak
-//! loads can read stale-but-coherent values (which stores are readable
-//! is itself a scheduling decision); plain `Data` accesses keep an
-//! access history and report the first unsynchronized conflicting
-//! pair. See docs/CONCURRENCY.md for the model written out.
+//! clock; spawn/join and mutex hand-off join clocks; atomic locations
+//! (all relaxed) keep their full store history so weak loads can read
+//! stale-but-coherent values — which stores are readable is itself a
+//! scheduling decision, bounded below by the stores that happened
+//! before the load. See docs/CONCURRENCY.md for the model written out.
 
 use crate::clock::VClock;
 use crate::report::{Failure, FailureKind, Site};
@@ -33,6 +32,8 @@ const MAX_THREADS: usize = 16;
 /// Store-history cap per atomic location: ts must stay a unique byte
 /// for the read-from decision encoding.
 const MAX_STORES: u32 = 250;
+/// Per-execution visible-op ceiling (see [`FailureKind::StepCap`]).
+const MAX_STEPS: u64 = 20_000;
 
 /// Sentinel unwind payload for "execution aborted, unwind quietly".
 /// Raised with `resume_unwind` (not `panic_any`) so the panic hook
@@ -75,32 +76,14 @@ struct StoreRec {
     /// Modification-order timestamp (unique per location).
     ts: u32,
     tid: Tid,
-    /// Writer's clock at the store (for "store happened-before
-    /// reader" visibility floors).
-    wclock: VClock,
-    /// The clock an acquire load of this store synchronizes with:
-    /// `Some` for release stores, and carried forward through RMWs
-    /// (C++20 release sequences). `None` means "acquiring this store
-    /// synchronizes with nothing".
-    release: Option<VClock>,
-    /// The initial value written at construction; exempt from the
-    /// vacuous-acquire check (reading "nothing happened yet" is fine).
-    init: bool,
-    site: Site,
+    /// The writer's own clock component at the store: the store
+    /// happened before a reader whose clock covers it.
+    epoch: u32,
 }
 
 struct AtomicLoc {
     stores: Vec<StoreRec>,
     next_ts: u32,
-}
-
-/// One recorded access to a plain `Data` location.
-struct AccessRec {
-    tid: Tid,
-    /// The accessor's own clock component at the access.
-    epoch: u32,
-    write: bool,
-    site: Site,
 }
 
 struct MutexLoc {
@@ -109,8 +92,8 @@ struct MutexLoc {
     clock: VClock,
 }
 
-/// Which RMW the shim asked for (value math is done in u64 space;
-/// i64 is bit-cast by the shim layer).
+/// Which RMW the shim asked for (value math is done in u64 space; a
+/// signed cell is bit-cast by its user).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum RmwKind {
     Add,
@@ -133,7 +116,6 @@ pub(crate) struct EngSt {
     source: Option<Source>,
     threads: Vec<ThreadSt>,
     atomics: Vec<AtomicLoc>,
-    plains: Vec<Vec<AccessRec>>,
     mutexes: Vec<MutexLoc>,
     n_cvs: usize,
     active: Option<Tid>,
@@ -141,7 +123,6 @@ pub(crate) struct EngSt {
     preemptions: usize,
     live: usize,
     steps: u64,
-    max_steps: u64,
     digest: u64,
     pub(crate) failure: Option<Failure>,
     aborting: bool,
@@ -155,13 +136,12 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    pub(crate) fn new(source: Source, max_steps: u64) -> Engine {
+    pub(crate) fn new(source: Source) -> Engine {
         Engine {
             st: Mutex::new(EngSt {
                 source: Some(source),
                 threads: Vec::new(),
                 atomics: Vec::new(),
-                plains: Vec::new(),
                 mutexes: Vec::new(),
                 n_cvs: 0,
                 active: None,
@@ -169,7 +149,6 @@ impl Engine {
                 preemptions: 0,
                 live: 0,
                 steps: 0,
-                max_steps,
                 digest: 0xcbf2_9ce4_8422_2325, // FNV-1a offset basis
                 failure: None,
                 aborting: false,
@@ -251,10 +230,6 @@ fn with_ctx<R>(f: impl FnOnce(&Arc<Engine>, Tid) -> R) -> R {
             b.as_ref().expect("gcs-mc shim used outside a Checker::check model thread");
         f(eng, *tid)
     })
-}
-
-pub(crate) fn in_model() -> bool {
-    CTX.with(|c| c.borrow().is_some())
 }
 
 fn abort_check(st: &EngSt) {
@@ -383,7 +358,7 @@ fn schedule_point<'a>(eng: &'a Engine, tid: Tid) -> MutexGuard<'a, EngSt> {
     let mut st = eng.lock();
     abort_check(&st);
     st.steps += 1;
-    if st.steps > st.max_steps {
+    if st.steps > MAX_STEPS {
         fail(&mut st, FailureKind::StepCap);
         eng.wake_all();
         abort_check(&st);
@@ -416,34 +391,16 @@ fn block_self<'a>(
 // Allocation (not visible ops: no schedule point, just registration).
 // ---------------------------------------------------------------------------
 
-pub(crate) fn alloc_atomic(init: u64, loc: &'static Location<'static>) -> usize {
+pub(crate) fn alloc_atomic(init: u64) -> usize {
     with_ctx(|eng, tid| {
         let mut st = eng.lock();
         abort_check(&st);
         let id = st.atomics.len();
-        let wclock = st.threads[tid].clock.clone();
+        let epoch = st.threads[tid].clock.get(tid);
         st.atomics.push(AtomicLoc {
-            stores: vec![StoreRec {
-                val: init,
-                ts: 0,
-                tid,
-                wclock,
-                release: None,
-                init: true,
-                site: Site::of(loc),
-            }],
+            stores: vec![StoreRec { val: init, ts: 0, tid, epoch }],
             next_ts: 1,
         });
-        id
-    })
-}
-
-pub(crate) fn alloc_plain() -> usize {
-    with_ctx(|eng, _| {
-        let mut st = eng.lock();
-        abort_check(&st);
-        let id = st.plains.len();
-        st.plains.push(Vec::new());
         id
     })
 }
@@ -469,64 +426,12 @@ pub(crate) fn alloc_cv() -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Ordering interpretation.
-// ---------------------------------------------------------------------------
-
-use std::sync::atomic::Ordering;
-
-// ordering: these two matches *interpret* the Ordering a ported
-// structure declared — Acquire/AcqRel/SeqCst on the load side join the
-// store's release clock; Release/AcqRel/SeqCst on the store side
-// publish the writer's clock. SeqCst is treated as AcqRel (no global
-// SC order is modeled; documented in docs/CONCURRENCY.md).
-fn is_acquire(o: Ordering) -> bool {
-    matches!(o, Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst)
-}
-
-// ordering: see is_acquire — the store-side half of the interpreter.
-fn is_release(o: Ordering) -> bool {
-    matches!(o, Ordering::Release | Ordering::AcqRel | Ordering::SeqCst)
-}
-
-// ---------------------------------------------------------------------------
 // Visible operations.
 // ---------------------------------------------------------------------------
 
-/// Apply the acquire side of reading `store`: join its release clock,
-/// or report a vacuous acquire (an Acquire load whose observed store
-/// published nothing — every claimed pairing is fiction).
-#[allow(clippy::too_many_arguments)] // a store's identity is genuinely this wide
-fn acquire_read(
-    eng: &Engine,
-    st: &mut MutexGuard<'_, EngSt>,
-    tid: Tid,
-    order: Ordering,
-    release: &Option<VClock>,
-    store_init: bool,
-    store_site: Site,
-    load_site: Site,
-) {
-    if !is_acquire(order) {
-        return;
-    }
-    match release {
-        Some(rc) => {
-            let rc = rc.clone();
-            st.threads[tid].clock.join(&rc);
-        }
-        None if !store_init => {
-            fail(st, FailureKind::VacuousAcquire { store: store_site, load: load_site });
-            eng.wake_all();
-            abort_check(st);
-        }
-        None => {}
-    }
-}
-
-pub(crate) fn atomic_load(id: usize, order: Ordering, loc: &'static Location<'static>) -> u64 {
+pub(crate) fn atomic_load(id: usize) -> u64 {
     with_ctx(|eng, tid| {
         let mut st = schedule_point(eng, tid);
-        let site = Site::of(loc);
         // Readable set: at least the thread's coherence floor for this
         // location, and at least every store that happened-before this
         // load (a store the loader already "knows about" cannot be
@@ -538,7 +443,7 @@ pub(crate) fn atomic_load(id: usize, order: Ordering, loc: &'static Location<'st
             st.atomics[id]
                 .stores
                 .iter()
-                .filter(|s| clock.covers(s.tid, s.wclock.get(s.tid)))
+                .filter(|s| clock.covers(s.tid, s.epoch))
                 .map(|s| s.ts)
                 .max()
                 .unwrap_or(0)
@@ -572,20 +477,16 @@ pub(crate) fn atomic_load(id: usize, order: Ordering, loc: &'static Location<'st
                 }
             }
         };
-        let idx = st.atomics[id]
+        let val = st.atomics[id]
             .stores
             .iter()
-            .position(|s| s.ts == chosen_ts)
-            .expect("chosen store exists");
-        let (val, release, init, store_site) = {
-            let s = &st.atomics[id].stores[idx];
-            (s.val, s.release.clone(), s.init, s.site)
-        };
+            .find(|s| s.ts == chosen_ts)
+            .expect("chosen store exists")
+            .val;
         if st.threads[tid].view.len() <= id {
             st.threads[tid].view.resize(id + 1, 0);
         }
         st.threads[tid].view[id] = chosen_ts;
-        acquire_read(eng, &mut st, tid, order, &release, init, store_site, site);
         st.threads[tid].clock.bump(tid);
         st.fold_op(tid, 1, id, val);
         val
@@ -593,22 +494,15 @@ pub(crate) fn atomic_load(id: usize, order: Ordering, loc: &'static Location<'st
 }
 
 /// Append a store to the location history; shared by store and RMW.
-fn push_store(
-    st: &mut MutexGuard<'_, EngSt>,
-    tid: Tid,
-    id: usize,
-    val: u64,
-    release: Option<VClock>,
-    site: Site,
-) -> u32 {
+fn push_store(st: &mut MutexGuard<'_, EngSt>, tid: Tid, id: usize, val: u64) -> u32 {
     let ts = st.atomics[id].next_ts;
     if ts >= MAX_STORES {
         fail(st, FailureKind::StepCap);
         return ts;
     }
     st.atomics[id].next_ts += 1;
-    let wclock = st.threads[tid].clock.clone();
-    st.atomics[id].stores.push(StoreRec { val, ts, tid, wclock, release, init: false, site });
+    let epoch = st.threads[tid].clock.get(tid);
+    st.atomics[id].stores.push(StoreRec { val, ts, tid, epoch });
     if st.threads[tid].view.len() <= id {
         st.threads[tid].view.resize(id + 1, 0);
     }
@@ -616,12 +510,11 @@ fn push_store(
     ts
 }
 
-pub(crate) fn atomic_store(id: usize, val: u64, order: Ordering, loc: &'static Location<'static>) {
+pub(crate) fn atomic_store(id: usize, val: u64) {
     with_ctx(|eng, tid| {
         let mut st = schedule_point(eng, tid);
         st.threads[tid].clock.bump(tid);
-        let release = is_release(order).then(|| st.threads[tid].clock.clone());
-        push_store(&mut st, tid, id, val, release, Site::of(loc));
+        push_store(&mut st, tid, id, val);
         st.fold_op(tid, 2, id, val);
         if st.aborting {
             eng.wake_all();
@@ -630,67 +523,21 @@ pub(crate) fn atomic_store(id: usize, val: u64, order: Ordering, loc: &'static L
     })
 }
 
-pub(crate) fn atomic_rmw(
-    id: usize,
-    kind: RmwKind,
-    operand: u64,
-    order: Ordering,
-    loc: &'static Location<'static>,
-) -> u64 {
+pub(crate) fn atomic_rmw(id: usize, kind: RmwKind, operand: u64) -> u64 {
     with_ctx(|eng, tid| {
         let mut st = schedule_point(eng, tid);
-        let site = Site::of(loc);
-        // An RMW always reads the latest store (atomicity pins it to
-        // the end of the modification order) and continues its release
-        // sequence: the predecessor's release clock is carried forward
-        // so a later acquire load synchronizes with the whole chain.
-        let (old, carried, pred_init, pred_site) = {
-            let s = st.atomics[id].stores.last().expect("atomic has init store");
-            (s.val, s.release.clone(), s.init, s.site)
-        };
-        acquire_read(eng, &mut st, tid, order, &carried, pred_init, pred_site, site);
+        // An RMW always reads the latest store: atomicity pins it to
+        // the end of the modification order.
+        let old = st.atomics[id].stores.last().expect("atomic has init store").val;
         let newv = kind.apply(old, operand);
         st.threads[tid].clock.bump(tid);
-        let release = if is_release(order) {
-            let mut c = st.threads[tid].clock.clone();
-            if let Some(cc) = &carried {
-                c.join(cc);
-            }
-            Some(c)
-        } else {
-            carried
-        };
-        push_store(&mut st, tid, id, newv, release, site);
+        push_store(&mut st, tid, id, newv);
         st.fold_op(tid, 3, id, newv);
         if st.aborting {
             eng.wake_all();
             abort_check(&st);
         }
         old
-    })
-}
-
-/// A checked plain access: report the first unsynchronized conflicting
-/// pair, then record this access in the location history.
-pub(crate) fn plain_access(id: usize, write: bool, loc: &'static Location<'static>) {
-    with_ctx(|eng, tid| {
-        let mut st = schedule_point(eng, tid);
-        let site = Site::of(loc);
-        let racy = st.plains[id]
-            .iter()
-            .find(|a| {
-                (a.write || write) && a.tid != tid && !st.threads[tid].clock.covers(a.tid, a.epoch)
-            })
-            .map(|a| a.site);
-        if let Some(first) = racy {
-            fail(&mut st, FailureKind::Race { first, second: site });
-            eng.wake_all();
-            abort_check(&st);
-        }
-        st.threads[tid].clock.bump(tid);
-        let epoch = st.threads[tid].clock.get(tid);
-        st.plains[id].push(AccessRec { tid, epoch, write, site });
-        st.fold_op(tid, if write { 5 } else { 4 }, id, 0);
     })
 }
 
@@ -788,7 +635,7 @@ pub(crate) fn cv_notify_all(cvid: usize) {
 // Threads.
 // ---------------------------------------------------------------------------
 
-pub(crate) fn spawn_model(body: Box<dyn FnOnce() + Send>) -> Tid {
+pub(crate) fn spawn_thread(body: Box<dyn FnOnce() + Send>) -> Tid {
     with_ctx(|eng, tid| {
         let mut st = schedule_point(eng, tid);
         let child = st.threads.len();
@@ -815,7 +662,7 @@ pub(crate) fn spawn_model(body: Box<dyn FnOnce() + Send>) -> Tid {
     })
 }
 
-pub(crate) fn join_model(target: Tid, loc: &'static Location<'static>) {
+pub(crate) fn join_thread(target: Tid, loc: &'static Location<'static>) {
     with_ctx(|eng, tid| {
         let mut st = schedule_point(eng, tid);
         let site = Site::of(loc);

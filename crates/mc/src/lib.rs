@@ -8,24 +8,24 @@
 //! (zero-cost `#[inline(always)]` delegation, gated by the benchmark's
 //! saturating workloads) and model tests instantiate [`McShims`],
 //! which routes every atomic access, mutex operation, condvar wait,
-//! spawn and join through a cooperative scheduler:
+//! spawn and join through a cooperative scheduler. The surface is what
+//! the ported structures call: relaxed `u64` cells, a mutex, a condvar,
+//! spawn and join.
 //!
 //! - **Exploration**: DFS over the decision tree with iterative
 //!   preemption bounding (exhaust 0-preemption schedules, then 1, then
-//!   2 — CHESS-style), plus seeded random sampling beyond the bound.
+//!   2 — CHESS-style).
 //! - **Replay**: every multi-option decision is one byte; the byte
 //!   string is the schedule, every failure ships one, and
 //!   [`Checker::replay`] reruns it deterministically.
-//! - **Happens-before checking**: vector clocks over spawn/join,
-//!   mutex hand-off, and release→acquire edges per the *declared*
-//!   `Ordering`; weak loads may read stale-but-coherent stores (a
-//!   scheduling decision); plain [`DataApi`] accesses are race-checked
-//!   with file:line on both sides; an `Acquire` load that observes a
-//!   non-`Release` store is reported as a vacuous acquire.
+//! - **Weak reads under happens-before**: vector clocks over
+//!   spawn/join and mutex hand-off bound which stores a relaxed load
+//!   may read; among the stale-but-coherent rest, which one it reads
+//!   is a scheduling decision. Findings are model panics, deadlocks
+//!   (with the blocking file:line of each thread) and runaway models.
 //!
 //! See docs/CONCURRENCY.md for the memory model in prose, how to write
-//! a model, and the table tying each ported structure's `// ordering:`
-//! comments to its model.
+//! a model, and the table tying each ported structure to its models.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -39,17 +39,9 @@ mod sched;
 mod shim_mc;
 mod shim_std;
 
-pub use api::{AtomicI64Api, AtomicU64Api, CondvarApi, DataApi, JoinApi, MutexApi, Shims};
+pub use api::{AtomicU64Api, CondvarApi, JoinApi, MutexApi, Shims};
 pub use checker::Checker;
 pub use report::{Failure, FailureKind, Report, Site};
 pub use sched::Schedule;
-pub use shim_mc::{
-    McAtomicI64, McAtomicU64, McCondvar, McData, McJoinHandle, McMutex, McMutexGuard, McShims,
-};
-pub use shim_std::{StdData, StdShims};
-
-/// True while the calling thread is a model thread inside
-/// [`Checker::check`] — lets shared test helpers branch.
-pub fn in_model() -> bool {
-    engine::in_model()
-}
+pub use shim_mc::{McAtomicU64, McCondvar, McJoinHandle, McMutex, McMutexGuard, McShims};
+pub use shim_std::StdShims;

@@ -5,9 +5,9 @@ use std::fmt;
 use std::panic::Location;
 use std::path::PathBuf;
 
-/// A source location (file:line:column) of one side of a finding.
-/// Shim operations are `#[track_caller]`, so this points at the call
-/// site inside the ported structure, not inside gcs-mc.
+/// A source location (file:line:column) where a thread blocked. The
+/// blocking shim operations are `#[track_caller]`, so this points at
+/// the call site inside the ported structure, not inside gcs-mc.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Site {
     /// Source file as recorded by the compiler.
@@ -33,25 +33,6 @@ impl fmt::Display for Site {
 /// What went wrong in an execution.
 #[derive(Clone, Debug)]
 pub enum FailureKind {
-    /// Two unsynchronized conflicting plain (`Data`) accesses: no
-    /// happens-before path between them and at least one is a write.
-    Race {
-        /// The earlier access (in this execution's order).
-        first: Site,
-        /// The later, racing access.
-        second: Site,
-    },
-    /// An `Acquire` (or stronger) load observed a store that carries
-    /// no release clock: the declared acquire edge synchronizes with
-    /// nothing, so every "this pairs with…" claim about it is wrong.
-    /// This is how a `Relaxed`-downgraded publish is reported even
-    /// when the checked invariants happen to survive.
-    VacuousAcquire {
-        /// The store that was read (declared weaker than `Release`).
-        store: Site,
-        /// The acquire load that read it.
-        load: Site,
-    },
     /// Every live thread is blocked and none holds a timed wait.
     Deadlock {
         /// `(thread ordinal, blocking site)` for each blocked thread.
@@ -83,15 +64,6 @@ pub enum FailureKind {
 impl fmt::Display for FailureKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FailureKind::Race { first, second } => {
-                write!(f, "data race: {first} conflicts with {second} (no happens-before)")
-            }
-            FailureKind::VacuousAcquire { store, load } => write!(
-                f,
-                "vacuous acquire: load at {load} declares Acquire but reads a store at \
-                 {store} with no Release ordering — the claimed synchronization edge \
-                 does not exist"
-            ),
             FailureKind::Deadlock { blocked } => {
                 write!(f, "deadlock: all live threads blocked:")?;
                 for (t, site) in blocked {
@@ -128,7 +100,7 @@ pub struct Failure {
     pub digest: u64,
 }
 
-/// The outcome of a `check`, `sample`, or `replay` run.
+/// The outcome of a `check` or `replay` run.
 #[derive(Debug)]
 pub struct Report {
     /// Model name (artifact file stem).
@@ -136,7 +108,7 @@ pub struct Report {
     /// Executions explored.
     pub executions: u64,
     /// Digest of the last completed execution (replay determinism
-    /// tests compare this across runs and worker counts).
+    /// tests compare this across runs).
     pub digest: u64,
     /// The first failure found, if any.
     pub failure: Option<Failure>,
@@ -145,7 +117,7 @@ pub struct Report {
 }
 
 impl Report {
-    /// Panic (with the schedule and both sites) if a failure was found.
+    /// Panic (with the finding and its schedule) if a failure was found.
     #[track_caller]
     pub fn assert_ok(&self) {
         if let Some(f) = &self.failure {

@@ -2,7 +2,7 @@
 //!
 //! Every multi-option decision point (which thread runs next; which
 //! store a weak load reads) asks the execution's [`Source`] for a
-//! choice. Three sources exist:
+//! choice. Two sources exist:
 //!
 //! - [`Dfs`]: systematic depth-first enumeration with a preemption
 //!   bound (CHESS-style). The driver replays the recorded prefix,
@@ -10,8 +10,6 @@
 //!   decision with an unexplored alternative after each execution.
 //! - `Replay`: a fixed byte string (one byte per multi-option
 //!   decision) — the repro format every failure ships.
-//! - `Random`: seeded SplitMix64 sampling for depths beyond the
-//!   exhaustive bound.
 //!
 //! Decisions are positional: byte `i` answers the `i`-th multi-option
 //! decision of the execution. Single-option points consume nothing,
@@ -120,15 +118,6 @@ impl Dfs {
     }
 }
 
-/// SplitMix64: the repo-standard tiny deterministic PRNG.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A decision source for one (or a sequence of) executions.
 #[derive(Debug)]
 pub(crate) enum Source {
@@ -136,20 +125,11 @@ pub(crate) enum Source {
     Dfs(Dfs),
     /// Fixed byte string replay.
     Replay { bytes: Vec<u8>, pos: usize },
-    /// Seeded random sampling with a (large) preemption bound.
-    Random { state: u64, bound: usize, taken: Vec<u8> },
 }
 
 impl Source {
     pub(crate) fn replay(schedule: &Schedule) -> Source {
         Source::Replay { bytes: schedule.0.clone(), pos: 0 }
-    }
-
-    pub(crate) fn random(seed: u64, bound: usize) -> Source {
-        // Mix the seed so seed 0 and seed 1 diverge immediately.
-        let mut state = seed ^ 0x6a09_e667_f3bc_c909;
-        splitmix64(&mut state);
-        Source::Random { state, bound, taken: Vec::new() }
     }
 
     /// Answer a multi-option decision. `options` lists the candidate
@@ -201,15 +181,6 @@ impl Source {
                 *pos += 1;
                 Ok((b, preemptive[idx]))
             }
-            Source::Random { state, bound, taken } => {
-                let allowed: Vec<usize> = (0..options.len())
-                    .filter(|&i| !preemptive[i] || preemptions_now < *bound)
-                    .collect();
-                let r = splitmix64(state);
-                let idx = allowed[(r % allowed.len() as u64) as usize];
-                taken.push(options[idx]);
-                Ok((options[idx], preemptive[idx]))
-            }
         }
     }
 
@@ -221,7 +192,6 @@ impl Source {
                 Schedule(dfs.prefix[..dfs.cursor].iter().map(|d| d.options[d.chosen]).collect())
             }
             Source::Replay { bytes, pos } => Schedule(bytes[..*pos].to_vec()),
-            Source::Random { taken, .. } => Schedule(taken.clone()),
         }
     }
 }
@@ -280,30 +250,5 @@ mod tests {
         assert_eq!(src.decide(&[0, 1], &[false, true], 1), Err(DecideErr::Diverged));
         let mut src = Source::replay(&Schedule(vec![7]));
         assert_eq!(src.decide(&[0, 1], &[false, true], 0), Err(DecideErr::Diverged));
-    }
-
-    #[test]
-    fn random_is_deterministic_per_seed_and_respects_bound() {
-        let drive = |seed: u64| {
-            let mut src = Source::random(seed, 0);
-            let mut got = Vec::new();
-            for _ in 0..16 {
-                // Option 1 is preemptive and the bound is 0, so only
-                // the default may ever be chosen.
-                let (b, p) = src.decide(&[0, 1], &[false, true], 0).unwrap();
-                assert!(!p);
-                got.push(b);
-            }
-            got
-        };
-        assert_eq!(drive(42), vec![0; 16]);
-        // With read-style (never-preemptive) options the draw varies.
-        let mut a = Source::random(7, 0);
-        let mut b = Source::random(7, 0);
-        for _ in 0..32 {
-            let x = a.decide(&[3, 2, 1], &[false; 3], 0).unwrap();
-            let y = b.decide(&[3, 2, 1], &[false; 3], 0).unwrap();
-            assert_eq!(x, y);
-        }
     }
 }

@@ -1,21 +1,19 @@
 //! `McShims`: the model-checking instantiation. Every cell is an id
 //! into the engine's location tables; every operation is a visible op
-//! with a schedule point and happens-before bookkeeping. All shim
-//! entry points are `#[track_caller]` (via the trait declarations), so
-//! findings point at the line *inside the ported structure* that
-//! performed the access.
+//! with a schedule point and happens-before bookkeeping. The blocking
+//! entry points (lock, wait, join) are `#[track_caller]` (via the trait
+//! declarations), so a deadlock finding points at the line *inside the
+//! ported structure* where each thread blocked.
 //!
-//! This module owns all the crate's `unsafe`: the `UnsafeCell` payloads
-//! of `McMutex` and `McData`. Both are safe because the engine
-//! serializes model threads (exactly one ever runs) and flags any
-//! unsynchronized `Data` access as a race before it happens.
+//! This module owns all the crate's `unsafe`: the `UnsafeCell` payload
+//! of `McMutex`, safe because the engine serializes model threads
+//! (exactly one ever runs) and tracks which one owns the lock.
 
-use crate::api::{AtomicI64Api, AtomicU64Api, CondvarApi, DataApi, JoinApi, MutexApi, Shims};
+use crate::api::{AtomicU64Api, CondvarApi, JoinApi, MutexApi, Shims};
 use crate::engine::{self, RmwKind};
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::panic::Location;
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 /// The model-checking shim family; only usable inside
@@ -23,7 +21,7 @@ use std::time::Duration;
 #[derive(Debug)]
 pub struct McShims;
 
-/// Engine-backed `AtomicU64`.
+/// Engine-backed relaxed `AtomicU64`.
 #[derive(Debug)]
 pub struct McAtomicU64 {
     id: usize,
@@ -31,44 +29,22 @@ pub struct McAtomicU64 {
 
 impl AtomicU64Api for McAtomicU64 {
     fn new(v: u64) -> Self {
-        McAtomicU64 { id: engine::alloc_atomic(v, Location::caller()) }
+        McAtomicU64 { id: engine::alloc_atomic(v) }
     }
-    fn load(&self, order: Ordering) -> u64 {
-        engine::atomic_load(self.id, order, Location::caller())
+    fn load(&self) -> u64 {
+        engine::atomic_load(self.id)
     }
-    fn store(&self, v: u64, order: Ordering) {
-        engine::atomic_store(self.id, v, order, Location::caller())
+    fn store(&self, v: u64) {
+        engine::atomic_store(self.id, v)
     }
-    fn fetch_add(&self, v: u64, order: Ordering) -> u64 {
-        engine::atomic_rmw(self.id, RmwKind::Add, v, order, Location::caller())
+    fn fetch_add(&self, v: u64) -> u64 {
+        engine::atomic_rmw(self.id, RmwKind::Add, v)
     }
-    fn fetch_max(&self, v: u64, order: Ordering) -> u64 {
-        engine::atomic_rmw(self.id, RmwKind::Max, v, order, Location::caller())
+    fn fetch_max(&self, v: u64) -> u64 {
+        engine::atomic_rmw(self.id, RmwKind::Max, v)
     }
-    fn fetch_min(&self, v: u64, order: Ordering) -> u64 {
-        engine::atomic_rmw(self.id, RmwKind::Min, v, order, Location::caller())
-    }
-}
-
-/// Engine-backed `AtomicI64` (values bit-cast through u64).
-#[derive(Debug)]
-pub struct McAtomicI64 {
-    id: usize,
-}
-
-impl AtomicI64Api for McAtomicI64 {
-    fn new(v: i64) -> Self {
-        McAtomicI64 { id: engine::alloc_atomic(v as u64, Location::caller()) }
-    }
-    fn load(&self, order: Ordering) -> i64 {
-        engine::atomic_load(self.id, order, Location::caller()) as i64
-    }
-    fn store(&self, v: i64, order: Ordering) {
-        engine::atomic_store(self.id, v as u64, order, Location::caller())
-    }
-    fn fetch_add(&self, v: i64, order: Ordering) -> i64 {
-        // Two's-complement wrapping add in u64 space equals i64 add.
-        engine::atomic_rmw(self.id, RmwKind::Add, v as u64, order, Location::caller()) as i64
+    fn fetch_min(&self, v: u64) -> u64 {
+        engine::atomic_rmw(self.id, RmwKind::Min, v)
     }
 }
 
@@ -147,36 +123,6 @@ impl CondvarApi for McCondvar {
     }
 }
 
-/// Engine-backed race-checked plain cell.
-#[derive(Debug)]
-pub struct McData<T> {
-    id: usize,
-    cell: UnsafeCell<T>,
-}
-
-// Safety: every access goes through `engine::plain_access`, which
-// aborts the execution (before touching the cell) if the access races;
-// non-racing accesses are ordered by happens-before, and the engine
-// mutex bracketing each access carries the fence between OS threads.
-unsafe impl<T: Send> Send for McData<T> {}
-unsafe impl<T: Send> Sync for McData<T> {}
-
-impl<T: Copy + Send + 'static> DataApi<T> for McData<T> {
-    fn new(v: T) -> Self {
-        McData { id: engine::alloc_plain(), cell: UnsafeCell::new(v) }
-    }
-    fn get(&self) -> T {
-        engine::plain_access(self.id, false, Location::caller());
-        // Safety: see the Send/Sync impls above.
-        unsafe { *self.cell.get() }
-    }
-    fn set(&self, v: T) {
-        engine::plain_access(self.id, true, Location::caller());
-        // Safety: see the Send/Sync impls above.
-        unsafe { *self.cell.get() = v }
-    }
-}
-
 /// Handle to a model thread; `join` is a visible op.
 #[derive(Debug)]
 pub struct McJoinHandle {
@@ -185,20 +131,18 @@ pub struct McJoinHandle {
 
 impl JoinApi for McJoinHandle {
     fn join(self) {
-        engine::join_model(self.target, Location::caller());
+        engine::join_thread(self.target, Location::caller());
     }
 }
 
 impl Shims for McShims {
     type AtomicU64 = McAtomicU64;
-    type AtomicI64 = McAtomicI64;
     type Mutex<T: Send + 'static> = McMutex<T>;
     type Condvar = McCondvar;
-    type Data<T: Copy + Send + 'static> = McData<T>;
     type JoinHandle = McJoinHandle;
 
     fn spawn<F: FnOnce() + Send + 'static>(f: F) -> McJoinHandle {
-        McJoinHandle { target: engine::spawn_model(Box::new(f)) }
+        McJoinHandle { target: engine::spawn_thread(Box::new(f)) }
     }
 
     fn cv_wait_timeout<'a, T: Send + 'static>(

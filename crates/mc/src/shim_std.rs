@@ -4,8 +4,8 @@
 //! exactly the code it replaced. The benchmark's saturating workloads,
 //! compared run against run, gate on this staying true.
 
-use crate::api::{AtomicI64Api, AtomicU64Api, CondvarApi, DataApi, JoinApi, MutexApi, Shims};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use crate::api::{AtomicU64Api, CondvarApi, JoinApi, MutexApi, Shims};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -13,49 +13,36 @@ use std::time::Duration;
 #[derive(Debug)]
 pub struct StdShims;
 
+// ordering: Relaxed — every shim atomic is a relaxed cell by
+// definition (`AtomicU64Api`): a counter, gauge or histogram field that
+// publishes nothing but its own value and is read exact at quiescence.
+// Whatever must publish other memory goes through `S::Mutex`.
+const RELAXED: Ordering = Ordering::Relaxed;
+
 impl AtomicU64Api for AtomicU64 {
     #[inline(always)]
     fn new(v: u64) -> Self {
         AtomicU64::new(v)
     }
     #[inline(always)]
-    fn load(&self, order: Ordering) -> u64 {
-        AtomicU64::load(self, order)
+    fn load(&self) -> u64 {
+        AtomicU64::load(self, RELAXED)
     }
     #[inline(always)]
-    fn store(&self, v: u64, order: Ordering) {
-        AtomicU64::store(self, v, order)
+    fn store(&self, v: u64) {
+        AtomicU64::store(self, v, RELAXED)
     }
     #[inline(always)]
-    fn fetch_add(&self, v: u64, order: Ordering) -> u64 {
-        AtomicU64::fetch_add(self, v, order)
+    fn fetch_add(&self, v: u64) -> u64 {
+        AtomicU64::fetch_add(self, v, RELAXED)
     }
     #[inline(always)]
-    fn fetch_max(&self, v: u64, order: Ordering) -> u64 {
-        AtomicU64::fetch_max(self, v, order)
+    fn fetch_max(&self, v: u64) -> u64 {
+        AtomicU64::fetch_max(self, v, RELAXED)
     }
     #[inline(always)]
-    fn fetch_min(&self, v: u64, order: Ordering) -> u64 {
-        AtomicU64::fetch_min(self, v, order)
-    }
-}
-
-impl AtomicI64Api for AtomicI64 {
-    #[inline(always)]
-    fn new(v: i64) -> Self {
-        AtomicI64::new(v)
-    }
-    #[inline(always)]
-    fn load(&self, order: Ordering) -> i64 {
-        AtomicI64::load(self, order)
-    }
-    #[inline(always)]
-    fn store(&self, v: i64, order: Ordering) {
-        AtomicI64::store(self, v, order)
-    }
-    #[inline(always)]
-    fn fetch_add(&self, v: i64, order: Ordering) -> i64 {
-        AtomicI64::fetch_add(self, v, order)
+    fn fetch_min(&self, v: u64) -> u64 {
+        AtomicU64::fetch_min(self, v, RELAXED)
     }
 }
 
@@ -84,26 +71,6 @@ impl CondvarApi for Condvar {
     }
 }
 
-/// Safe mutex-backed plain cell; only models use `Data`, so this is
-/// never on a production hot path.
-#[derive(Debug)]
-pub struct StdData<T>(Mutex<T>);
-
-impl<T: Copy + Send + 'static> DataApi<T> for StdData<T> {
-    #[inline(always)]
-    fn new(v: T) -> Self {
-        StdData(Mutex::new(v))
-    }
-    #[inline(always)]
-    fn get(&self) -> T {
-        *self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-    #[inline(always)]
-    fn set(&self, v: T) {
-        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = v;
-    }
-}
-
 impl JoinApi for std::thread::JoinHandle<()> {
     #[inline(always)]
     fn join(self) {
@@ -116,10 +83,8 @@ impl JoinApi for std::thread::JoinHandle<()> {
 
 impl Shims for StdShims {
     type AtomicU64 = AtomicU64;
-    type AtomicI64 = AtomicI64;
     type Mutex<T: Send + 'static> = Mutex<T>;
     type Condvar = Condvar;
-    type Data<T: Copy + Send + 'static> = StdData<T>;
     type JoinHandle = std::thread::JoinHandle<()>;
 
     #[inline(always)]

@@ -2,95 +2,55 @@
 //! concurrency, checking that the checker's verdicts (and reported
 //! sites) match.
 
-use gcs_mc::{
-    AtomicU64Api, Checker, CondvarApi, DataApi, FailureKind, JoinApi, McShims, MutexApi, Shims,
-};
-use std::sync::atomic::Ordering;
+use gcs_mc::{AtomicU64Api, Checker, CondvarApi, FailureKind, JoinApi, McShims, MutexApi, Shims};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 type McAtomicU64 = <McShims as Shims>::AtomicU64;
 type McMutex<T> = <McShims as Shims>::Mutex<T>;
-type McData<T> = <McShims as Shims>::Data<T>;
 type McCondvar = <McShims as Shims>::Condvar;
 
+/// Two threads each do a non-atomic read-modify-write (load; store)
+/// on one cell, then assert that both increments landed.
+fn lost_update() {
+    let c = Arc::new(McAtomicU64::new(0));
+    let c2 = Arc::clone(&c);
+    let t = McShims::spawn(move || {
+        let v = c2.load();
+        c2.store(v + 1);
+    });
+    let v = c.load();
+    c.store(v + 1);
+    t.join();
+    // The join edge makes both stores visible.
+    assert_eq!(c.load(), 2);
+}
+
 #[test]
-fn release_acquire_message_passing_is_clean() {
-    let report = Checker::new("mp-rel-acq").preemption_bound(2).check(|| {
-        let data = Arc::new(McData::<u64>::new(0));
-        let flag = Arc::new(McAtomicU64::new(0));
-        let (d2, f2) = (Arc::clone(&data), Arc::clone(&flag));
+fn mutex_hand_off_bounds_weak_reads() {
+    // Thread 1 stores into a relaxed cell, then sets a flag under the
+    // mutex; thread 0, seeing the flag under the same mutex, must not
+    // read the cell's stale initial value. The registry scrape relies
+    // on exactly this edge.
+    let flag_seen = Arc::new(AtomicBool::new(false));
+    let witness = Arc::clone(&flag_seen);
+    let report = Checker::new("mutex-hand-off").preemption_bound(2).check(move || {
+        let cell = Arc::new(McAtomicU64::new(0));
+        let flag = Arc::new(McMutex::new(false));
+        let (c2, f2) = (Arc::clone(&cell), Arc::clone(&flag));
         let t = McShims::spawn(move || {
-            d2.set(42);
-            // ordering: Release — publishes the Data write to the
-            // acquiring reader below.
-            f2.store(1, Ordering::Release);
+            c2.store(1);
+            *f2.lock_clean() = true;
         });
-        // ordering: Acquire — pairs with the Release store above; the
-        // Data read is only reached when the flag is observed set.
-        if flag.load(Ordering::Acquire) == 1 {
-            assert_eq!(data.get(), 42);
+        if *flag.lock_clean() {
+            witness.store(true, Ordering::Relaxed);
+            assert_eq!(cell.load(), 1);
         }
         t.join();
     });
     report.assert_ok();
-    // 2 threads, a handful of ops: exploration must stay tiny.
-    assert!(report.executions < 200, "explored {}", report.executions);
-}
-
-#[test]
-fn relaxed_message_passing_races() {
-    let report = Checker::new("mp-relaxed").preemption_bound(2).check(|| {
-        let data = Arc::new(McData::<u64>::new(0));
-        let flag = Arc::new(McAtomicU64::new(0));
-        let (d2, f2) = (Arc::clone(&data), Arc::clone(&flag));
-        let t = McShims::spawn(move || {
-            d2.set(42);
-            // ordering: Relaxed — the bug under test: the flag no
-            // longer publishes the Data write.
-            f2.store(1, Ordering::Relaxed);
-        });
-        // ordering: Relaxed — reading the flag relaxed on purpose.
-        if flag.load(Ordering::Relaxed) == 1 {
-            let _ = data.get();
-        }
-        t.join();
-    });
-    let f = report.expect_failure();
-    match &f.kind {
-        FailureKind::Race { first, second } => {
-            assert!(first.file.ends_with("models.rs"), "first site: {first}");
-            assert!(second.file.ends_with("models.rs"), "second site: {second}");
-            assert_ne!((first.file, first.line), (second.file, second.line));
-        }
-        other => panic!("expected Race, got {other}"),
-    }
-    assert!(!f.schedule.0.is_empty() || f.schedule.to_hex().is_empty());
-}
-
-#[test]
-fn vacuous_acquire_is_reported_with_both_sites() {
-    let report = Checker::new("vacuous-acquire").preemption_bound(1).check(|| {
-        let flag = Arc::new(McAtomicU64::new(0));
-        let f2 = Arc::clone(&flag);
-        let t = McShims::spawn(move || {
-            // ordering: Relaxed — deliberately NOT Release; the
-            // acquire load below claims an edge this store never
-            // provides.
-            f2.store(1, Ordering::Relaxed);
-        });
-        // ordering: Acquire — the vacuous half of the broken pair.
-        let _ = flag.load(Ordering::Acquire);
-        t.join();
-    });
-    let f = report.expect_failure();
-    match &f.kind {
-        FailureKind::VacuousAcquire { store, load } => {
-            assert!(store.file.ends_with("models.rs"), "store site: {store}");
-            assert!(load.file.ends_with("models.rs"), "load site: {load}");
-        }
-        other => panic!("expected VacuousAcquire, got {other}"),
-    }
+    assert!(flag_seen.load(Ordering::Relaxed), "no schedule saw the flag set");
 }
 
 #[test]
@@ -114,27 +74,10 @@ fn mutex_protected_data_is_clean_and_counts() {
 
 #[test]
 fn lost_update_is_found_without_preemptions_via_weak_reads() {
-    // Two threads each do a non-atomic read-modify-write (load; store).
     // Even with zero preemptions the weak-memory read-from choice lets
     // the second thread read the stale initial value — the lost update
     // is found at bound 0.
-    let report = Checker::new("lost-update").preemption_bound(0).check(|| {
-        let c = Arc::new(McAtomicU64::new(0));
-        let c2 = Arc::clone(&c);
-        let t = McShims::spawn(move || {
-            // ordering: Relaxed — the bug under test (should be a
-            // single atomic RMW).
-            let v = c2.load(Ordering::Relaxed);
-            c2.store(v + 1, Ordering::Relaxed);
-        });
-        // ordering: Relaxed — as above.
-        let v = c.load(Ordering::Relaxed);
-        c.store(v + 1, Ordering::Relaxed);
-        t.join();
-        // ordering: Relaxed — final observation; the join edge makes
-        // both stores visible.
-        assert_eq!(c.load(Ordering::Relaxed), 2);
-    });
+    let report = Checker::new("lost-update").preemption_bound(0).check(lost_update);
     let f = report.expect_failure();
     assert!(
         matches!(&f.kind, FailureKind::Panic { .. }),
@@ -151,16 +94,14 @@ fn rmw_counter_is_exact() {
         for _ in 0..3 {
             let c2 = Arc::clone(&c);
             joins.push(McShims::spawn(move || {
-                // ordering: AcqRel — RMW atomicity is the point; the
-                // release half chains the increments.
-                c2.fetch_add(1, Ordering::AcqRel);
+                c2.fetch_add(1);
             }));
         }
         for j in joins {
             j.join();
         }
-        // ordering: Acquire — reads the last RMW in the release chain.
-        assert_eq!(c.load(Ordering::Acquire), 3);
+        // RMW atomicity is the point: no increment is lost.
+        assert_eq!(c.load(), 3);
     });
     report.assert_ok();
 }
@@ -245,13 +186,7 @@ fn condvar_notify_wakes_waiter() {
 #[test]
 fn artifact_is_written_for_failures() {
     let dir = std::env::temp_dir().join("gcs-mc-artifacts");
-    let report = Checker::new("artifact-check").preemption_bound(1).check(|| {
-        let d = Arc::new(McData::<u64>::new(0));
-        let d2 = Arc::clone(&d);
-        let t = McShims::spawn(move || d2.set(1));
-        d.set(2);
-        t.join();
-    });
+    let report = Checker::new("artifact-check").preemption_bound(0).check(lost_update);
     let f = report.expect_failure();
     let path = report.artifact.as_ref().expect("artifact written");
     assert!(path.starts_with(&dir) || std::env::var("GCS_MC_ARTIFACT_DIR").is_ok());

@@ -24,7 +24,6 @@
 
 use gcs_mc::{AtomicU64Api, Shims, StdShims};
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 type A64<S> = <S as Shims>::AtomicU64;
@@ -99,27 +98,25 @@ impl<S: Shims> HistCore<S> {
     }
 
     fn record(&self, v: u64) {
-        // ordering: Relaxed throughout — independent statistical RMW
-        // counters, no cross-field consistency claimed; snapshots are
-        // advisory. The `registry_scrape_under_write` gcs-mc model checks
-        // this: per-cell exactness at quiescence, torn cuts tolerated.
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // Independent counters, no cross-field consistency claimed: the
+        // `registry_scrape_under_write` gcs-mc model checks per-cell
+        // exactness at quiescence, torn cuts tolerated.
+        self.buckets[bucket_index(v)].fetch_add(1);
+        self.count.fetch_add(1);
+        self.sum.fetch_add(v);
+        self.min.fetch_min(v);
+        self.max.fetch_max(v);
     }
 
     fn snapshot(&self) -> HistSnapshot {
+        // Taken concurrently with record() it may see count without sum
+        // (or vice versa); see the HistSnapshot docs.
         HistSnapshot {
-            // ordering: Relaxed throughout — advisory reads; a snapshot
-            // taken concurrently with record() may see count without sum
-            // (or vice versa) and that is accepted, see HistSnapshot docs.
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            min: self.min.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
+            buckets: self.buckets.iter().map(|b| b.load()).collect(),
+            count: self.count.load(),
+            sum: self.sum.load(),
+            min: self.min.load(),
+            max: self.max.load(),
         }
     }
 }
@@ -170,8 +167,7 @@ impl<S: Shims> Histogram<S> {
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
-        // ordering: Relaxed — advisory statistical read.
-        self.core.count.load(Ordering::Relaxed)
+        self.core.count.load()
     }
 
     /// Mean of the recorded samples (exact — tracked via the running

@@ -13,15 +13,13 @@
 //! mc_registry.rs (see docs/CONCURRENCY.md).
 
 use crate::hist::{HistCore, HistSnapshot, Histogram};
-use gcs_mc::{AtomicI64Api, AtomicU64Api, MutexApi, Shims, StdShims};
+use gcs_mc::{AtomicU64Api, MutexApi, Shims, StdShims};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 type A64<S> = <S as Shims>::AtomicU64;
-type AI64<S> = <S as Shims>::AtomicI64;
 
 /// A monotonically increasing counter. Cloning shares the cell.
 pub struct Counter<S: Shims = StdShims> {
@@ -48,21 +46,20 @@ impl<S: Shims> Counter<S> {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        // ordering: Relaxed — pure event counter; hot-path increments
-        // synchronize nothing, readers merge at scrape time.
-        self.cell.fetch_add(n, Ordering::Relaxed);
+        self.cell.fetch_add(n);
     }
 
     /// The current value.
     pub fn get(&self) -> u64 {
-        // ordering: Relaxed — advisory scrape read.
-        self.cell.load(Ordering::Relaxed)
+        self.cell.load()
     }
 }
 
-/// A gauge: a value that can move both ways. Cloning shares the cell.
+/// A gauge: a value that can move both ways. Cloning shares the cell,
+/// which holds the `i64` bit-cast to `u64` (wrapping add in `u64` space
+/// is two's-complement `i64` add).
 pub struct Gauge<S: Shims = StdShims> {
-    cell: Arc<AI64<S>>,
+    cell: Arc<A64<S>>,
 }
 
 impl<S: Shims> Clone for Gauge<S> {
@@ -80,22 +77,17 @@ impl<S: Shims> fmt::Debug for Gauge<S> {
 impl<S: Shims> Gauge<S> {
     /// Sets the value.
     pub fn set(&self, v: i64) {
-        // ordering: Relaxed — last-writer-wins gauge cell; no data is
-        // published under it.
-        self.cell.store(v, Ordering::Relaxed);
+        self.cell.store(v as u64);
     }
 
     /// Adds `n` (may be negative).
     pub fn add(&self, n: i64) {
-        // ordering: Relaxed — atomic RMW keeps the sum exact; ordering
-        // against other metrics is not required.
-        self.cell.fetch_add(n, Ordering::Relaxed);
+        self.cell.fetch_add(n as u64);
     }
 
     /// The current value.
     pub fn get(&self) -> i64 {
-        // ordering: Relaxed — advisory scrape read.
-        self.cell.load(Ordering::Relaxed)
+        self.cell.load() as i64
     }
 }
 
@@ -129,7 +121,7 @@ impl MetricKey {
 
 enum Slot<S: Shims> {
     Counter(Arc<A64<S>>),
-    Gauge(Arc<AI64<S>>),
+    Gauge(Arc<A64<S>>),
     Histogram(Arc<HistCore<S>>),
 }
 
@@ -214,7 +206,7 @@ impl<S: Shims> Registry<S> {
     pub fn gauge_labeled(&self, name: &str, labels: &[(&str, &str)]) -> Gauge<S> {
         let k = key(name, labels);
         let mut slots = self.slots.lock_clean();
-        let slot = slots.entry(k).or_insert_with(|| Slot::Gauge(Arc::new(AI64::<S>::new(0))));
+        let slot = slots.entry(k).or_insert_with(|| Slot::Gauge(Arc::new(A64::<S>::new(0))));
         match slot {
             Slot::Gauge(g) => Gauge { cell: g.clone() },
             _ => panic!("metric {name} already registered with a different type"),
@@ -250,13 +242,12 @@ impl<S: Shims> Registry<S> {
             .lock_clean()
             .iter()
             .map(|(k, slot)| {
+                // Not a consistent cut across metrics: the
+                // `registry_scrape_under_write` gcs-mc model pins down
+                // what that does and does not permit.
                 let value = match slot {
-                    // ordering: Relaxed — scrape-time reads; a snapshot
-                    // is not a consistent cut across metrics (the
-                    // `registry_scrape_under_write` gcs-mc model pins
-                    // down what that does and does not permit).
-                    Slot::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
-                    Slot::Gauge(g) => MetricValue::Gauge(g.load(Ordering::Relaxed)),
+                    Slot::Counter(c) => MetricValue::Counter(c.load()),
+                    Slot::Gauge(g) => MetricValue::Gauge(g.load() as i64),
                     Slot::Histogram(h) => {
                         MetricValue::Histogram(Histogram::from_core(h.clone()).snapshot())
                     }
@@ -402,6 +393,11 @@ mod tests {
         g.set(7);
         g.add(-3);
         assert_eq!(g.get(), 4);
+        // Across zero: the cell holds the i64 bit-cast to u64.
+        g.set(2);
+        g.add(-5);
+        assert_eq!(g.get(), -3);
+        assert!(r.render_text().contains("queue_depth -3"), "{}", r.render_text());
     }
 
     #[test]
