@@ -2,6 +2,7 @@
 
 use gcs_model::{Label, Summary, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// A message of the `VStoTO` algorithm: *M = (L × A) ∪ summaries*
 /// (Figure 9).
@@ -12,9 +13,12 @@ use std::fmt;
 pub enum AppMsg {
     /// An ordinary ⟨label, value⟩ message.
     Val(Label, Value),
-    /// A state-exchange summary. Boxed: only state exchange sends one,
-    /// and every token entry and trace event is as wide as this enum.
-    Summary(Box<Summary>),
+    /// A state-exchange summary, behind a pointer: only state exchange
+    /// sends one, and every token entry and trace event is as wide as
+    /// this enum. Shared and never mutated once built, so the sender's
+    /// log entry, the trace events and every `gotstate` holding it are
+    /// one allocation per sender (per decode, over a wire).
+    Summary(Arc<Summary>),
 }
 
 impl AppMsg {
@@ -62,7 +66,7 @@ mod tests {
         let m = AppMsg::Val(l, Value::from_u64(1));
         assert_eq!(m.label(), Some(l));
         assert!(m.summary().is_none());
-        let s = AppMsg::Summary(Box::new(Summary::empty()));
+        let s = AppMsg::Summary(Arc::new(Summary::empty()));
         assert!(s.label().is_none());
         assert!(s.summary().is_some());
     }

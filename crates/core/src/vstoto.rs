@@ -285,7 +285,7 @@ impl VsToToProc {
                 for (l, a) in x.con.iter() {
                     self.content.insert(l, a.clone());
                 }
-                self.gotstate.insert(src, Summary::clone(x));
+                self.gotstate.insert(src, Arc::clone(x));
                 let complete = self
                     .current
                     .as_ref()
@@ -367,7 +367,7 @@ impl VsToToProc {
     /// `buffer` when `status = normal`.
     pub fn gpsnd_ready(&self) -> Option<AppMsg> {
         match self.status {
-            ProcStatus::Send => Some(AppMsg::Summary(Box::new(self.summary()))),
+            ProcStatus::Send => Some(AppMsg::Summary(Arc::new(self.summary()))),
             ProcStatus::Normal => {
                 let l = self.buffer.front()?;
                 let a = self.content.get(l)?;
@@ -639,8 +639,9 @@ mod tests {
         p.newview(View::new(ViewId::new(1, ProcId(0)), [ProcId(0)].into()));
         let Some(AppMsg::Summary(mut x)) = p.gpsnd() else { panic!("summary first") };
         let l = Label::new(ViewId::initial(), 1, ProcId(0));
-        x.ord.push(l);
-        x.next = 2;
+        let y = Arc::make_mut(&mut x);
+        y.ord.push(l);
+        y.next = 2;
         assert!(p.gprcv(ProcId(0), &AppMsg::Summary(x)).established);
         assert_eq!((p.order(), p.nextconfirm), (&[l][..], 2));
         let waiting = p.clone();
@@ -666,12 +667,25 @@ mod tests {
         p.newview(View::new(ViewId::new(1, ProcId(0)), [ProcId(0)].into()));
         let Some(AppMsg::Summary(mut x)) = p.gpsnd() else { panic!("summary first") };
         let l = Label::new(ViewId::initial(), 1, ProcId(0));
-        x.con.insert(l, Value::from_u64(1));
-        x.ord = vec![l, l];
+        let y = Arc::make_mut(&mut x);
+        y.con.insert(l, Value::from_u64(1));
+        y.ord = vec![l, l];
         p.gprcv(ProcId(0), &AppMsg::Summary(x));
         assert_eq!(p.order(), [l, l]);
         p.gprcv(ProcId(0), &AppMsg::Val(l, Value::from_u64(1)));
         assert_eq!(p.order(), [l, l]);
+    }
+
+    #[test]
+    fn gotstate_keeps_the_received_summary_itself() {
+        let v = View::new(ViewId::new(1, ProcId(0)), [ProcId(0), ProcId(1)].into());
+        let (mut p, mut q) = (proc(0, 2), proc(1, 2));
+        send_own(&mut q, 5);
+        p.newview(v.clone());
+        q.newview(v);
+        let Some(AppMsg::Summary(x)) = q.gpsnd() else { panic!("summary first") };
+        p.gprcv(ProcId(1), &AppMsg::Summary(Arc::clone(&x)));
+        assert!(Arc::ptr_eq(&p.gotstate[&ProcId(1)], &x));
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn arb_summary() -> impl Strategy<Value = Summary> {
 }
 
 fn arb_gotstate() -> impl Strategy<Value = GotState> {
-    prop::collection::btree_map((0u32..4).prop_map(ProcId), arb_summary(), 1..5)
+    prop::collection::btree_map((0u32..4).prop_map(ProcId), arb_summary().prop_map(Arc::new), 1..5)
 }
 
 proptest! {
@@ -55,6 +55,11 @@ proptest! {
         // Labels beyond shortorder appear in ascending label order.
         let tail = &full[short.len()..];
         prop_assert!(tail.windows(2).all(|w| w[0] < w[1]));
+        // And they are exactly the labels of knowncontent that
+        // shortorder lacks: the spec function, built in full.
+        let mut rest: Vec<Label> = known.keys().filter(|l| !short.contains(l)).collect();
+        rest.sort();
+        prop_assert_eq!(tail, &rest[..]);
     }
 
     /// `maxprimary` dominates every summary's high; `maxnextconfirm`
@@ -90,11 +95,12 @@ proptest! {
     ) {
         let mut x = x;
         x.ord.extend(extra);
+        let x = Arc::new(x);
         let solo: std::collections::BTreeSet<ProcId> = [ProcId(0)].into();
         let mut p = VsToToProc::initial(ProcId(0), &solo, Arc::new(Majority::new(1)));
         p.newview(View::new(ViewId::new(9, ProcId(0)), solo));
         prop_assert!(matches!(p.gpsnd(), Some(AppMsg::Summary(_))));
-        prop_assert!(p.gprcv(ProcId(0), &AppMsg::Summary(Box::new(x.clone()))).established);
+        prop_assert!(p.gprcv(ProcId(0), &AppMsg::Summary(Arc::clone(&x))).established);
         let adopted = p.order().to_vec();
         prop_assert_eq!(&adopted, &fullorder(&[(ProcId(0), x.clone())].into()));
         let confirmed = adopted.len().min(x.next as usize - 1);

@@ -254,8 +254,8 @@ mod tests {
     }
 
     /// Every `Summary` embeds a `ContentMap` by value, and `gotstate`
-    /// keeps one summary per member. `AppMsg` boxes its summary, so the
-    /// handle's width no longer rides in every token entry and trace
+    /// keeps one summary per member. `AppMsg` holds its summary behind
+    /// an `Arc`, so the handle's width rides in no token entry or trace
     /// event (the per-operation sizes are pinned in `gcs-net`'s
     /// `per_operation_types_keep_their_footprint`); this pin keeps the
     /// handle one map wide all the same.

@@ -8,6 +8,7 @@
 
 use crate::{ContentMap, Label, ProcId, ViewId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// A state-exchange summary:
 /// *summaries = 𝒫(L × A) × L\* × ℕ⁺ × G⊥* with selectors
@@ -64,8 +65,9 @@ impl Default for Summary {
 }
 
 /// The `gotstate` map collected during recovery: a partial function from
-/// processor identifiers to summaries.
-pub type GotState = BTreeMap<ProcId, Summary>;
+/// processor identifiers to summaries. Each summary is the one the
+/// sender built (or the receiver decoded), shared rather than copied.
+pub type GotState = BTreeMap<ProcId, Arc<Summary>>;
 
 /// *knowncontent(Y) = ⋃_{q ∈ dom(Y)} Y(q).con* — every ⟨label, value⟩ pair
 /// appearing in any summary.
@@ -126,8 +128,12 @@ pub fn shortorder(y: &GotState) -> Vec<Label> {
 pub fn fullorder(y: &GotState) -> Vec<Label> {
     let mut order = shortorder(y);
     let seen: BTreeSet<Label> = order.iter().copied().collect();
-    let mut rest: Vec<Label> = knowncontent(y).keys().filter(|l| !seen.contains(l)).collect();
+    // The labels of knowncontent(Y), without building it: only the
+    // labels are read, so no value is cloned.
+    let mut rest: Vec<Label> =
+        y.values().flat_map(|s| s.con.keys()).filter(|l| !seen.contains(l)).collect();
     rest.sort_unstable();
+    rest.dedup();
     order.append(&mut rest);
     order
 }
@@ -168,8 +174,8 @@ mod tests {
     #[test]
     fn knowncontent_unions_all() {
         let mut y = GotState::new();
-        y.insert(ProcId(0), summary(vec![lab(1, 1, 0)], 1, None));
-        y.insert(ProcId(1), summary(vec![lab(1, 2, 1)], 1, None));
+        y.insert(ProcId(0), Arc::new(summary(vec![lab(1, 1, 0)], 1, None)));
+        y.insert(ProcId(1), Arc::new(summary(vec![lab(1, 2, 1)], 1, None)));
         let kc = knowncontent(&y);
         assert_eq!(kc.len(), 2);
     }
@@ -177,10 +183,10 @@ mod tests {
     #[test]
     fn maxprimary_treats_bottom_as_least() {
         let mut y = GotState::new();
-        y.insert(ProcId(0), summary(vec![], 1, None));
+        y.insert(ProcId(0), Arc::new(summary(vec![], 1, None)));
         assert_eq!(maxprimary(&y), None);
-        y.insert(ProcId(1), summary(vec![], 1, Some(ViewId::new(2, ProcId(1)))));
-        y.insert(ProcId(2), summary(vec![], 1, Some(ViewId::new(1, ProcId(0)))));
+        y.insert(ProcId(1), Arc::new(summary(vec![], 1, Some(ViewId::new(2, ProcId(1))))));
+        y.insert(ProcId(2), Arc::new(summary(vec![], 1, Some(ViewId::new(1, ProcId(0))))));
         assert_eq!(maxprimary(&y), Some(ViewId::new(2, ProcId(1))));
     }
 
@@ -188,9 +194,9 @@ mod tests {
     fn chosenrep_is_max_id_among_reps() {
         let g = Some(ViewId::new(3, ProcId(0)));
         let mut y = GotState::new();
-        y.insert(ProcId(0), summary(vec![], 1, g));
-        y.insert(ProcId(1), summary(vec![], 1, g));
-        y.insert(ProcId(2), summary(vec![], 1, None));
+        y.insert(ProcId(0), Arc::new(summary(vec![], 1, g)));
+        y.insert(ProcId(1), Arc::new(summary(vec![], 1, g)));
+        y.insert(ProcId(2), Arc::new(summary(vec![], 1, None)));
         assert_eq!(reps(&y), vec![ProcId(0), ProcId(1)]);
         assert_eq!(chosenrep(&y), Some(ProcId(1)));
     }
@@ -203,7 +209,7 @@ mod tests {
         let l3 = lab(2, 1, 0);
         let mut y = GotState::new();
         // Representative (max high) knows order [l2]; others know l1, l3.
-        y.insert(ProcId(0), summary(vec![l2], 1, g));
+        y.insert(ProcId(0), Arc::new(summary(vec![l2], 1, g)));
         let mut other = summary(vec![], 1, None);
         other.con.insert(l1, Value::from_u64(1));
         other.con.insert(l3, Value::from_u64(3));
@@ -213,7 +219,7 @@ mod tests {
         let (l4, l5) = (lab(1, 3, 0), lab(1, 2, 2));
         other.con.insert(l4, Value::from_u64(4));
         other.con.insert(l5, Value::from_u64(5));
-        y.insert(ProcId(1), other);
+        y.insert(ProcId(1), Arc::new(other));
         assert_eq!(shortorder(&y), vec![l2]);
         assert_eq!(fullorder(&y), vec![l2, l1, l5, l4, l3]);
     }
@@ -222,8 +228,8 @@ mod tests {
     fn maxnextconfirm_defaults_to_one() {
         assert_eq!(maxnextconfirm(&GotState::new()), 1);
         let mut y = GotState::new();
-        y.insert(ProcId(0), summary(vec![], 4, None));
-        y.insert(ProcId(1), summary(vec![], 2, None));
+        y.insert(ProcId(0), Arc::new(summary(vec![], 4, None)));
+        y.insert(ProcId(1), Arc::new(summary(vec![], 2, None)));
         assert_eq!(maxnextconfirm(&y), 4);
     }
 }

@@ -22,6 +22,7 @@ use gcs_vsimpl::{Token, TokenMsg, Wire};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 /// The wire format version carried in every frame's first payload byte.
 /// Version 2 changed the token body to the batched/pipelined layout
@@ -456,7 +457,7 @@ impl<'a> Cursor<'a> {
                 let a = self.value()?;
                 Ok(AppMsg::Val(l, a))
             }
-            APP_SUMMARY => Ok(AppMsg::Summary(Box::new(self.summary()?))),
+            APP_SUMMARY => Ok(AppMsg::Summary(Arc::new(self.summary()?))),
             tag => Err(CodecError::BadTag { what: "app message", tag }),
         }
     }
@@ -883,7 +884,7 @@ mod tests {
         let frame = |con: Vec<(Label, Value)>| {
             let x = Summary { con: con.into_iter().collect(), ord: vec![far], next: 1, high: None };
             let mut t = Token::new(&View::new(g, ProcId::range(3)));
-            t.entries.push(TokenMsg { src: ProcId(0), mid: 1, msg: AppMsg::Summary(Box::new(x)) });
+            t.entries.push(TokenMsg { src: ProcId(0), mid: 1, msg: AppMsg::Summary(Arc::new(x)) });
             Frame::Peer(Wire::Token(Box::new(t)))
         };
         let (a, b) = (frame(asc), frame(desc));

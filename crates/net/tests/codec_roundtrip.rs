@@ -14,6 +14,7 @@ use gcs_vsimpl::{Token, TokenMsg, Wire};
 use proptest::prelude::*;
 use proptest::{collection, option, BoxedStrategy};
 use std::io::Write as _;
+use std::sync::Arc;
 
 /// The vendored proptest has no failure persistence, so we provide our
 /// own: any input that breaks a property is appended to the regression
@@ -97,7 +98,7 @@ fn appmsg_strategy() -> BoxedStrategy<AppMsg> {
                 0 => (label_strategy(), value_strategy())
                     .prop_map(|(l, a)| AppMsg::Val(l, a))
                     .boxed(),
-                _ => summary_strategy().prop_map(|x| AppMsg::Summary(Box::new(x))).boxed(),
+                _ => summary_strategy().prop_map(|x| AppMsg::Summary(Arc::new(x))).boxed(),
             }
         })
         .boxed()

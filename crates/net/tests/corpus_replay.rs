@@ -17,6 +17,7 @@ use gcs_net::codec::{decode_payload, encode_payload, Frame, HelloKind};
 use gcs_vsimpl::{Token, TokenMsg, Wire};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("corpus")
@@ -113,11 +114,7 @@ fn seed_frames() -> Vec<Frame> {
                 mid: 1,
                 msg: AppMsg::Val(label(3, 1, 0), Value::from_u64(0)),
             },
-            TokenMsg {
-                src: ProcId(4),
-                mid: u64::MAX,
-                msg: AppMsg::Summary(Box::new(summary.clone())),
-            },
+            TokenMsg { src: ProcId(4), mid: u64::MAX, msg: AppMsg::Summary(Arc::new(summary)) },
         ],
         collect: vec![TokenMsg {
             src: ProcId(3),

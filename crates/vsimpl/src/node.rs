@@ -602,7 +602,11 @@ impl<C: VsClient> VsNode<C> {
         mut tok: Box<Token>,
         ctx: &mut Context<'_, Wire, ImplEvent>,
     ) {
-        let view = self.view.clone().expect("token processed only inside a view");
+        // Only the ring neighbours are read; the view stays installed
+        // for the whole visit.
+        let view = self.view.as_ref().expect("token processed only inside a view");
+        let succ = view.ring_successor(self.id).expect("member of own view");
+        let leader = view.leader();
         self.asked = false;
         self.prune_log(tok.acked);
         if tok.seq_start <= self.log_end() {
@@ -676,9 +680,8 @@ impl<C: VsClient> VsNode<C> {
                 break;
             }
         }
-        let succ = view.ring_successor(self.id).expect("member of own view");
         if succ != self.id {
-            if Some(succ) == view.leader() {
+            if Some(succ) == leader {
                 // The hop back to the leader never needs the round's
                 // entries — the leader sequenced them itself and absorbs
                 // only `collect`, the receipt counts, and the round
@@ -771,7 +774,8 @@ impl<C: VsClient> VsNode<C> {
     /// warrant a launch; with nothing in flight, unacknowledged work or
     /// a π heartbeat does too.
     fn maybe_launch(&mut self, ctx: &mut Context<'_, Wire, ImplEvent>, heartbeat: bool) {
-        let Some(view) = self.view.clone() else { return };
+        let Some(view) = &self.view else { return };
+        let (vid, succ) = (view.id, view.ring_successor(self.id));
         if view.size() <= 1 {
             // No ring to launch into; keep the token clock fresh so the
             // loss timeout stays quiet.
@@ -800,7 +804,7 @@ impl<C: VsClient> VsNode<C> {
         };
         let skip = (start - self.log_start) as usize;
         let tok = Token {
-            view: view.id,
+            view: vid,
             round: self.next_round,
             seq_start: start,
             entries: self.log.iter().skip(skip).cloned().collect(),
@@ -812,7 +816,7 @@ impl<C: VsClient> VsNode<C> {
         self.launch_sps.push_back((self.next_round, sp_now));
         self.next_round += 1;
         self.sent_high = self.log_end();
-        let succ = view.ring_successor(self.id).expect("member of own view");
+        let succ = succ.expect("member of own view");
         ctx.send(succ, Wire::Token(Box::new(tok)));
     }
 
@@ -1001,9 +1005,12 @@ impl<C: VsClient> Process for VsNode<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timed_vstoto::EchoClient;
+    use crate::timed_vstoto::{EchoClient, TimedVsToTo};
+    use gcs_core::msg::AppMsg;
     use gcs_ioa::CollectedEffects;
+    use gcs_model::{Majority, Summary};
     use std::collections::VecDeque;
+    use std::sync::Arc;
 
     type Fx = CollectedEffects<Wire, ImplEvent>;
 
@@ -1011,24 +1018,31 @@ mod tests {
     /// one handler at a time by a seeded schedule. Time stands still: no
     /// timer ever fires unless the schedule fires the leader's heartbeat
     /// itself, so whatever gets delivered was moved by requests alone.
-    struct Ring {
-        nodes: Vec<VsNode<EchoClient>>,
+    struct Ring<C = EchoClient> {
+        nodes: Vec<VsNode<C>>,
         links: BTreeMap<(u32, u32), VecDeque<Wire>>,
+        /// Every event the handlers emitted, in handler order.
+        events: Vec<ImplEvent>,
         rng: u64,
         inputs: u64,
     }
 
     impl Ring {
         fn new(seed: u64) -> Ring {
+            Ring::with_clients(seed, EchoClient::new)
+        }
+    }
+
+    impl<C: VsClient> Ring<C> {
+        fn with_clients(seed: u64, client: impl Fn(u32) -> C) -> Ring<C> {
             let nodes = (0..3)
                 .map(|i| {
-                    let mut node =
-                        VsNode::new(ProcId(i), ProtoConfig::standard(3, 5), EchoClient::new(i));
+                    let mut node = VsNode::new(ProcId(i), ProtoConfig::standard(3, 5), client(i));
                     node.on_start(&mut Fx::new(0).ctx());
                     node
                 })
                 .collect();
-            Ring { nodes, links: BTreeMap::new(), rng: seed | 1, inputs: 0 }
+            Ring { nodes, links: BTreeMap::new(), events: Vec::new(), rng: seed | 1, inputs: 0 }
         }
 
         fn draw(&mut self, below: u64) -> u64 {
@@ -1040,12 +1054,13 @@ mod tests {
         /// the leader invariant: sequenced-but-unshipped entries with
         /// nothing in flight is a state no handler may leave behind (it
         /// would sit there until the π heartbeat).
-        fn step(&mut self, p: u32, f: impl FnOnce(&mut VsNode<EchoClient>, &mut Fx)) {
+        fn step(&mut self, p: u32, f: impl FnOnce(&mut VsNode<C>, &mut Fx)) {
             let mut fx = Fx::new(0);
             f(&mut self.nodes[p as usize], &mut fx);
             for (to, wire) in fx.take_sends() {
                 self.links.entry((p, to.0)).or_default().push_back(wire);
             }
+            self.events.append(&mut fx.emits);
             let n = &self.nodes[p as usize];
             if n.is_leader() {
                 let in_flight = (n.next_round - 1).saturating_sub(n.last_returned);
@@ -1132,6 +1147,53 @@ mod tests {
                     assert_eq!(seqno, next[src.index()], "seed {seed}: gap in {src} at {}", n.id);
                     next[src.index()] += 1;
                 }
+            }
+        }
+    }
+
+    /// A view change over the in-process ring moves each summary by
+    /// reference: the sender's `GpSnd`, every member's `GpRcv` and `Safe`
+    /// of it, and every member's `gotstate` entry for that sender are
+    /// one allocation, whatever log, token and stash copies it passed.
+    #[test]
+    fn a_view_change_shares_each_summary_from_gpsnd_to_every_gotstate() {
+        let procs = ProcId::range(3);
+        let mut ring = Ring::with_clients(7, |i| {
+            TimedVsToTo::new(ProcId(i), &procs, Arc::new(Majority::new(3)))
+        });
+        for _ in 0..20 {
+            ring.input();
+        }
+        ring.drain();
+        ring.events.clear();
+        let v = View::new(ViewId::new(1, ProcId(0)), procs.clone());
+        for p in 0..3 {
+            ring.step(p, |n, fx| n.install(v.clone(), &mut fx.ctx()));
+        }
+        ring.drain();
+        let mut sent: BTreeMap<ProcId, Arc<Summary>> = BTreeMap::new();
+        for e in &ring.events {
+            if let ImplEvent::GpSnd { p, m: AppMsg::Summary(x), .. } = e {
+                assert!(sent.insert(*p, Arc::clone(x)).is_none(), "{p} sent two summaries");
+            }
+        }
+        assert_eq!(sent.len(), 3);
+        assert!(sent.values().all(|x| x.con.len() == 20), "summaries carry the history");
+        let mut indications = 0;
+        for e in &ring.events {
+            if let ImplEvent::GpRcv { src, dst, m: AppMsg::Summary(x), .. }
+            | ImplEvent::Safe { src, dst, m: AppMsg::Summary(x), .. } = e
+            {
+                assert!(Arc::ptr_eq(x, &sent[src]), "{dst} was shown a copy of {src}'s summary");
+                indications += 1;
+            }
+        }
+        assert_eq!(indications, 2 * 3 * 3, "every summary received and safe everywhere");
+        for n in &ring.nodes {
+            let got = &n.client.proc.gotstate;
+            assert_eq!(got.len(), 3);
+            for (q, x) in got {
+                assert!(Arc::ptr_eq(x, &sent[q]), "{} keeps a copy of {q}'s summary", n.id);
             }
         }
     }

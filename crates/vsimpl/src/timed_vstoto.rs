@@ -42,7 +42,7 @@ pub struct ClientEffects {
 /// node's [`crate::StableState`].
 #[derive(Clone)]
 pub struct TimedVsToTo {
-    proc: VsToToProc,
+    pub(crate) proc: VsToToProc,
 }
 
 impl TimedVsToTo {

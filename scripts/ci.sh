@@ -77,8 +77,19 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> gcs-sim run --seeds 10 (smoke)"
-./target/release/gcs-sim run --seeds 10
+# The per-seed lines (digest, events, frames, views, deliveries) are
+# gated against a committed file, so any protocol-visible change shows
+# here. Re-record it only on purpose, with
+#   ./target/release/gcs-sim run --seeds 10 | grep '^seed ' > scripts/gcs-sim-run-10.expected
+# The summary line is not compared: it prints a worker count that
+# depends on the CPU count.
+echo "==> gcs-sim run --seeds 10 (smoke, per-seed lines vs scripts/gcs-sim-run-10.expected)"
+run10="$(./target/release/gcs-sim run --seeds 10)"
+printf '%s\n' "$run10"
+if ! diff <(grep '^seed ' <<< "$run10") scripts/gcs-sim-run-10.expected; then
+  echo "gcs-sim run --seeds 10: per-seed lines differ from scripts/gcs-sim-run-10.expected" >&2
+  exit 1
+fi
 
 # Hostile-network corpus smoke: every regime (link flap at the
 # detection threshold, asymmetric slowdown, bimodal WAN delays, split
