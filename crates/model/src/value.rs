@@ -11,8 +11,10 @@ pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// Folds `bytes` into the FNV-1a state `h` (start from
 /// [`FNV1A_OFFSET`]; feed the result back in to hash a stream in
 /// pieces). Deterministic, dependency-free and identical on every
-/// platform, which is what value fingerprints, shard placement and the
-/// simulator's run digests all need.
+/// platform. Shard placement (`gcs-shard`'s `ShardMap`) and the
+/// simulator's run digests hash with it byte by byte; value
+/// fingerprints use it only for the last < 8 bytes of a payload (see
+/// [`Value::fingerprint`]).
 #[inline]
 pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
@@ -40,6 +42,9 @@ pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// ```
 #[derive(Clone)]
 pub struct Value(Repr);
+
+/// The odd multiplier of [`Value::fingerprint`]'s word fold (2⁶⁴/φ).
+const WORD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// What fits beside a length byte in the 32 bytes of a [`Bytes`] handle.
 const INLINE_MAX: usize = 23;
@@ -74,15 +79,26 @@ impl Value {
     }
 
     /// A stable 64-bit identity for this value: the integer itself for
-    /// [`Value::from_u64`] payloads, otherwise an FNV-1a digest of the
-    /// bytes. Trace events and monitors key submit/deliver pairs by this
-    /// fingerprint, so arbitrary application payloads (encoded KV
-    /// commands, say) stay distinguishable in the event stream.
+    /// [`Value::from_u64`] payloads, otherwise a digest of the bytes that
+    /// folds each 8-byte little-endian word into the state with one
+    /// multiply and one rotate, starting from [`FNV1A_OFFSET`], and
+    /// finishes the last < 8 bytes with [`fnv1a`] (so a payload shorter
+    /// than 8 bytes has its plain FNV-1a digest). Every step is a
+    /// bijection of the state, so two payloads of equal length that
+    /// differ in one word never collide. The `Bcast`/`Brcv` trace events
+    /// (read by the b/d monitors) and the load generators key
+    /// submit/deliver pairs by this fingerprint, so arbitrary application
+    /// payloads (encoded KV commands, say) stay distinguishable in the
+    /// event stream; it is the same on every platform.
     pub fn fingerprint(&self) -> u64 {
         if let Some(x) = self.as_u64() {
             return x;
         }
-        fnv1a(FNV1A_OFFSET, self.as_bytes())
+        let (words, tail) = self.as_bytes().as_chunks::<8>();
+        let h = words.iter().fold(FNV1A_OFFSET, |h, w| {
+            (h ^ u64::from_le_bytes(*w)).wrapping_mul(WORD_MUL).rotate_left(27)
+        });
+        fnv1a(h, tail)
     }
 
     /// The payload length in bytes.
@@ -197,9 +213,62 @@ mod tests {
         assert_eq!(Value::from_u64(42).fingerprint(), 42);
         assert_eq!(Value::from_u64(u64::MAX).fingerprint(), u64::MAX);
         // Non-integral payloads hash; distinct payloads get distinct
-        // fingerprints (FNV over short strings).
+        // fingerprints (plain FNV-1a below 8 bytes).
         assert_ne!(Value::from("a").fingerprint(), Value::from("b").fingerprint());
         assert_eq!(Value::from("a").fingerprint(), 0xaf63_dc4c_8601_ec8c, "FNV-1a test vector");
+    }
+
+    /// `len` bytes of a fixed pattern: the known-answer inputs below.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 37 + 11) as u8).collect()
+    }
+
+    /// Known answers computed independently of this crate: a change of
+    /// word order, endianness, multiplier, rotation or tail handling
+    /// moves at least one of them.
+    #[test]
+    fn fingerprint_known_answers() {
+        assert_eq!(Value::from(pattern(9)).fingerprint(), 0x6337_64f6_1ef8_afd5, "one word + 1");
+        assert_eq!(Value::from(pattern(30)).fingerprint(), 0x0e84_89f5_0145_b1d7, "3 words + 6");
+        assert_eq!(Value::from(pattern(1024)).fingerprint(), 0xd9de_4396_6267_940e, "1 KiB");
+    }
+
+    #[test]
+    fn every_single_byte_flip_of_a_kib_moves_the_fingerprint() {
+        let base = pattern(1024);
+        let fp = Value::from(base.clone()).fingerprint();
+        let mut bytes = base;
+        for i in 0..bytes.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                bytes[i] ^= mask;
+                assert_ne!(Value::from(&bytes[..]).fingerprint(), fp, "byte {i} ^ {mask:#x}");
+                bytes[i] ^= mask;
+            }
+        }
+    }
+
+    /// Values shaped like the benchmark's 1 KiB payloads (an 8-byte id,
+    /// then 1016 bytes of one shared filler at a varying offset) never
+    /// share a fingerprint.
+    #[test]
+    fn kib_values_with_distinct_ids_do_not_collide() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let filler: Vec<u8> = (0..8192).flat_map(|_| next().to_le_bytes()).collect();
+        let mut seen = std::collections::BTreeSet::new();
+        let mut bytes = Vec::with_capacity(1024);
+        for id in 0..100_000u64 {
+            let off = (next() % (filler.len() - 1016) as u64) as usize;
+            bytes.clear();
+            bytes.extend_from_slice(&((1 << 56) | id).to_be_bytes());
+            bytes.extend_from_slice(&filler[off..off + 1016]);
+            assert!(seen.insert(Value::from(&bytes[..]).fingerprint()), "collision at id {id}");
+        }
     }
 
     /// Across the inline limit, a value built from a slice and one built

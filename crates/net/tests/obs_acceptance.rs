@@ -8,8 +8,9 @@ use gcs_core::check_conformance;
 use gcs_model::{ProcId, Value};
 use gcs_net::cluster::{wait_for, ClusterConfig, LoopbackCluster};
 use gcs_net::transport::TransportConfig;
-use gcs_obs::{BoundParams, EventKind, Obs, StabilizationMonitor, TokenRoundMonitor};
+use gcs_obs::{BoundParams, EventKind, Obs, ObsEvent, StabilizationMonitor, TokenRoundMonitor};
 use gcs_vsimpl::convert::{to_obs, vs_actions};
+use std::collections::BTreeSet;
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
@@ -183,11 +184,14 @@ fn metrics_endpoint_reconciles_with_merged_trace() {
     assert!(body.contains("node_deliveries_total{node=\"4\"}"));
 }
 
-/// On a clean run — patient δ, no fault injection — both bound monitors
-/// pass: no view installs later than `b` after the network quiesces, and
-/// every stable-window submit is delivered within `d`.
-#[test]
-fn bound_monitors_pass_on_a_clean_run() {
+/// Submits `values` round-robin to a clean five-node cluster — patient
+/// δ, no fault injection — once the boot-time link establishment has
+/// aged past b, so every submit lands in a provably stabilized window.
+/// Checks that the conformance checkers and both bound monitors pass (no
+/// view installs later than `b` after the network quiesces, and every
+/// submit is checked against and delivered within `d`), and returns the
+/// trace ring's events.
+fn clean_run(values: Vec<Value>) -> Vec<ObsEvent> {
     let n = 5u32;
     let delta_ms = 200u64;
     let params = BoundParams::standard(n, delta_ms);
@@ -201,22 +205,16 @@ fn bound_monitors_pass_on_a_clean_run() {
         wait_for(Duration::from_secs(30), || full_view_everywhere(&cluster)),
         "initial view never formed"
     );
-
-    // Let the boot-time link establishment age past b, so the submits
-    // below land in a provably stabilized window.
     let quiesced = wait_for(Duration::from_secs(60), || {
         obs.trace.now_ms() > last_disturbance_ms(&obs) + params.b_ms() + 100
     });
     assert!(quiesced, "network never quiesced");
 
-    const OPS: u64 = 25;
-    for i in 1..=OPS {
-        cluster.submit(ProcId((i % n as u64) as u32), Value::from_u64(i));
+    let ops = values.len();
+    for (i, v) in values.into_iter().enumerate() {
+        cluster.submit(ProcId((i + 1) as u32 % n), v);
     }
-    assert!(
-        cluster.await_deliveries(OPS as usize, Duration::from_secs(60)),
-        "clean-run deliveries stalled"
-    );
+    assert!(cluster.await_deliveries(ops, Duration::from_secs(60)), "clean-run deliveries stalled");
     std::thread::sleep(Duration::from_millis(200));
 
     let events = obs.trace.snapshot();
@@ -229,8 +227,51 @@ fn bound_monitors_pass_on_a_clean_run() {
     let round = round.finish(now_ms);
     assert!(stab.ok(), "stabilization violations on a clean run: {:?}", stab.violations);
     assert!(round.ok(), "token-round violations on a clean run: {:?}", round.violations);
-    assert_eq!(round.checked, OPS, "every stable-window submit must be checked");
-    cluster.stop();
+    assert_eq!(round.checked, ops as u64, "every stable-window submit must be checked");
+    assert_checkers_pass(&cluster.stop(), n);
+    events
+}
+
+/// On a clean run both bound monitors pass for 8-byte values.
+#[test]
+fn bound_monitors_pass_on_a_clean_run() {
+    clean_run((1..=25).map(Value::from_u64).collect());
+}
+
+/// 1 KiB values — fingerprinted as words, not as the integers every
+/// other case here submits — reach every node under the fingerprint
+/// they were submitted with: each node's set of `Brcv` fingerprints is
+/// the set of `Bcast` fingerprints, all 200 distinct.
+#[test]
+fn kib_values_reach_every_node_under_their_submitted_fingerprint() {
+    let filler: Vec<u8> =
+        (0..4096u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+    let values: Vec<Value> = (1..=200u64)
+        .map(|i| {
+            let off = (i as usize * 13) % (filler.len() - 1016);
+            let mut bytes = i.to_be_bytes().to_vec();
+            bytes.extend_from_slice(&filler[off..off + 1016]);
+            Value::from(bytes)
+        })
+        .collect();
+    let submitted: BTreeSet<u64> = values.iter().map(Value::fingerprint).collect();
+    assert_eq!(submitted.len(), 200, "the values have distinct fingerprints");
+
+    let events = clean_run(values);
+    let fingerprints = |node: Option<u32>| -> BTreeSet<u64> {
+        events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Bcast { value, .. } if node.is_none() => Some(value),
+                EventKind::Brcv { node: p, value, .. } if node == Some(p) => Some(value),
+                _ => None,
+            })
+            .collect()
+    };
+    assert_eq!(fingerprints(None), submitted, "every submit is traced under its fingerprint");
+    for p in 0..5 {
+        assert_eq!(fingerprints(Some(p)), submitted, "node {p} delivered other fingerprints");
+    }
 }
 
 /// A covert delay injected *below* the event stream — every outbound

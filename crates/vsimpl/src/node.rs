@@ -585,11 +585,20 @@ impl<C: VsClient> VsNode<C> {
     }
 
     /// Extends a member's log by one sequenced entry; seeing one of its
-    /// own sends come back retires the offered batch up to it.
-    fn member_append(&mut self, tm: TokenMsg) {
+    /// own sends come back retires the offered batch up to it. Over a
+    /// wire the entry is a decoded copy of what this member offered, so
+    /// when the two are equal the original is kept (one allocation of
+    /// its own summary, not two); a differing entry is kept as
+    /// sequenced, since that is what every member delivers.
+    fn member_append(&mut self, mut tm: TokenMsg) {
         if tm.src == self.id {
             let done = self.offered.iter().take_while(|o| o.mid <= tm.mid).count();
-            self.offered.drain(..done);
+            // `Arc<Summary>`'s `==` compares pointers before contents.
+            if let Some(own) = self.offered.drain(..done).find(|o| o.mid == tm.mid) {
+                if own.msg == tm.msg {
+                    tm.msg = own.msg;
+                }
+            }
         }
         self.log.push_back(tm);
     }
@@ -1025,6 +1034,9 @@ mod tests {
         events: Vec<ImplEvent>,
         rng: u64,
         inputs: u64,
+        /// Deep-copy every summary a token carries on delivery, the way
+        /// a decode on the receiving end would.
+        decode: bool,
     }
 
     impl Ring {
@@ -1042,7 +1054,14 @@ mod tests {
                     node
                 })
                 .collect();
-            Ring { nodes, links: BTreeMap::new(), events: Vec::new(), rng: seed | 1, inputs: 0 }
+            Ring {
+                nodes,
+                links: BTreeMap::new(),
+                events: Vec::new(),
+                rng: seed | 1,
+                inputs: 0,
+                decode: false,
+            }
         }
 
         fn draw(&mut self, below: u64) -> u64 {
@@ -1080,7 +1099,14 @@ mod tests {
 
         fn deliver(&mut self, (from, to): (u32, u32), dup: bool) {
             let q = self.links.get_mut(&(from, to)).expect("a busy link");
-            let wire = if dup { q[0].clone() } else { q.pop_front().expect("a busy link") };
+            let mut wire = if dup { q[0].clone() } else { q.pop_front().expect("a busy link") };
+            if let (true, Wire::Token(tok)) = (self.decode, &mut wire) {
+                for tm in tok.entries.iter_mut().chain(&mut tok.collect) {
+                    if let AppMsg::Summary(x) = &mut tm.msg {
+                        *x = Arc::new(Summary::clone(x));
+                    }
+                }
+            }
             self.step(to, |n, fx| n.on_message(ProcId(from), wire, &mut fx.ctx()));
         }
 
@@ -1151,16 +1177,15 @@ mod tests {
         }
     }
 
-    /// A view change over the in-process ring moves each summary by
-    /// reference: the sender's `GpSnd`, every member's `GpRcv` and `Safe`
-    /// of it, and every member's `gotstate` entry for that sender are
-    /// one allocation, whatever log, token and stash copies it passed.
-    #[test]
-    fn a_view_change_shares_each_summary_from_gpsnd_to_every_gotstate() {
+    /// A ring of three state-exchange clients with 20 values of
+    /// history, taken through one view change; returns the ring and each
+    /// sender's summary as its `GpSnd` carried it.
+    fn view_change(decode: bool) -> (Ring<TimedVsToTo>, BTreeMap<ProcId, Arc<Summary>>) {
         let procs = ProcId::range(3);
         let mut ring = Ring::with_clients(7, |i| {
             TimedVsToTo::new(ProcId(i), &procs, Arc::new(Majority::new(3)))
         });
+        ring.decode = decode;
         for _ in 0..20 {
             ring.input();
         }
@@ -1179,6 +1204,16 @@ mod tests {
         }
         assert_eq!(sent.len(), 3);
         assert!(sent.values().all(|x| x.con.len() == 20), "summaries carry the history");
+        (ring, sent)
+    }
+
+    /// A view change over the in-process ring moves each summary by
+    /// reference: the sender's `GpSnd`, every member's `GpRcv` and `Safe`
+    /// of it, and every member's `gotstate` entry for that sender are
+    /// one allocation, whatever log, token and stash copies it passed.
+    #[test]
+    fn a_view_change_shares_each_summary_from_gpsnd_to_every_gotstate() {
+        let (ring, sent) = view_change(false);
         let mut indications = 0;
         for e in &ring.events {
             if let ImplEvent::GpRcv { src, dst, m: AppMsg::Summary(x), .. }
@@ -1195,6 +1230,39 @@ mod tests {
             for (q, x) in got {
                 assert!(Arc::ptr_eq(x, &sent[q]), "{} keeps a copy of {q}'s summary", n.id);
             }
+        }
+    }
+
+    /// Over a wire every token hop decodes its summaries afresh; a member
+    /// still keeps the summary it sent, not the copy the leader's token
+    /// brings back, in its own `GpRcv`, `Safe` and `gotstate` entry.
+    #[test]
+    fn a_member_keeps_its_own_summary_when_the_token_brings_back_a_copy() {
+        let (ring, sent) = view_change(true);
+        let mut own = 0;
+        for e in &ring.events {
+            if let ImplEvent::GpRcv { src, dst, m: AppMsg::Summary(x), .. }
+            | ImplEvent::Safe { src, dst, m: AppMsg::Summary(x), .. } = e
+            {
+                assert_eq!(**x, *sent[src]);
+                if src == dst {
+                    assert!(
+                        Arc::ptr_eq(x, &sent[src]),
+                        "{dst} was shown a copy of its own summary"
+                    );
+                    own += 1;
+                }
+            }
+        }
+        assert_eq!(own, 2 * 3, "every member received its own summary and saw it safe");
+        for n in &ring.nodes {
+            let got = &n.client.proc.gotstate;
+            assert_eq!(got.len(), 3);
+            assert!(
+                Arc::ptr_eq(&got[&n.id], &sent[&n.id]),
+                "{} keeps a copy of its own summary",
+                n.id
+            );
         }
     }
 }

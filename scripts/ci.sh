@@ -97,9 +97,18 @@ fi
 # the command: zero checker/monitor violations on every run, and the
 # adaptive detector installs strictly fewer views than fixed timeouts
 # on the flap/bimodal regimes (summed over the regime's seeds, printed
-# on its summary line; a single seed may go either way).
-echo "==> gcs-sim hostile --seeds 10 (adaptive-vs-fixed corpus smoke)"
-./target/release/gcs-sim hostile --seeds 10
+# on its summary line; a single seed may go either way). Its whole
+# `--verbose` output (per-run counts, regime totals, verdict) prints no
+# worker count and repeats byte for byte, so it is gated against a
+# committed file as well; re-record it only on purpose, with
+#   ./target/release/gcs-sim hostile --seeds 10 --verbose > scripts/gcs-sim-hostile-10.expected
+echo "==> gcs-sim hostile --seeds 10 --verbose (adaptive-vs-fixed corpus smoke, vs scripts/gcs-sim-hostile-10.expected)"
+hostile10="$(./target/release/gcs-sim hostile --seeds 10 --verbose)"
+printf '%s\n' "$hostile10"
+if ! diff <(printf '%s\n' "$hostile10") scripts/gcs-sim-hostile-10.expected; then
+  echo "gcs-sim hostile --seeds 10 --verbose: output differs from scripts/gcs-sim-hostile-10.expected" >&2
+  exit 1
+fi
 
 # Follower latency: a value submitted at a non-leader of a quiet ring is
 # back at its submitter within (2n+3)δ at every phase against the π
