@@ -91,6 +91,14 @@ pub struct VsToToProc {
     /// (every receipt O(|order|), a long run quadratic). The marks are
     /// not automaton state: `ContentMap`'s equality ignores them.
     order: Vec<Label>,
+    /// How long a prefix of `order` is the `fullorder(gotstate)` the
+    /// current primary view was established with (0 before that). Only
+    /// `gprcv` appends to `order` afterwards, and `gotstate` is complete,
+    /// so the prefix stays that order until the next `newview`; the
+    /// summary exchange turning safe reads it here instead of sorting
+    /// every summary's labels again. Not automaton state: equality
+    /// ignores it.
+    established: usize,
     /// `nextconfirm ∈ ℕ⁺`.
     pub nextconfirm: u64,
     /// `nextreport ∈ ℕ⁺`.
@@ -178,6 +186,7 @@ impl VsToToProc {
             nextseqno: 1,
             buffer: VecDeque::new(),
             order: Vec::new(),
+            established: 0,
             nextconfirm: 1,
             nextreport: 1,
             gotstate: GotState::new(),
@@ -254,6 +263,7 @@ impl VsToToProc {
         self.current = Some(v);
         self.nextseqno = 1;
         self.buffer.clear();
+        self.established = 0;
         self.gotstate.clear();
         self.safe_exch.clear();
         self.safe_labels.clear();
@@ -293,7 +303,9 @@ impl VsToToProc {
                 if complete && self.status == ProcStatus::Collect {
                     self.nextconfirm = maxnextconfirm(&self.gotstate);
                     if self.primary() {
-                        self.replace_order(fullorder(&self.gotstate));
+                        let order = fullorder(&self.gotstate);
+                        self.established = order.len();
+                        self.replace_order(order);
                         self.highprimary = self.current_id();
                     } else {
                         self.replace_order(shortorder(&self.gotstate));
@@ -323,10 +335,15 @@ impl VsToToProc {
                     .as_ref()
                     .is_some_and(|v| self.safe_exch.iter().copied().eq(v.set.iter().copied()));
                 if all && self.primary() {
-                    // Positions below `nextconfirm − 1` are confirmed and
-                    // `confirm` never probes them again (see its comment).
+                    // Every member's summary is safe, so every summary
+                    // reached this processor and it established the view
+                    // with `fullorder(gotstate)`, the first `established`
+                    // labels of `order`. Positions below `nextconfirm − 1`
+                    // are confirmed and `confirm` never probes them again
+                    // (see its comment).
                     let confirmed = self.nextconfirm as usize - 1;
-                    self.safe_labels.extend(fullorder(&self.gotstate).into_iter().skip(confirmed));
+                    let exchanged = self.order.get(confirmed..self.established).unwrap_or_default();
+                    self.safe_labels.extend(exchanged.iter().copied());
                 }
             }
         }

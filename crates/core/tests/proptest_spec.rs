@@ -62,6 +62,49 @@ proptest! {
         prop_assert_eq!(tail, &rest[..]);
     }
 
+    /// When every member's summary has turned safe, the labels added to
+    /// `safe-labels` are the unconfirmed part of `fullorder(gotstate)`:
+    /// taken from the order the view was established with, they come
+    /// out identical to recomputing it, whatever was received, reported
+    /// safe and confirmed since the establishment.
+    #[test]
+    fn safe_exchange_adds_the_unconfirmed_established_order(
+        others in (arb_summary(), arb_summary()),
+        vals in prop::collection::vec((1u64..6, 0u32..3, any::<bool>()), 0..8),
+        confirms in 0usize..8,
+        perm in 0usize..6,
+    ) {
+        let procs = ProcId::range(3);
+        let mut p = VsToToProc::initial(ProcId(0), &procs, Arc::new(Majority::new(3)));
+        let g = ViewId::new(9, ProcId(0));
+        p.newview(View::new(g, procs.clone()));
+        let own = p.gpsnd().expect("the summary goes out first");
+        let exchange =
+            [own, AppMsg::Summary(Arc::new(others.0)), AppMsg::Summary(Arc::new(others.1))];
+        p.gprcv(ProcId(0), &exchange[0]);
+        p.gprcv(ProcId(1), &exchange[1]);
+        prop_assert!(p.gprcv(ProcId(2), &exchange[2]).established);
+        for (seq, origin, safe) in vals {
+            let m = AppMsg::Val(Label::new(g, seq, ProcId(origin)), Value::from_u64(seq));
+            p.gprcv(ProcId(origin), &m);
+            if safe {
+                p.safe(ProcId(origin), &m);
+            }
+        }
+        for _ in 0..confirms {
+            p.confirm();
+        }
+        let orders = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+        let [first, second, last] = orders[perm];
+        p.safe(ProcId(first), &exchange[first as usize]);
+        p.safe(ProcId(second), &exchange[second as usize]);
+        let mut recomputed = p.safe_labels.clone();
+        let confirmed = p.nextconfirm as usize - 1;
+        recomputed.extend(fullorder(&p.gotstate).into_iter().skip(confirmed));
+        p.safe(ProcId(last), &exchange[last as usize]);
+        prop_assert_eq!(&p.safe_labels, &recomputed);
+    }
+
     /// `maxprimary` dominates every summary's high; `maxnextconfirm`
     /// dominates every summary's next.
     #[test]

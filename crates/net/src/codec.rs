@@ -632,14 +632,7 @@ pub fn encode_payload_into(out: &mut Vec<u8>, frame: &Frame) {
             put_proc(out, *src);
             put_value(out, a);
         }
-        Frame::DeliverBatch(batch) => {
-            out.push(TAG_DELIVER_BATCH);
-            put_varint(out, batch.len() as u64);
-            for (src, a) in batch {
-                put_proc(out, *src);
-                put_value(out, a);
-            }
-        }
+        Frame::DeliverBatch(batch) => put_deliveries(out, None, batch),
         Frame::PeerGroup { group, wire } => {
             out.push(TAG_PEER_GROUP);
             put_varint(out, u64::from(*group));
@@ -653,20 +646,42 @@ pub fn encode_payload_into(out: &mut Vec<u8>, frame: &Frame) {
                 put_value(out, a);
             }
         }
-        Frame::DeliverGroup { group, batch } => {
-            out.push(TAG_DELIVER_GROUP);
-            put_varint(out, u64::from(*group));
-            put_varint(out, batch.len() as u64);
-            for (src, a) in batch {
-                put_proc(out, *src);
-                put_value(out, a);
-            }
-        }
+        Frame::DeliverGroup { group, batch } => put_deliveries(out, Some(*group), batch),
         Frame::View { group, view } => {
             out.push(TAG_VIEW);
             put_varint(out, u64::from(*group));
             put_view(out, view);
         }
+    }
+}
+
+/// Encodes the payload of a delivery push from a borrowed batch:
+/// `DeliverBatch` when `group` is `None`, `DeliverGroup` otherwise. The
+/// bytes are exactly [`encode_payload`]'s for the same frame, and it is
+/// the one encoder of both: the transport pushes a batch with it without
+/// first copying the batch into a [`Frame`].
+pub(crate) fn encode_deliveries_into(
+    out: &mut Vec<u8>,
+    group: Option<u32>,
+    batch: &[(ProcId, Value)],
+) {
+    out.push(WIRE_VERSION);
+    put_deliveries(out, group, batch);
+}
+
+/// The tag and body of `DeliverBatch` (`group` `None`) or `DeliverGroup`.
+fn put_deliveries(out: &mut Vec<u8>, group: Option<u32>, batch: &[(ProcId, Value)]) {
+    match group {
+        None => out.push(TAG_DELIVER_BATCH),
+        Some(group) => {
+            out.push(TAG_DELIVER_GROUP);
+            put_varint(out, u64::from(group));
+        }
+    }
+    put_varint(out, batch.len() as u64);
+    for (src, a) in batch {
+        put_proc(out, *src);
+        put_value(out, a);
     }
 }
 
@@ -693,11 +708,19 @@ pub(crate) fn buffered_payload(buf: &[u8]) -> Option<&[u8]> {
 /// Writes one frame to a stream: the 4-byte big-endian payload length,
 /// then the payload.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let mut out = vec![0; 4];
-    encode_payload_into(&mut out, frame);
-    let len = (out.len() - 4) as u32;
-    out[..4].copy_from_slice(&len.to_be_bytes());
+    let mut out = Vec::new();
+    frame_into(&mut out, |out| encode_payload_into(out, frame));
     w.write_all(&out)
+}
+
+/// Appends one whole frame to `out`: a 4-byte big-endian length, then
+/// the payload `encode` appends after it.
+pub(crate) fn frame_into(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    encode(out);
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_be_bytes());
 }
 
 /// A reusable gather-writer for batches of frames.
@@ -951,6 +974,29 @@ mod tests {
         fw.clear();
         assert!(fw.is_empty());
         assert_eq!(fw.payload_bytes(), 0);
+    }
+
+    #[test]
+    fn a_delivery_push_is_the_batch_frame_byte_for_byte() {
+        let batch = vec![
+            (ProcId(2), Value::from_u64(7)),
+            (ProcId(0), Value::from(vec![9u8; 40])),
+            (ProcId(300), Value::from("abc")),
+        ];
+        for (group, frame) in [
+            (None, Frame::DeliverBatch(batch.clone())),
+            (Some(0), Frame::DeliverGroup { group: 0, batch: batch.clone() }),
+            (Some(300), Frame::DeliverGroup { group: 300, batch: batch.clone() }),
+        ] {
+            let mut push = Vec::new();
+            encode_deliveries_into(&mut push, group, &batch);
+            assert_eq!(push, encode_payload(&frame), "{group:?}");
+            let mut framed = Vec::new();
+            frame_into(&mut framed, |out| encode_deliveries_into(out, group, &batch));
+            let mut written = Vec::new();
+            write_frame(&mut written, &frame).unwrap();
+            assert_eq!(framed, written, "{group:?}");
+        }
     }
 
     /// A writer that accepts at most `cap` bytes per call, to force the

@@ -22,7 +22,8 @@
 //! deterministic in-process transport of `gcs-sim`.
 
 use crate::codec::{
-    buffered_payload, decode_payload, read_frame, write_frame, Frame, FrameWriter, HelloKind,
+    buffered_payload, decode_payload, encode_deliveries_into, encode_payload_into, frame_into,
+    read_frame, write_frame, Frame, FrameWriter, HelloKind,
 };
 use crate::queue::{self, QueueReceiver, QueueSender, RecvTimeoutError, TrySendError};
 // `MutexApi::lock_clean` locks a std mutex, recovering the guard from a
@@ -34,8 +35,8 @@ use gcs_model::{ProcId, Value, View};
 use gcs_obs::{Counter, DropReason, EventKind, FaultKind, Obs};
 use gcs_vsimpl::Wire;
 use std::collections::{BTreeMap, BTreeSet};
-use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
@@ -282,7 +283,7 @@ struct PeerLink {
 }
 
 /// What a live socket of the endpoint serves.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 enum Role {
     /// Accepted; its `Hello` has not arrived yet.
     Pending,
@@ -290,8 +291,11 @@ enum Role {
     Outbound(ProcId),
     /// The peer's link into this node.
     Inbound(ProcId),
-    /// A client: a target of delivery and view pushes.
-    Client,
+    /// A client: a target of view pushes, and of the deliveries of the
+    /// groups it has submitted to. Its reader adds a group before it
+    /// dispatches the first submission to it, so that submission's
+    /// delivery cannot miss it.
+    Client(Vec<u32>),
 }
 
 /// One entry of [`Shared::conns`].
@@ -301,6 +305,14 @@ struct Conn {
     /// The thread reading an accepted socket; `None` for an outbound
     /// link, whose writer thread outlives its connections.
     reader: Option<JoinHandle<()>>,
+}
+
+/// What a client push writes, kept between pushes so their buffers are
+/// reused: the target sockets and the one encoded frame they are sent.
+#[derive(Default)]
+struct ClientPush {
+    targets: Vec<Arc<TcpStream>>,
+    frame: Vec<u8>,
 }
 
 /// Shared state the reader/acceptor threads need.
@@ -317,14 +329,19 @@ struct Shared {
     /// clients, and accepted sockets still waiting for their `Hello`.
     /// A writer drops its link's entry when the link goes down, and
     /// `sever`/`kick` drop it first to tell the writer. An accepted
-    /// socket's entry stays until its reader exits; the accept loop then
-    /// joins the reader and drops the entry, closing the socket.
+    /// socket's entry stays until its reader exits; the reader then
+    /// drops it, closing the socket, and leaves its handle in `exited`.
     conns: Mutex<Vec<Conn>>,
+    /// Readers that have dropped their own entry, not yet joined. Moved
+    /// here under the `conns` lock, so `stop` finds every reader in one
+    /// of the two; the next accept joins them too, which keeps this to
+    /// the readers that exited since then.
+    exited: Mutex<Vec<JoinHandle<()>>>,
     /// Serializes client writes: two group instances may push at once,
     /// and their frames must not interleave on one socket. Holds the
     /// push's targets, copied out of `conns` so that a client that stops
     /// reading stalls other pushes but never `sever`, `kick` or accept.
-    client_writes: Mutex<Vec<Arc<TcpStream>>>,
+    client_writes: Mutex<ClientPush>,
     /// Inbound routing: group id → the event channel of the `NodeCore`
     /// hosting that group instance. Group 0 is the channel passed to
     /// `start_with_obs`, so a single-group node never touches this
@@ -344,15 +361,22 @@ impl Shared {
         self.conns.lock_clean().iter_mut().find(|c| Arc::ptr_eq(&c.stream, stream)).map(f)
     }
 
-    /// Joins the readers that have exited and drops their entries.
+    /// A reader's last act: drops its connection's entry, which closes
+    /// the socket once the reader's own handle on it goes, and leaves
+    /// the reader's join handle in `exited`.
+    fn release(&self, stream: &Arc<TcpStream>) {
+        let mut conns = self.conns.lock_clean();
+        let Some(i) = conns.iter().position(|c| Arc::ptr_eq(&c.stream, stream)) else { return };
+        if let Some(h) = conns.swap_remove(i).reader {
+            self.exited.lock_clean().push(h);
+        }
+    }
+
+    /// Joins the readers that have dropped their entries.
     fn reap(&self) {
-        self.conns.lock_clean().retain_mut(|c| match c.reader.take_if(|h| h.is_finished()) {
-            Some(h) => {
-                let _ = h.join();
-                false
-            }
-            None => true,
-        });
+        for h in std::mem::take(&mut *self.exited.lock_clean()) {
+            let _ = h.join();
+        }
     }
 }
 
@@ -362,7 +386,13 @@ pub struct TcpTransport {
     shared: Arc<Shared>,
     links: BTreeMap<ProcId, PeerLink>,
     local_addr: SocketAddr,
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    /// The accept loop, joined by `stop` once it has been woken.
+    accept: Mutex<Option<JoinHandle<()>>>,
+    /// A copy of the listener's descriptor, held only so that `stop` can
+    /// free one for its wake-up connection when the process has run out.
+    spare: Mutex<Option<TcpListener>>,
+    /// The per-peer writers.
+    writers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl TcpTransport {
@@ -393,29 +423,30 @@ impl TcpTransport {
         obs: Obs,
     ) -> io::Result<Arc<TcpTransport>> {
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        // The accept loop blocks in `accept`; `stop` wakes it.
+        listener.set_nonblocking(false)?;
+        let spare = Mutex::new(Some(listener.try_clone()?));
         let shared = Arc::new(Shared {
             me,
             shutdown: AtomicBool::new(false),
             blocked: Mutex::new(BTreeSet::new()),
             latest_gen: Mutex::new(BTreeMap::new()),
             conns: Mutex::new(Vec::new()),
-            client_writes: Mutex::new(Vec::new()),
+            exited: Mutex::new(Vec::new()),
+            client_writes: Mutex::new(ClientPush::default()),
             routes: Mutex::new(BTreeMap::from([(0, events.clone())])),
             netobs: NetObs::new(obs, me),
         });
-        let mut handles = Vec::new();
-
         // Accept loop. Inbound traffic reaches the node runtimes via the
         // group route table, seeded above with `events` as group 0.
-        {
+        let accept = {
             let shared = shared.clone();
-            handles.push(std::thread::spawn(move || {
-                accept_loop(listener, shared);
-            }));
-        }
+            let accept = move || accept_loop(listener, shared);
+            std::thread::Builder::new().name("gcs-accept".into()).spawn(accept)?
+        };
 
         // One writer per peer.
+        let mut writers = Vec::new();
         let mut links = BTreeMap::new();
         for (&p, &addr) in peers {
             if p == me {
@@ -427,14 +458,20 @@ impl TcpTransport {
                 let shared = shared.clone();
                 let stats = stats.clone();
                 let config = config.clone();
-                handles.push(std::thread::spawn(move || {
-                    writer_loop(p, addr, rx, shared, stats, config);
-                }));
+                let writer = move || writer_loop(p, addr, rx, shared, stats, config);
+                writers.push(std::thread::Builder::new().name("gcs-writer".into()).spawn(writer)?);
             }
             links.insert(p, PeerLink { tx, stats });
         }
 
-        Ok(Arc::new(TcpTransport { shared, links, local_addr, handles: Mutex::new(handles) }))
+        Ok(Arc::new(TcpTransport {
+            shared,
+            links,
+            local_addr,
+            accept: Mutex::new(Some(accept)),
+            spare,
+            writers: Mutex::new(writers),
+        }))
     }
 
     /// The address the listener actually bound (useful with port 0).
@@ -489,43 +526,51 @@ impl TcpTransport {
         self.push_deliveries_group(0, batch);
     }
 
-    /// Pushes a batch of deliveries from one group instance. Group 0
-    /// uses the untagged [`Frame::DeliverBatch`] so existing clients
-    /// keep working; other groups are tagged [`Frame::DeliverGroup`].
+    /// Pushes a batch of deliveries from one group instance to the
+    /// clients that have submitted to that group. Group 0 uses the
+    /// untagged [`Frame::DeliverBatch`] so existing clients keep working;
+    /// other groups are tagged [`Frame::DeliverGroup`].
     pub fn push_deliveries_group(&self, group: u32, batch: &[(ProcId, Value)]) {
         if batch.is_empty() {
             return;
         }
-        self.push_to_clients(|| {
-            if group == 0 {
-                Frame::DeliverBatch(batch.to_vec())
-            } else {
-                Frame::DeliverGroup { group, batch: batch.to_vec() }
-            }
-        });
+        let tag = (group != 0).then_some(group);
+        self.push_to_clients(Some(group), |out| encode_deliveries_into(out, tag, batch));
     }
 
     /// Pushes a view-change notification for a group instance to every
-    /// subscribed client — the shard-map refresh path for routers.
+    /// client, whatever it submits to — the shard-map refresh path for
+    /// routers, which follow every group's views.
     pub fn push_view_group(&self, group: u32, view: &View) {
-        self.push_to_clients(|| Frame::View { group, view: view.clone() });
+        let view = Frame::View { group, view: view.clone() };
+        self.push_to_clients(None, |out| encode_payload_into(out, &view));
     }
 
-    /// Writes the frame `make` builds (only if some client is connected)
-    /// to every client. A client whose write fails is shut down; its
-    /// reader then exits and the accept loop drops its entry.
-    fn push_to_clients(&self, make: impl FnOnce() -> Frame) {
-        let mut targets = self.shared.client_writes.lock_clean();
+    /// Writes the frame whose payload `encode` appends to every client
+    /// that has submitted to `group` (to every client for `None`). With
+    /// no such client nothing is encoded. A client whose write fails is
+    /// shut down; its reader then exits and drops its entry.
+    fn push_to_clients(&self, group: Option<u32>, encode: impl FnOnce(&mut Vec<u8>)) {
+        let mut push = self.shared.client_writes.lock_clean();
+        let ClientPush { targets, frame } = &mut *push;
         let conns = self.shared.conns.lock_clean();
-        targets.extend(conns.iter().filter(|c| c.role == Role::Client).map(|c| c.stream.clone()));
+        targets.extend(
+            conns
+                .iter()
+                .filter(|c| match &c.role {
+                    Role::Client(groups) => group.is_none_or(|g| groups.contains(&g)),
+                    _ => false,
+                })
+                .map(|c| c.stream.clone()),
+        );
         drop(conns);
         if targets.is_empty() {
             return;
         }
-        let mut fw = FrameWriter::new();
-        fw.push(&make());
+        frame.clear();
+        frame_into(frame, encode);
         for stream in targets.drain(..) {
-            if fw.write_to(&mut &*stream).is_err() {
+            if (&*stream).write_all(frame).is_err() {
                 let _ = stream.shutdown(Shutdown::Both);
             }
         }
@@ -643,19 +688,53 @@ impl TcpTransport {
         // socket close. 5 s is comfortably past all of it.
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut report = ShutdownReport::default();
-        for h in std::mem::take(&mut *self.handles.lock_clean()) {
+        // The wake-up connection needs a descriptor: the spare is freed
+        // for it, so an endpoint stops even when the process has run out.
+        drop(self.spare.lock_clean().take());
+        if let Some(accept) = self.accept.lock_clean().take() {
+            self.wake_accept_loop(&accept, deadline);
+            report.join(accept, deadline);
+        }
+        for h in std::mem::take(&mut *self.writers.lock_clean()) {
             report.join(h, deadline);
         }
         // The accept loop and the writers are gone, so the table only
         // shrinks now; close what an accept added meanwhile and join
-        // every reader.
+        // every reader, those that have released their entries included.
+        // A reader moves its handle to `exited` under the table lock, so
+        // once the table is emptied every handle is in one of the two.
         for c in std::mem::take(&mut *self.shared.conns.lock_clean()) {
             let _ = c.stream.shutdown(Shutdown::Both);
             if let Some(h) = c.reader {
                 report.join(h, deadline);
             }
         }
+        for h in std::mem::take(&mut *self.shared.exited.lock_clean()) {
+            report.join(h, deadline);
+        }
         report
+    }
+
+    /// Returns the accept loop, blocked in `accept`, to the shutdown
+    /// flag with one connection to the listener; a listener bound to
+    /// every address is reached through the loopback one. A connect that
+    /// fails (no descriptor, a timeout) is retried until the loop has
+    /// exited or `deadline` passes: the readers of the sockets `stop`
+    /// closed free descriptors as they exit.
+    fn wake_accept_loop(&self, accept: &JoinHandle<()>, deadline: Instant) {
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        while !accept.is_finished() && Instant::now() < deadline {
+            if TcpStream::connect_timeout(&wake, Duration::from_millis(500)).is_ok() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
 }
 
@@ -724,37 +803,49 @@ impl Transport for GroupEndpoint {
     }
 }
 
+/// Serves the listener until `stop`: blocks in `accept`, which returns
+/// for each new connection and for the one `stop` makes to wake it.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    // ordering: SeqCst — shutdown-flag poll; pairs with the SeqCst store
-    // in stop(), no payload rides on it.
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    loop {
+        let accepted = listener.accept();
+        // ordering: SeqCst — shutdown-flag poll; pairs with the SeqCst
+        // store in stop(), no payload rides on it.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
         shared.reap();
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
                 let stream = Arc::new(stream);
                 // Spawned under the table lock, so the entry is there
                 // before its reader looks for it.
                 let mut conns = shared.conns.lock_clean();
-                let reader = {
-                    let (stream, shared) = (stream.clone(), shared.clone());
-                    std::thread::spawn(move || reader_loop(stream, shared))
+                let (socket, shared) = (stream.clone(), shared.clone());
+                let serve = move || {
+                    reader_loop(&socket, &shared);
+                    shared.release(&socket);
                 };
-                conns.push(Conn { role: Role::Pending, stream, reader: Some(reader) });
+                // A reader that cannot be spawned drops the connection.
+                let spawned = std::thread::Builder::new().name("gcs-reader".into()).spawn(serve);
+                if let Ok(reader) = spawned {
+                    conns.push(Conn { role: Role::Pending, stream, reader: Some(reader) });
+                }
             }
-            // Nothing pending, or a transient failure (EMFILE, ENOBUFS,
-            // a connection reset before it was accepted): only the
-            // shutdown flag ends the loop.
+            // A transient failure (EMFILE, ENOBUFS, a connection reset
+            // before it was accepted): retry after a pause, so a
+            // descriptor shortage does not spin; only the shutdown flag
+            // ends the loop.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
 }
 
-fn reader_loop(socket: Arc<TcpStream>, shared: Arc<Shared>) {
+fn reader_loop(socket: &Arc<TcpStream>, shared: &Shared) {
     // Buffer reads: coalesced writers put many frames into one segment,
     // and decoding them one read_exact at a time straight off the socket
     // would pay two syscalls per frame.
-    let mut stream = io::BufReader::with_capacity(64 * 1024, &*socket);
+    let mut stream = io::BufReader::with_capacity(64 * 1024, &**socket);
     // The first frame must identify the connection.
     let Ok(Some(Frame::Hello { node, generation, kind })) = read_frame(&mut stream) else {
         return;
@@ -773,7 +864,7 @@ fn reader_loop(socket: Arc<TcpStream>, shared: Arc<Shared>) {
                 }
                 *e = generation;
             }
-            shared.with_conn(&socket, |c| c.role = Role::Inbound(node));
+            shared.with_conn(socket, |c| c.role = Role::Inbound(node));
             loop {
                 let (group, wire) = match read_frame(&mut stream) {
                     Ok(Some(Frame::Peer(wire))) => (0, wire),
@@ -796,7 +887,7 @@ fn reader_loop(socket: Arc<TcpStream>, shared: Arc<Shared>) {
                 }
                 // No live instance of the group here: drop the frame, keep
                 // the connection (other groups share it).
-                if dispatch(&shared, &mut routes, group, Incoming::Wire { from: node, wire }) {
+                if dispatch(shared, &mut routes, group, Incoming::Wire { from: node, wire }) {
                     shared.netobs.on_recv(node);
                 } else {
                     shared.netobs.on_reject(node);
@@ -804,7 +895,10 @@ fn reader_loop(socket: Arc<TcpStream>, shared: Arc<Shared>) {
             }
         }
         HelloKind::Client => {
-            shared.with_conn(&socket, |c| c.role = Role::Client);
+            shared.with_conn(socket, |c| c.role = Role::Client(Vec::new()));
+            // This reader's copy of its entry's groups: the table lock is
+            // taken only the first time a group is seen.
+            let mut subscribed: Vec<u32> = Vec::new();
             loop {
                 let (group, mut batch) = match read_frame(&mut stream) {
                     Ok(Some(Frame::Submit(a))) => (0, vec![a]),
@@ -828,9 +922,19 @@ fn reader_loop(socket: Arc<TcpStream>, shared: Arc<Shared>) {
                         None => break,
                     }
                 }
+                // Subscribe before the dispatch: the delivery this
+                // submission leads to is pushed only to subscribers.
+                if !subscribed.contains(&group) {
+                    shared.with_conn(socket, |c| {
+                        if let Role::Client(groups) = &mut c.role {
+                            groups.push(group);
+                        }
+                    });
+                    subscribed.push(group);
+                }
                 // An unroutable submission is dropped; the client
                 // connection stays.
-                dispatch(&shared, &mut routes, group, Incoming::Submit { batch });
+                dispatch(shared, &mut routes, group, Incoming::Submit { batch });
             }
         }
     }

@@ -17,8 +17,8 @@ use gcs_net::{run_load, ClusterConfig, LoadConfig, LoadMode, LoadReport, Loopbac
 use gcs_obs::{BoundParams, EventKind, StabilizationMonitor, TokenRoundMonitor};
 use gcs_shard::{kv_values, ShardCluster, ShardClusterConfig};
 use gcs_vsimpl::convert::{to_obs, vs_actions};
-use std::collections::BTreeSet;
-use std::net::TcpStream;
+use std::collections::{BTreeMap, BTreeSet};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 const DELTA_MS: u64 = 40;
@@ -226,4 +226,122 @@ fn one_group_of_all_nodes_is_the_plain_single_ring() {
     assert_eq!(sharded.net_obs().registry.snapshot().counter_total(name), 0);
     sharded.stop();
     ring.stop();
+}
+
+/// What one raw client connection was pushed: the values delivered per
+/// group, and the groups whose views it was sent.
+#[derive(Default)]
+struct Pushed {
+    delivered: BTreeMap<u32, BTreeSet<u64>>,
+    views: BTreeSet<u32>,
+}
+
+impl Pushed {
+    /// Whether every value of `values` was delivered in `group`.
+    fn has(&self, group: u32, values: &BTreeSet<u64>) -> bool {
+        self.delivered.get(&group).is_some_and(|got| got.is_superset(values))
+    }
+}
+
+/// A client connection that has said `Hello`.
+fn client(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+    let hello = Frame::Hello { node: ProcId(u32::MAX), generation: 0, kind: HelloKind::Client };
+    write_frame(&mut stream, &hello).expect("hello");
+    stream
+}
+
+/// Submits `values` to `group`, untagged for group 0 as a plain client
+/// would.
+fn submit(stream: &mut TcpStream, group: u32, values: impl Iterator<Item = u64>) {
+    let batch = values.map(Value::from_u64).collect();
+    let frame =
+        if group == 0 { Frame::SubmitBatch(batch) } else { Frame::SubmitGroup { group, batch } };
+    write_frame(stream, &frame).expect("submit");
+}
+
+/// Reads pushed frames into `pushed` until `done` holds of it; `what`
+/// names the wait in a failure.
+fn read_until(
+    stream: &mut TcpStream,
+    pushed: &mut Pushed,
+    what: &str,
+    done: impl Fn(&Pushed) -> bool,
+) {
+    while !done(pushed) {
+        let frame = read_frame(stream).unwrap_or_else(|e| {
+            let counts: Vec<_> = pushed.delivered.iter().map(|(g, v)| (g, v.len())).collect();
+            panic!("{what}: {e}; had deliveries {counts:?}, views {:?}", pushed.views)
+        });
+        let (group, batch) = match frame.expect("node hung up") {
+            Frame::DeliverBatch(batch) => (0, batch),
+            Frame::DeliverGroup { group, batch } => (group, batch),
+            Frame::View { group, .. } => {
+                pushed.views.insert(group);
+                continue;
+            }
+            other => panic!("a client is pushed deliveries and views only, got {other:?}"),
+        };
+        let values = batch.iter().filter_map(|(_, a)| a.as_u64());
+        pushed.delivered.entry(group).or_default().extend(values);
+    }
+}
+
+/// Two groups share node 1's endpoint, and a client there is sent the
+/// deliveries of the groups it has submitted to, and only those, but
+/// every group's views, which a shard router follows.
+#[test]
+fn a_client_is_pushed_the_deliveries_of_its_groups_and_every_view() {
+    // Group 0 = {0, 1, 2}, group 1 = {1, 2, 3}: node 1 hosts both.
+    let cluster = ShardCluster::start(ShardClusterConfig::ring(4, 2, 3, DELTA_MS), 1 << 16)
+        .expect("bind loopback");
+    for g in 0..2 {
+        assert!(
+            wait_for(Duration::from_secs(20), || view_size(&cluster, g, 3, None)),
+            "initial view of group {g} never formed: {:?}",
+            cluster.views(g)
+        );
+    }
+    let at = cluster.addr(ProcId(1));
+    let (mut one, mut both) = (client(at), client(at));
+    let (mut to_one, mut to_both) = (Pushed::default(), Pushed::default());
+    let set = |values: std::ops::RangeInclusive<u64>| values.collect::<BTreeSet<u64>>();
+
+    // `one` is sent its group-1 values; `both` has submitted nothing
+    // yet, so it is sent none of them.
+    submit(&mut one, 1, 1..=20);
+    read_until(&mut one, &mut to_one, "one's first deliveries", |p| p.has(1, &set(1..=20)));
+    // From its first submission to a group on, a client is sent that
+    // group's deliveries, whoever submitted them: `both` gets its own
+    // values of both groups, `one` gets `both`'s group-1 values too.
+    submit(&mut both, 0, 101..=120);
+    submit(&mut both, 1, 201..=220);
+    read_until(&mut both, &mut to_both, "both's deliveries", |p| {
+        p.has(0, &set(101..=120)) && p.has(1, &set(201..=220))
+    });
+    let group_1: BTreeSet<u64> = (1..=20).chain(201..=220).collect();
+    read_until(&mut one, &mut to_one, "one's deliveries", |p| p.has(1, &group_1));
+
+    // A cut of the (1, 2) pair changes node 1's view in both groups. Every
+    // push to `one` before these views, group 0's deliveries among them,
+    // is read by the time both views are.
+    to_one.views.clear();
+    to_both.views.clear();
+    cluster.sever_pair(ProcId(1), ProcId(2));
+    let all_views = |p: &Pushed| p.views == BTreeSet::from([0, 1]);
+    read_until(&mut one, &mut to_one, "one's views", all_views);
+    read_until(&mut both, &mut to_both, "both's views", all_views);
+    assert_eq!(
+        to_one.delivered.keys().collect::<Vec<_>>(),
+        [&1],
+        "sent another group's deliveries"
+    );
+    assert_eq!(to_one.delivered[&1], group_1);
+    assert_eq!(to_both.delivered[&0], set(101..=120));
+    assert_eq!(to_both.delivered[&1], set(201..=220), "sent deliveries from before it submitted");
+
+    drop((one, both));
+    let (_, shutdown) = cluster.stop();
+    assert!(shutdown.clean(), "leaked {} transport threads", shutdown.leaked);
 }
