@@ -17,7 +17,6 @@
 //! publish other memory goes through [`Shims::Mutex`].
 
 use std::ops::DerefMut;
-use std::time::Duration;
 
 /// Shim for `std::sync::atomic::AtomicU64`, every access `Relaxed`.
 /// A signed value is stored bit-cast (`v as u64`); two's-complement
@@ -59,7 +58,7 @@ pub trait MutexApi<T: Send>: Send + Sync + 'static {
 }
 
 /// Shim for `std::sync::Condvar`. Waits and notifies go through
-/// [`Shims::cv_wait_timeout`] / [`Shims::cv_notify_all`] because the
+/// [`Shims::cv_wait`] / [`Shims::cv_notify_all`] because the
 /// mc implementation needs engine context the condvar alone lacks.
 pub trait CondvarApi: Send + Sync + 'static {
     /// New condition variable.
@@ -90,18 +89,15 @@ pub trait Shims: Sized + Send + Sync + 'static {
     #[track_caller]
     fn spawn<F: FnOnce() + Send + 'static>(f: F) -> Self::JoinHandle;
 
-    /// Wait on `cv` with `guard`'s mutex released, until notified or
-    /// timed out. Returns the reacquired guard and whether the wait
-    /// timed out. Under mc the timeout fires only when every live
-    /// thread is blocked (the deterministic stand-in for "enough real
-    /// time passed"), which also makes it the deadlock-vs-timeout
-    /// discriminator.
+    /// Wait on `cv` with `guard`'s mutex released until notified (or,
+    /// under std, woken spuriously); returns the reacquired guard. There
+    /// is no timed wait: under mc a thread waiting here that nobody can
+    /// notify is part of a deadlock.
     #[track_caller]
-    fn cv_wait_timeout<'a, T: Send + 'static>(
+    fn cv_wait<'a, T: Send + 'static>(
         cv: &Self::Condvar,
         guard: <Self::Mutex<T> as MutexApi<T>>::Guard<'a>,
-        timeout: Duration,
-    ) -> (<Self::Mutex<T> as MutexApi<T>>::Guard<'a>, bool)
+    ) -> <Self::Mutex<T> as MutexApi<T>>::Guard<'a>
     where
         Self::Mutex<T>: 'a;
 

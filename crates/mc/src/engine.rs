@@ -59,14 +59,11 @@ struct ThreadSt {
     view: Vec<u32>,
     /// Where this thread blocked (deadlock reports).
     blocked_at: Option<Site>,
-    /// Set when the scheduler fired this thread's timed cv wait (all
-    /// live threads were blocked); read and cleared by `cv_wait`.
-    timed_fired: bool,
 }
 
 impl ThreadSt {
     fn new(clock: VClock, view: Vec<u32>) -> ThreadSt {
-        ThreadSt { run: Run::Ready, clock, view, blocked_at: None, timed_fired: false }
+        ThreadSt { run: Run::Ready, clock, view, blocked_at: None }
     }
 }
 
@@ -252,8 +249,8 @@ fn fail(st: &mut EngSt, kind: FailureKind) {
     st.aborting = true;
 }
 
-/// Pick who runs next. Called with no active thread. Handles timed-cv
-/// timeout firing and deadlock detection.
+/// Pick who runs next. Called with no active thread. A state where
+/// every live thread is blocked is a deadlock: no wait ever times out.
 fn pick_next(st: &mut EngSt) {
     if st.live == 0 {
         st.done = true;
@@ -262,39 +259,17 @@ fn pick_next(st: &mut EngSt) {
     if st.aborting {
         return;
     }
-    let mut enabled: Vec<Tid> = (0..st.threads.len()).filter(|&t| st.enabled(t)).collect();
+    let enabled: Vec<Tid> = (0..st.threads.len()).filter(|&t| st.enabled(t)).collect();
     if enabled.is_empty() {
-        // Every live thread is blocked. Timed condvar waits now time
-        // out — all of them, deterministically; this is the model's
-        // stand-in for "enough wall time passed" and only triggers
-        // when nothing else can move, which keeps executions finite
-        // without a clock.
-        let mut fired = false;
-        for t in 0..st.threads.len() {
-            if let Run::BlockedCv { cv, notified: false } = st.threads[t].run {
-                st.threads[t].run = Run::BlockedCv { cv, notified: true };
-                st.threads[t].timed_fired = true;
-                fired = true;
-            }
-        }
-        if !fired {
-            let blocked: Vec<(usize, Site)> = (0..st.threads.len())
-                .filter(|&t| !matches!(st.threads[t].run, Run::Finished))
-                .map(|t| {
-                    (
-                        t,
-                        st.threads[t].blocked_at.unwrap_or(Site {
-                            file: "<unknown>",
-                            line: 0,
-                            column: 0,
-                        }),
-                    )
-                })
-                .collect();
-            fail(st, FailureKind::Deadlock { blocked });
-            return;
-        }
-        enabled = (0..st.threads.len()).filter(|&t| st.enabled(t)).collect();
+        let blocked: Vec<(usize, Site)> = (0..st.threads.len())
+            .filter(|&t| !matches!(st.threads[t].run, Run::Finished))
+            .map(|t| {
+                let unknown = Site { file: "<unknown>", line: 0, column: 0 };
+                (t, st.threads[t].blocked_at.unwrap_or(unknown))
+            })
+            .collect();
+        fail(st, FailureKind::Deadlock { blocked });
+        return;
     }
     // Default = keep the last-running thread if it can continue (the
     // non-preemptive choice), else the lowest runnable tid.
@@ -543,6 +518,19 @@ pub(crate) fn atomic_rmw(id: usize, kind: RmwKind, operand: u64) -> u64 {
 
 pub(crate) fn mutex_lock(mid: usize, loc: &'static Location<'static>) {
     with_ctx(|eng, tid| {
+        let mut st = eng.lock();
+        if st.aborting && std::thread::panicking() {
+            // A `Drop` that locks (a queue half's) while its thread
+            // unwinds from an aborted execution: a schedule point would
+            // unwind again and abort the process. Wait outside the
+            // schedule for the owner, unwinding too, to drop its guard.
+            while st.mutexes[mid].owner.is_some() {
+                st = eng.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+            }
+            st.mutexes[mid].owner = Some(tid);
+            return;
+        }
+        drop(st);
         let mut st = schedule_point(eng, tid);
         let site = Site::of(loc);
         loop {
@@ -585,12 +573,10 @@ pub(crate) fn mutex_unlock_quiet(mid: usize) {
     })
 }
 
-/// Condvar wait: atomically release the mutex and block; on wake,
-/// reacquire. Returns whether the (always-timed) wait timed out —
-/// which under the model happens only when every live thread was
-/// blocked. No happens-before edge flows through the condvar itself;
-/// the mutex hand-off carries it, as with real condvars.
-pub(crate) fn cv_wait(cvid: usize, mid: usize, loc: &'static Location<'static>) -> bool {
+/// Condvar wait: atomically release the mutex and block until a
+/// notify; on wake, reacquire. No happens-before edge flows through the
+/// condvar itself; the mutex hand-off carries it, as with real condvars.
+pub(crate) fn cv_wait(cvid: usize, mid: usize, loc: &'static Location<'static>) {
     with_ctx(|eng, tid| {
         let mut st = schedule_point(eng, tid);
         let site = Site::of(loc);
@@ -600,7 +586,6 @@ pub(crate) fn cv_wait(cvid: usize, mid: usize, loc: &'static Location<'static>) 
         st.mutexes[mid].owner = None;
         st.fold_op(tid, 8, cvid, 0);
         st = block_self(eng, st, tid, Run::BlockedCv { cv: cvid, notified: false }, site);
-        let timed_out = std::mem::take(&mut st.threads[tid].timed_fired);
         // Reacquire the mutex before returning (condvar contract).
         loop {
             if st.mutexes[mid].owner.is_none() {
@@ -612,12 +597,16 @@ pub(crate) fn cv_wait(cvid: usize, mid: usize, loc: &'static Location<'static>) 
             }
             st = block_self(eng, st, tid, Run::BlockedMutex(mid), site);
         }
-        timed_out
     })
 }
 
 pub(crate) fn cv_notify_all(cvid: usize) {
     with_ctx(|eng, tid| {
+        // Unwinding from an aborted execution (see `mutex_lock`): there
+        // is nobody left to wake.
+        if eng.lock().aborting && std::thread::panicking() {
+            return;
+        }
         let mut st = schedule_point(eng, tid);
         for t in 0..st.threads.len() {
             if let Run::BlockedCv { cv, notified: false } = st.threads[t].run {

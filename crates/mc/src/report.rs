@@ -33,7 +33,8 @@ impl fmt::Display for Site {
 /// What went wrong in an execution.
 #[derive(Clone, Debug)]
 pub enum FailureKind {
-    /// Every live thread is blocked and none holds a timed wait.
+    /// Every live thread is blocked: on a mutex, a join, or a condvar
+    /// wait nobody is left to notify.
     Deadlock {
         /// `(thread ordinal, blocking site)` for each blocked thread.
         blocked: Vec<(usize, Site)>,

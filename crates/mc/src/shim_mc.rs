@@ -14,7 +14,6 @@ use crate::engine::{self, RmwKind};
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::panic::Location;
-use std::time::Duration;
 
 /// The model-checking shim family; only usable inside
 /// [`Checker::check`](crate::Checker::check).
@@ -145,11 +144,10 @@ impl Shims for McShims {
         McJoinHandle { target: engine::spawn_thread(Box::new(f)) }
     }
 
-    fn cv_wait_timeout<'a, T: Send + 'static>(
+    fn cv_wait<'a, T: Send + 'static>(
         cv: &McCondvar,
         guard: McMutexGuard<'a, T>,
-        _timeout: Duration,
-    ) -> (McMutexGuard<'a, T>, bool)
+    ) -> McMutexGuard<'a, T>
     where
         McMutex<T>: 'a,
     {
@@ -158,8 +156,8 @@ impl Shims for McShims {
         // fresh one for the reacquired lock.
         let mx = guard.mx;
         std::mem::forget(guard);
-        let timed_out = engine::cv_wait(cv.cid, mx.mid, Location::caller());
-        (McMutexGuard { mx }, timed_out)
+        engine::cv_wait(cv.cid, mx.mid, Location::caller());
+        McMutexGuard { mx }
     }
 
     fn cv_notify_all(cv: &McCondvar) {

@@ -7,7 +7,6 @@
 use crate::api::{AtomicU64Api, CondvarApi, JoinApi, MutexApi, Shims};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 /// The zero-cost production shim family (plain `std::sync` types).
 #[derive(Debug)]
@@ -93,16 +92,11 @@ impl Shims for StdShims {
     }
 
     #[inline(always)]
-    fn cv_wait_timeout<'a, T: Send + 'static>(
-        cv: &Condvar,
-        guard: MutexGuard<'a, T>,
-        timeout: Duration,
-    ) -> (MutexGuard<'a, T>, bool)
+    fn cv_wait<'a, T: Send + 'static>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T>
     where
         Mutex<T>: 'a,
     {
-        let (guard, res) = cv.wait_timeout(guard, timeout).unwrap_or_else(PoisonError::into_inner);
-        (guard, res.timed_out())
+        cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
     }
 
     #[inline(always)]

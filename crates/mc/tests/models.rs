@@ -5,7 +5,6 @@
 use gcs_mc::{AtomicU64Api, Checker, CondvarApi, FailureKind, JoinApi, McShims, MutexApi, Shims};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 type McAtomicU64 = <McShims as Shims>::AtomicU64;
 type McMutex<T> = <McShims as Shims>::Mutex<T>;
@@ -143,18 +142,63 @@ fn ab_ba_deadlock_needs_one_preemption() {
 }
 
 #[test]
-fn condvar_timeout_fires_only_when_all_blocked() {
-    let report = Checker::new("cv-timeout").preemption_bound(1).check(|| {
+fn unnotified_condvar_wait_is_a_deadlock() {
+    let model = || {
         let mx = Arc::new(McMutex::new(false));
         let cv = Arc::new(McCondvar::new());
         let guard = mx.lock_clean();
-        // Nobody will ever notify: the timed wait must come back as a
-        // timeout (all live threads blocked) instead of deadlocking.
-        let (guard, timed_out) = McShims::cv_wait_timeout(&cv, guard, Duration::from_millis(50));
-        assert!(timed_out);
+        // Nobody will ever notify: no wait times out, so this is a
+        // deadlock at the wait's own line.
+        let guard = McShims::cv_wait(&cv, guard);
         assert!(!*guard);
+    };
+    let report = Checker::new("cv-unnotified").preemption_bound(1).check(model);
+    let f = report.expect_failure();
+    match &f.kind {
+        FailureKind::Deadlock { blocked } => {
+            assert_eq!(blocked.len(), 1, "{}", f.kind);
+            assert!(blocked[0].1.file.ends_with("models.rs"), "site: {}", blocked[0].1);
+        }
+        other => panic!("expected Deadlock, got {other}"),
+    }
+    let replayed = Checker::new("cv-unnotified-replay").replay(model, &f.schedule);
+    let rf = replayed.expect_failure();
+    assert!(matches!(rf.kind, FailureKind::Deadlock { .. }), "{}", rf.kind);
+    assert_eq!(rf.digest, f.digest, "replay reaches the same execution");
+}
+
+/// Locks and notifies in its `Drop`, as the send queue's halves do.
+struct LocksOnDrop(Arc<McMutex<u64>>, Arc<McCondvar>);
+
+impl Drop for LocksOnDrop {
+    fn drop(&mut self) {
+        *self.0.lock_clean() += 1;
+        McShims::cv_notify_all(&self.1);
+    }
+}
+
+#[test]
+fn drops_that_lock_while_a_deadlock_unwinds_are_reported() {
+    let report = Checker::new("drop-locks").preemption_bound(1).check(|| {
+        let mx = Arc::new(McMutex::new(0));
+        let cv = Arc::new(McCondvar::new());
+        let _mine = LocksOnDrop(Arc::clone(&mx), Arc::clone(&cv));
+        let theirs = LocksOnDrop(mx, cv);
+        let t = McShims::spawn(move || {
+            // Nobody notifies.
+            let guard = theirs.0.lock_clean();
+            drop(McShims::cv_wait(&theirs.1, guard));
+        });
+        t.join();
     });
-    report.assert_ok();
+    // Both threads unwind from the deadlock through a `Drop` that locks
+    // the same mutex and notifies: the finding is reported, the process
+    // does not abort.
+    let f = report.expect_failure();
+    match &f.kind {
+        FailureKind::Deadlock { blocked } => assert_eq!(blocked.len(), 2, "{}", f.kind),
+        other => panic!("expected Deadlock, got {other}"),
+    }
 }
 
 #[test]
@@ -168,17 +212,11 @@ fn condvar_notify_wakes_waiter() {
             McShims::cv_notify_all(&cv2);
         });
         let mut guard = mx.lock_clean();
-        let mut timed = false;
         while !*guard {
-            let (g, to) = McShims::cv_wait_timeout(&cv, guard, Duration::from_millis(50));
-            guard = g;
-            timed = to;
+            guard = McShims::cv_wait(&cv, guard);
         }
         drop(guard);
         t.join();
-        // Whether the wait timed out depends on the interleaving; the
-        // loop exiting with the flag set is the contract.
-        let _ = timed;
     });
     report.assert_ok();
 }

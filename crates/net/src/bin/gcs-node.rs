@@ -15,12 +15,14 @@
 //! histograms as Prometheus-style text on that address (plain
 //! `TcpListener`, any request path) and runs the paper's `b`/`d` bound
 //! monitors online over its own event trace, reporting violations in the
-//! status line as they appear.
+//! status line as they appear. The monitors read the trace ring every
+//! two seconds; events the ring evicted before a read are skipped, and
+//! the status line counts them as `missed`.
 
 use gcs_model::{ProcId, Time};
 use gcs_net::runtime::{Clock, HostedGroup, NetNode};
 use gcs_net::transport::TransportConfig;
-use gcs_obs::{BoundParams, Obs, StabilizationMonitor, TokenRoundMonitor};
+use gcs_obs::{BoundParams, Obs, ObsEvent, StabilizationMonitor, TokenRoundMonitor};
 use gcs_vsimpl::{DetectorPolicy, ProtoConfig};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
@@ -39,6 +41,13 @@ fn usage() -> ! {
          \u{20}                   token gaps; effective delta exported as detector_delta_hat_ms)"
     );
     exit(2)
+}
+
+/// How many events the ring evicted before a poll that asked for those
+/// from `next_seq` on returned `fresh`: the ring hands back what it
+/// still holds, so a gap is the distance to its first event.
+fn missed(next_seq: u64, fresh: &[ObsEvent]) -> u64 {
+    fresh.first().map_or(0, |e| e.seq - next_seq)
 }
 
 fn main() {
@@ -162,11 +171,14 @@ fn main() {
     let mut next_seq = 0u64;
     let mut reported_stab = 0usize;
     let mut reported_round = 0usize;
+    // Events evicted from the ring before the monitors saw them.
+    let mut missed_total = 0u64;
 
     println!("gcs-node {me}: listening on {}, {} peers, delta {delta} ms", addrs[&me], n - 1);
     loop {
         std::thread::sleep(Duration::from_secs(2));
         let fresh = obs.trace.snapshot_since(next_seq);
+        missed_total += missed(next_seq, &fresh);
         if let Some(last) = fresh.last() {
             next_seq = last.seq + 1;
         }
@@ -187,7 +199,7 @@ fn main() {
             .unwrap_or_else(|| "<none>".into());
         println!(
             "gcs-node {me}: delivered {} | view {view} | sent {} recv {} dropped {} rejected {} | \
-             b-checked {} d-checked {} violations {}",
+             b-checked {} d-checked {} missed {} violations {}",
             node.delivered_count(),
             node.transport().frames_sent(),
             node.transport().frames_received(),
@@ -195,7 +207,29 @@ fn main() {
             node.transport().frames_rejected(),
             stab.checked(),
             round.checked(),
+            missed_total,
             reported_stab + reported_round,
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::missed;
+    use gcs_obs::{EventKind, ObsEvent};
+
+    fn events(seqs: std::ops::Range<u64>) -> Vec<ObsEvent> {
+        seqs.map(|seq| ObsEvent { t_ms: seq, seq, kind: EventKind::Send { from: 0, to: 1 } })
+            .collect()
+    }
+
+    #[test]
+    fn missed_counts_the_events_evicted_since_the_cursor() {
+        // Nothing new, or everything from the cursor on: no gap.
+        assert_eq!(missed(7, &[]), 0);
+        assert_eq!(missed(0, &events(0..4)), 0);
+        assert_eq!(missed(7, &events(7..9)), 0);
+        // The ring starts at 10 although 7, 8 and 9 were asked for.
+        assert_eq!(missed(7, &events(10..12)), 3);
     }
 }

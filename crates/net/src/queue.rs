@@ -1,19 +1,22 @@
 //! The bounded per-peer send queue: a small MPSC channel with
-//! `try_send` producers and a timed-wait consumer, built on the
+//! `try_send` producers and a blocking consumer, built on the
 //! [`gcs_mc::Shims`] sync surface so the exact structure the transport
 //! ships is the one the gcs-mc model checker explores
 //! (crates/net/tests/mc_queue.rs; see docs/CONCURRENCY.md).
 //!
-//! This replaces the `std::sync::mpsc::sync_channel` the transport
-//! used before PR 10. Semantics are the subset the writer loop needs:
+//! Semantics are the subset the writer loop needs:
 //!
 //! - `try_send` never blocks: a full queue or a dead receiver is an
 //!   error the caller counts as a drop (the paper's fire-and-forget
 //!   send contract — the protocol recovers via its timers).
-//! - `recv_timeout` blocks with a timeout so the writer loop can poll
-//!   its shutdown flag; the timeout restarts on each wakeup, which is
-//!   fine for a heartbeat and keeps the wait logic free of wall-clock
-//!   branching (a requirement for deterministic model checking).
+//! - `wake` tells the receiver to look at the world outside the queue
+//!   (shutdown, a severed or kicked link, a heal). It is a sticky flag
+//!   beside the queue, not an entry in it, so a full queue never loses
+//!   one, and any number of wakes before the receiver looks are one.
+//! - `recv` blocks with no timeout: it returns queued values first,
+//!   then `Woken` once per raised flag, then `Disconnected` once every
+//!   sender is gone. The transport holds no clock of its own; every
+//!   timer is the protocol's.
 //! - Dropping the receiver (writer death) turns every later `try_send`
 //!   into `Disconnected`; dropping the last sender wakes the receiver
 //!   so it can observe `Disconnected` instead of sleeping forever.
@@ -21,12 +24,11 @@
 //! All state sits behind one mutex, locked with the poison-tolerant
 //! `lock_clean` discipline: a sender that panicked elsewhere must not
 //! cascade-kill the writer loop (a dead writer looks exactly like a
-//! partition — the PR 5 lesson).
+//! partition).
 
 use gcs_mc::{CondvarApi, MutexApi, Shims, StdShims};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// `try_send` failure: the value comes back to the caller either way.
 #[derive(Debug, PartialEq, Eq)]
@@ -37,26 +39,20 @@ pub enum TrySendError<T> {
     Disconnected(T),
 }
 
-/// `recv_timeout` failure.
+/// `recv` failure.
 #[derive(Debug, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// No value arrived within (roughly) the timeout.
-    Timeout,
-    /// Every sender is gone and the queue is drained.
-    Disconnected,
-}
-
-/// `try_recv` failure.
-#[derive(Debug, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// The queue is currently empty.
-    Empty,
+pub enum RecvError {
+    /// The queue is drained and a sender called [`QueueSender::wake`]
+    /// since the last `Woken`.
+    Woken,
     /// Every sender is gone and the queue is drained.
     Disconnected,
 }
 
 struct Inner<T> {
     queue: VecDeque<T>,
+    /// Raised by `wake`, cleared by the `recv` that reports it.
+    woken: bool,
     senders: usize,
     receiver_alive: bool,
 }
@@ -84,7 +80,12 @@ pub fn bounded<T: Send + 'static, S: Shims>(
     cap: usize,
 ) -> (QueueSender<T, S>, QueueReceiver<T, S>) {
     let shared = Arc::new(Shared {
-        inner: S::Mutex::new(Inner { queue: VecDeque::new(), senders: 1, receiver_alive: true }),
+        inner: S::Mutex::new(Inner {
+            queue: VecDeque::new(),
+            woken: false,
+            senders: 1,
+            receiver_alive: true,
+        }),
         recv_cv: S::Condvar::new(),
         cap: cap.max(1),
     });
@@ -107,6 +108,14 @@ impl<T: Send + 'static, S: Shims> QueueSender<T, S> {
         S::cv_notify_all(&self.shared.recv_cv);
         Ok(())
     }
+
+    /// Makes the receiver's next `recv` that finds the queue drained
+    /// return `Woken`. Outside the capacity check: a full queue still
+    /// takes a wake.
+    pub fn wake(&self) {
+        self.shared.inner.lock_clean().woken = true;
+        S::cv_notify_all(&self.shared.recv_cv);
+    }
 }
 
 impl<T: Send + 'static, S: Shims> Clone for QueueSender<T, S> {
@@ -124,47 +133,35 @@ impl<T: Send + 'static, S: Shims> Drop for QueueSender<T, S> {
             inner.senders == 0
         };
         if last {
-            // Wake a receiver parked in recv_timeout so it observes
-            // Disconnected instead of waiting out its timeout.
+            // Wake a receiver parked in recv so it observes
+            // Disconnected instead of sleeping forever.
             S::cv_notify_all(&self.shared.recv_cv);
         }
     }
 }
 
 impl<T: Send + 'static, S: Shims> QueueReceiver<T, S> {
-    /// Blocks for (roughly) `timeout` awaiting a value. The timeout
-    /// restarts after a wakeup that finds the queue still empty, so a
-    /// steady trickle of traffic never times out — the writer loop
-    /// only needs the timeout as a shutdown-poll heartbeat.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+    /// Blocks until a value, a wake or the last sender's drop arrives,
+    /// and reports them in that order.
+    pub fn recv(&self) -> Result<T, RecvError> {
         let mut inner = self.shared.inner.lock_clean();
         loop {
             if let Some(t) = inner.queue.pop_front() {
                 return Ok(t);
             }
+            if std::mem::take(&mut inner.woken) {
+                return Err(RecvError::Woken);
+            }
             if inner.senders == 0 {
-                return Err(RecvTimeoutError::Disconnected);
+                return Err(RecvError::Disconnected);
             }
-            let (guard, timed_out) = S::cv_wait_timeout(&self.shared.recv_cv, inner, timeout);
-            inner = guard;
-            if timed_out {
-                return match inner.queue.pop_front() {
-                    Some(t) => Ok(t),
-                    None if inner.senders == 0 => Err(RecvTimeoutError::Disconnected),
-                    None => Err(RecvTimeoutError::Timeout),
-                };
-            }
+            inner = S::cv_wait(&self.shared.recv_cv, inner);
         }
     }
 
-    /// Dequeues without blocking.
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut inner = self.shared.inner.lock_clean();
-        match inner.queue.pop_front() {
-            Some(t) => Ok(t),
-            None if inner.senders == 0 => Err(TryRecvError::Disconnected),
-            None => Err(TryRecvError::Empty),
-        }
+    /// Dequeues a value without blocking, if one is queued.
+    pub fn try_recv(&self) -> Option<T> {
+        self.shared.inner.lock_clean().queue.pop_front()
     }
 
     /// Number of values currently queued.
@@ -187,7 +184,6 @@ impl<T: Send + 'static, S: Shims> Drop for QueueReceiver<T, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
 
     fn chan(cap: usize) -> (QueueSender<u64>, QueueReceiver<u64>) {
         bounded::<u64, StdShims>(cap)
@@ -200,9 +196,9 @@ mod tests {
             tx.try_send(v).unwrap();
         }
         for v in 0..5 {
-            assert_eq!(rx.recv_timeout(Duration::from_secs(1)), Ok(v));
+            assert_eq!(rx.recv(), Ok(v));
         }
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        assert_eq!(rx.try_recv(), None);
     }
 
     #[test]
@@ -211,7 +207,7 @@ mod tests {
         tx.try_send(1).unwrap();
         tx.try_send(2).unwrap();
         assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
-        assert_eq!(rx.try_recv(), Ok(1));
+        assert_eq!(rx.try_recv(), Some(1));
         tx.try_send(3).unwrap();
         assert_eq!(rx.len(), 2);
     }
@@ -228,20 +224,22 @@ mod tests {
         let (tx, rx) = chan(4);
         tx.try_send(5).unwrap();
         let t = std::thread::spawn(move || drop(tx));
-        // Queued value first, then Disconnected — never a long timeout.
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(5));
-        let start = Instant::now();
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Err(RecvTimeoutError::Disconnected));
-        assert!(start.elapsed() < Duration::from_secs(5));
+        // Queued value first, then Disconnected.
+        assert_eq!(rx.recv(), Ok(5));
+        assert_eq!(rx.recv(), Err(RecvError::Disconnected));
         t.join().unwrap();
     }
 
     #[test]
-    fn empty_queue_times_out() {
+    fn a_wake_into_a_full_queue_comes_after_its_values_once() {
         let (tx, rx) = chan(1);
-        let r = rx.recv_timeout(Duration::from_millis(10));
-        assert_eq!(r, Err(RecvTimeoutError::Timeout));
+        tx.try_send(1).unwrap();
+        tx.wake();
+        tx.wake();
+        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(rx.recv(), Err(RecvError::Woken));
         drop(tx);
+        assert_eq!(rx.recv(), Err(RecvError::Disconnected));
     }
 
     #[test]
@@ -255,10 +253,8 @@ mod tests {
             }
         });
         let mut got = Vec::new();
-        while got.len() < 100 {
-            if let Ok(v) = rx.recv_timeout(Duration::from_secs(5)) {
-                got.push(v);
-            }
+        while let Ok(v) = rx.recv() {
+            got.push(v);
         }
         t.join().unwrap();
         assert_eq!(got, (0..100).collect::<Vec<u64>>());

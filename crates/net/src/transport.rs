@@ -14,7 +14,9 @@
 //! directions until [`TcpTransport::heal`]; [`TcpTransport::kick`] closes
 //! the sockets *without* blocking the peer, which exercises the reconnect
 //! path (capped exponential backoff) while the membership layer rides out
-//! the loss.
+//! the loss. Neither the writers nor the accept loop keep time: each
+//! blocks until there is work, and these calls and `stop` wake the
+//! writer they concern through its send queue.
 //!
 //! The node runtime itself only needs the tiny [`Transport`] trait —
 //! enqueue a packet, push a client delivery — so the same
@@ -25,7 +27,7 @@ use crate::codec::{
     buffered_payload, decode_payload, encode_deliveries_into, encode_payload_into, frame_into,
     read_frame, write_frame, Frame, FrameWriter, HelloKind,
 };
-use crate::queue::{self, QueueReceiver, QueueSender, RecvTimeoutError, TrySendError};
+use crate::queue::{self, QueueReceiver, QueueSender, RecvError, TrySendError};
 // `MutexApi::lock_clean` locks a std mutex, recovering the guard from a
 // poisoned one: every structure these mutexes guard is updated in single
 // consistent steps, and one panicking thread must not cascade into
@@ -277,7 +279,9 @@ struct LinkStats {
 
 struct PeerLink {
     /// Outbound queue entries carry the destination group; the writer
-    /// tags non-zero groups with [`Frame::PeerGroup`] on the wire.
+    /// tags non-zero groups with [`Frame::PeerGroup`] on the wire. Its
+    /// `wake` sends the writer back to its checks after a sever, kick,
+    /// heal or stop.
     tx: QueueSender<(u32, Wire)>,
     stats: Arc<LinkStats>,
 }
@@ -585,11 +589,11 @@ impl TcpTransport {
         self.close_sockets(p);
     }
 
-    /// Ends an emulated partition; the writer thread reconnects on its
-    /// next backoff tick.
+    /// Ends an emulated partition; the writer, woken, reconnects at once.
     pub fn heal(&self, p: ProcId) {
         self.shared.netobs.on_fault(p, FaultKind::Heal);
         self.shared.blocked.lock_clean().remove(&p);
+        self.wake_writer(p);
     }
 
     /// Kills the live TCP connections to `p` without blocking the peer:
@@ -601,8 +605,8 @@ impl TcpTransport {
     }
 
     /// Shuts down both links with `p`. The outbound entry goes at once,
-    /// which is how its writer learns to reconnect; the inbound one stays
-    /// until its reader has seen the EOF.
+    /// and the woken writer, finding it gone, reconnects; the inbound one
+    /// stays until its reader has seen the EOF.
     fn close_sockets(&self, p: ProcId) {
         self.shared.conns.lock_clean().retain(|c| {
             if c.role == Role::Outbound(p) || c.role == Role::Inbound(p) {
@@ -610,6 +614,15 @@ impl TcpTransport {
             }
             c.role != Role::Outbound(p)
         });
+        self.wake_writer(p);
+    }
+
+    /// Sends `p`'s writer back to its checks (shutdown, blocked, its
+    /// link's entry) once its queue is empty.
+    fn wake_writer(&self, p: ProcId) {
+        if let Some(link) = self.links.get(&p) {
+            link.tx.wake();
+        }
     }
 
     /// Whether the outbound link to `p` is currently established.
@@ -678,10 +691,13 @@ impl TcpTransport {
         // SeqCst too, keeping the reasoning trivial, and none of these
         // sites are on the frame hot path.
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Closing every socket unblocks every thread: readers see EOF and
-        // a writer stuck in a write fails.
+        // Closing every socket unblocks every reader (EOF) and a writer
+        // stuck in a write; a wake returns a parked writer to the flag.
         for c in self.shared.conns.lock_clean().iter() {
             let _ = c.stream.shutdown(Shutdown::Both);
+        }
+        for &p in self.links.keys() {
+            self.wake_writer(p);
         }
         // Worst legitimate exit latency: a writer inside connect_timeout
         // (500 ms) or a backoff sleep (≤ `BACKOFF_MAX`); readers unblock at
@@ -1010,13 +1026,14 @@ fn writer_loop(
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        // While blocked, keep the queue draining so the sender never sees
-        // ancient frames flushed after a heal.
+        // While blocked, park on the queue and drop what arrives, so no
+        // ancient frame is flushed after a heal; a wake re-checks.
         if shared.is_blocked(peer) {
-            while rx.try_recv().is_ok() {
-                shared.netobs.on_drop(peer, DropReason::Blocked);
+            match rx.recv() {
+                Ok(_) => shared.netobs.on_drop(peer, DropReason::Blocked),
+                Err(RecvError::Woken) => {}
+                Err(RecvError::Disconnected) => return,
             }
-            std::thread::sleep(Duration::from_millis(5));
             continue;
         }
         // ordering: Relaxed — monotone stat counter; only the advisory
@@ -1051,7 +1068,7 @@ fn writer_loop(
         shared.netobs.on_link_up(peer, generation);
         let mut batch = FrameWriter::new();
         let reconnect = loop {
-            match rx.recv_timeout(Duration::from_millis(50)) {
+            match rx.recv() {
                 Ok((group, wire)) => {
                     if shared.is_blocked(peer) {
                         shared.netobs.on_drop(peer, DropReason::Blocked);
@@ -1066,10 +1083,8 @@ fn writer_loop(
                     batch.clear();
                     batch.push(&peer_frame(group, wire));
                     while batch.len() < coalesce && batch.payload_bytes() < COALESCE_BYTES {
-                        match rx.try_recv() {
-                            Ok((g, w)) => batch.push(&peer_frame(g, w)),
-                            Err(_) => break,
-                        }
+                        let Some((g, w)) = rx.try_recv() else { break };
+                        batch.push(&peer_frame(g, w));
                     }
                     if batch.write_to(&mut &*stream).is_err() {
                         // The stream is torn mid-batch; count every frame
@@ -1084,7 +1099,7 @@ fn writer_loop(
                         shared.netobs.on_send(peer);
                     }
                 }
-                Err(RecvTimeoutError::Timeout) => {
+                Err(RecvError::Woken) => {
                     // ordering: SeqCst — shutdown-flag poll; pairs with
                     // the SeqCst store in stop().
                     if shared.shutdown.load(Ordering::SeqCst) {
@@ -1095,7 +1110,7 @@ fn writer_loop(
                         break true;
                     }
                 }
-                Err(RecvTimeoutError::Disconnected) => break false,
+                Err(RecvError::Disconnected) => break false,
             }
         };
         shared.conns.lock_clean().retain(|c| !Arc::ptr_eq(&c.stream, &stream));

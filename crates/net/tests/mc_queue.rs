@@ -1,10 +1,11 @@
 //! gcs-mc models for the bounded per-peer send queue: value hand-off,
-//! the queue-full drop path, and writer death (receiver gone), under
-//! every interleaving within the preemption bound.
+//! the queue-full drop path, writer death (receiver gone), sender
+//! death, and a wake into a full queue, under every interleaving
+//! within the preemption bound. `recv` has no timeout, so a receiver
+//! left parked with nothing to wake it is a `Deadlock` finding.
 
 use gcs_mc::{Checker, JoinApi, McShims, Shims};
-use gcs_net::queue::{bounded, RecvTimeoutError, TrySendError};
-use std::time::Duration;
+use gcs_net::queue::{bounded, RecvError, TrySendError};
 
 #[test]
 fn queue_hands_off_values_in_order() {
@@ -14,14 +15,11 @@ fn queue_hands_off_values_in_order() {
             tx.try_send(1).unwrap();
             tx.try_send(2).unwrap();
         });
-        // The sender thread stays live until both sends land, so the
-        // timed wait can only fire after it exits — at which point the
-        // values are queued and Disconnected is unreachable until
-        // they drain.
-        assert_eq!(rx.recv_timeout(Duration::from_millis(50)), Ok(1));
-        assert_eq!(rx.recv_timeout(Duration::from_millis(50)), Ok(2));
+        // Values come before the Disconnected of the sender's exit.
+        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(rx.recv(), Ok(2));
         t.join();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(50)), Err(RecvTimeoutError::Disconnected));
+        assert_eq!(rx.recv(), Err(RecvError::Disconnected));
     });
     report.assert_ok();
 }
@@ -72,13 +70,31 @@ fn sender_death_wakes_the_parked_receiver() {
     let report = Checker::new("queue-sender-death").check(|| {
         let (tx, rx) = bounded::<u64, McShims>(2);
         let t = McShims::spawn(move || drop(tx));
-        // Whatever the interleaving: never a value, always a clean
-        // exit (Timeout only if the drop hasn't landed when the
-        // all-blocked timeout fires, Disconnected otherwise).
-        let r = rx.recv_timeout(Duration::from_millis(50));
-        assert!(r.is_err(), "received a value nobody sent");
+        // Whatever the interleaving, the parked receiver is woken by
+        // the last sender's drop: never a value, never a deadlock.
+        assert_eq!(rx.recv(), Err(RecvError::Disconnected));
         t.join();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(50)), Err(RecvTimeoutError::Disconnected));
+        assert_eq!(rx.recv(), Err(RecvError::Disconnected));
+    });
+    report.assert_ok();
+}
+
+#[test]
+fn a_wake_into_a_full_queue_reaches_the_parked_receiver() {
+    let report = Checker::new("queue-wake-full").check(|| {
+        let (tx, rx) = bounded::<u64, McShims>(1);
+        tx.try_send(1).unwrap();
+        // The writer drains the queue and parks; the wake may land
+        // before the drain (queue full) or after the park. The sender
+        // stays alive, so a lost wake leaves the receiver parked with
+        // nothing to wake it: a Deadlock.
+        let t = McShims::spawn(move || {
+            assert_eq!(rx.recv(), Ok(1));
+            assert_eq!(rx.recv(), Err(RecvError::Woken));
+        });
+        tx.wake();
+        t.join();
+        drop(tx);
     });
     report.assert_ok();
 }

@@ -9,9 +9,18 @@
 # speeds up or slows down over time moves both sides alike; whole sets
 # run back to back do not have that property.
 # Prints each run's end-to-end metrics as it finishes, the median of
-# each side, and per metric in how many pairs B was better, where
-# "better" is that metric's `better` field in BENCHMARK.json. A run that
-# reports no correct result is shown as failed and leaves its pair out.
+# each side, and per metric the verdicts a comparison rests on, where
+# "better" is that metric's `better` field in BENCHMARK.json:
+#   A q3-q1          A's quartile distance (Python's exclusive method,
+#                    as the benchmark's own `agree` computes it);
+#   |dmed|>A q3-q1   whether the medians differ by more than that;
+#   B better (of N)  in how many of the N complete pairs B was better;
+#   B wins >= 9/10   whether that is at least nine pairs in ten;
+#   B worse/bound    how much worse B's median is than A's (negative:
+#                    better), and BREACH if that exceeds the metric's
+#                    `bound` in BENCHMARK.json, else ok.
+# A run that reports no correct result is shown as failed and leaves its
+# pair out.
 #
 # Build each side first, e.g. for a checkout at $dir:
 #   CARGO_TARGET_DIR=$out cargo build --release --offline \
@@ -26,18 +35,20 @@ fi
 bin_a="$1" bin_b="$2" workload="$3" pairs="${4:-8}" first="${5:-1}"
 spec="$(cd "$(dirname "$0")/.." && pwd)/BENCHMARK.json"
 
-# The end-to-end metrics and their directions, in BENCHMARK.json order:
-# the entries of the "end_to_end" list, one object per line.
+# The end-to-end metrics, their directions and bounds, in BENCHMARK.json
+# order: the entries of the "end_to_end" list, one object per line.
 mapfile -t metrics < <(awk '/"end_to_end"/ { on = 1; next } on && /\]/ { exit } on' "$spec" \
-  | sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([a-z]*\)".*/\1 \2/p')
+  | sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([a-z]*\)".*"bound": *\([0-9.]*\).*/\1 \2 \3/p')
 if [[ ${#metrics[@]} -eq 0 ]]; then
   echo "$0: no end_to_end metrics in $spec" >&2
   exit 2
 fi
-names=() betters=()
+names=() betters=() bounds=()
 for m in "${metrics[@]}"; do
-  names+=("${m% *}")
-  betters+=("${m#* }")
+  read -r name better bound <<<"$m"
+  names+=("$name")
+  betters+=("$better")
+  bounds+=("$bound")
 done
 seconds="$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$spec")"
 
@@ -97,19 +108,50 @@ median() {
     else print (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
 }
 
+# First and third quartile, by Python's `statistics.quantiles(n=4)`.
+quartiles() {
+  sort -g | awk '{ v[NR] = $1 } END {
+    n = NR
+    if (n == 0) { print "nan nan"; exit }
+    if (n < 2) { print v[1], v[1]; exit }
+    for (i = 1; i <= 3; i += 2) {
+      j = int(i * (n + 1) / 4); if (j < 1) j = 1; if (j > n - 1) j = n - 1
+      d = i * (n + 1) - j * 4
+      q[i] = (v[j] * (4 - d) + v[j + 1] * d) / 4
+    }
+    print q[1], q[3] }'
+}
+
 n_pairs="$(complete_pairs | wc -l)"
+declare -A med
 for side in A B; do
   printf '%-16s' "median $side"
   for c in "${!names[@]}"; do
-    printf ' %16.6g' "$(column "$side" "$c" | median)"
+    med[$side$c]="$(column "$side" "$c" | median)"
+    printf ' %16.6g' "${med[$side$c]}"
   done
   printf '\n'
 done
-printf '%-16s' "B better (of $n_pairs)"
+iqr=() wins=()
 for c in "${!names[@]}"; do
-  wins="$(paste -d ' ' <(column A "$c") <(column B "$c") | awk -v better="${betters[$c]}" '
+  iqr+=("$(column A "$c" | quartiles | awk '{ print $2 - $1 }')")
+  wins+=("$(paste -d ' ' <(column A "$c") <(column B "$c") | awk -v better="${betters[$c]}" '
     (better == "higher" && $2 > $1) || (better == "lower" && $2 < $1) { w++ }
-    END { print w + 0 }')"
-  printf ' %16s' "$wins"
+    END { print w + 0 }')")
 done
-printf '\n'
+# One verdict row: the label, then per metric what `awk` prints from
+# "a b iqr wins n better bound" (A's median, B's median, ...).
+verdict() {
+  printf '%-16s' "$1"
+  for c in "${!names[@]}"; do
+    printf ' %16s' "$(echo "${med[A$c]} ${med[B$c]} ${iqr[$c]} ${wins[$c]} $n_pairs ${betters[$c]} ${bounds[$c]}" \
+      | awk "{ $2 }")"
+  done
+  printf '\n'
+}
+verdict "A q3-q1" 'printf "%.6g", $3'
+verdict "|dmed|>A q3-q1" 'd = $2 - $1; if (d < 0) d = -d; print (d > $3 ? "yes" : "no")'
+verdict "B better (of $n_pairs)" 'print $4'
+verdict "B wins >= 9/10" 'print ($5 > 0 && $4 * 10 >= $5 * 9 ? "yes" : "no")'
+verdict "B worse/bound" 'w = ($1 == 0) ? 0 : ($6 == "lower" ? ($2 - $1) / $1 : ($1 - $2) / $1)
+  printf "%+.1f%%/%g%% %s", w * 100, $7 * 100, (w > $7 ? "BREACH" : "ok")'
