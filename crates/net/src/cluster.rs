@@ -87,7 +87,6 @@ pub struct GroupSpec {
 struct Slot {
     node: Option<NetNode>,
     listener: TcpListener,
-    incarnation: u64,
     past: BTreeMap<u32, GroupExit>,
 }
 
@@ -194,12 +193,7 @@ impl LoopbackCluster {
                 obs.clone(),
                 hosted(&groups, ProcId(i), |_| None),
             )?;
-            slots.push(Slot {
-                node: Some(node),
-                listener: keep,
-                incarnation: 0,
-                past: BTreeMap::new(),
-            });
+            slots.push(Slot { node: Some(node), listener: keep, past: BTreeMap::new() });
         }
         Ok(LoopbackCluster { slots, addrs, clock, obs, groups, transport })
     }
@@ -381,11 +375,10 @@ impl LoopbackCluster {
 
     /// Restarts a crashed node `p` from its stable-storage snapshots. The
     /// fresh incarnation binds the *same* port (the cluster keeps the
-    /// listener socket open across the crash) and uses an outbound
-    /// connection-generation base of `incarnation << 32`, so peers accept
-    /// its new connections instead of refusing them as stale. Fails if
-    /// `p` is not crashed, or if one of its group loops died without
-    /// leaving a snapshot.
+    /// listener socket open across the crash); its transport numbers its
+    /// connections from its own start time, so peers accept them instead
+    /// of refusing them as stale. Fails if `p` is not crashed, or if one
+    /// of its group loops died without leaving a snapshot.
     pub fn restart(&mut self, p: ProcId) -> io::Result<()> {
         let nothing = || io::Error::other(format!("node {p} has nothing to restart from"));
         let restartable =
@@ -393,15 +386,12 @@ impl LoopbackCluster {
         self.slots.get(p.index()).filter(restartable).ok_or_else(nothing)?;
         self.record_fault(p, p, FaultKind::Restart, false);
         let slot = self.slots.get_mut(p.index()).ok_or_else(nothing)?;
-        slot.incarnation += 1;
-        let transport_cfg =
-            TransportConfig { generation_base: slot.incarnation << 32, ..self.transport.clone() };
         let groups = hosted(&self.groups, p, |g| slot.past.get_mut(&g)?.stable.take());
         let node = NetNode::start(
             p,
             slot.listener.try_clone()?,
             &self.addrs,
-            transport_cfg,
+            self.transport.clone(),
             self.clock.clone(),
             self.obs.clone(),
             groups,

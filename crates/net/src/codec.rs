@@ -723,19 +723,17 @@ pub(crate) fn frame_into(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
     out[start..start + 4].copy_from_slice(&len.to_be_bytes());
 }
 
-/// A reusable gather-writer for batches of frames.
+/// A reusable writer for batches of frames.
 ///
-/// Frames are encoded back-to-back into one retained payload buffer (no
-/// per-frame allocation once the buffer is warm); [`FrameWriter::write_to`]
-/// then emits the whole batch as interleaved 4-byte big-endian length
-/// headers and borrowed payload slices through a single
-/// [`Write::write_vectored`] gather syscall where the stream accepts it,
-/// with explicit continuation on partial writes.
+/// Frames are laid back-to-back into one retained buffer, each with its
+/// length header, by the same `frame_into` every other framing path uses
+/// (no per-frame allocation once the buffer is warm);
+/// [`FrameWriter::write_to`] then writes the whole batch with one
+/// `write_all`.
 #[derive(Default)]
 pub struct FrameWriter {
-    payloads: Vec<u8>,
-    headers: Vec<[u8; 4]>,
-    bounds: Vec<(usize, usize)>,
+    buf: Vec<u8>,
+    frames: usize,
 }
 
 impl FrameWriter {
@@ -746,67 +744,35 @@ impl FrameWriter {
 
     /// Drops all batched frames, retaining buffer capacity.
     pub fn clear(&mut self) {
-        self.payloads.clear();
-        self.headers.clear();
-        self.bounds.clear();
+        self.buf.clear();
+        self.frames = 0;
     }
 
     /// Number of batched frames.
     pub fn len(&self) -> usize {
-        self.bounds.len()
+        self.frames
     }
 
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
-        self.bounds.is_empty()
+        self.frames == 0
     }
 
     /// Total batched payload bytes (excluding length headers).
     pub fn payload_bytes(&self) -> usize {
-        self.payloads.len()
+        self.buf.len() - 4 * self.frames
     }
 
     /// Encodes one frame onto the batch.
     pub fn push(&mut self, frame: &Frame) {
-        let start = self.payloads.len();
-        encode_payload_into(&mut self.payloads, frame);
-        let end = self.payloads.len();
-        self.headers.push(((end - start) as u32).to_be_bytes());
-        self.bounds.push((start, end));
+        frame_into(&mut self.buf, |out| encode_payload_into(out, frame));
+        self.frames += 1;
     }
 
-    /// Writes the whole batch, preferring one gather syscall. The batch
-    /// is left intact; call [`FrameWriter::clear`] afterwards to reuse
-    /// the buffers.
+    /// Writes the whole batch. The batch is left intact; call
+    /// [`FrameWriter::clear`] afterwards to reuse the buffer.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut slices: Vec<io::IoSlice<'_>> = Vec::with_capacity(self.bounds.len() * 2);
-        for (i, &(start, end)) in self.bounds.iter().enumerate() {
-            slices.push(io::IoSlice::new(&self.headers[i]));
-            slices.push(io::IoSlice::new(&self.payloads[start..end]));
-        }
-        let total: usize = slices.iter().map(|s| s.len()).sum();
-        let mut written = 0usize;
-        while written < total {
-            // Skip fully written slices; a slice written partway is
-            // finished with a plain write of its remainder (rare — the
-            // common case completes in one gather call).
-            let mut off = written;
-            let mut idx = 0;
-            while idx < slices.len() && off >= slices[idx].len() {
-                off -= slices[idx].len();
-                idx += 1;
-            }
-            let n = if off == 0 {
-                w.write_vectored(&slices[idx..])?
-            } else {
-                w.write(&slices[idx][off..])?
-            };
-            if n == 0 {
-                return Err(io::ErrorKind::WriteZero.into());
-            }
-            written += n;
-        }
-        Ok(())
+        w.write_all(&self.buf)
     }
 }
 
@@ -968,6 +934,8 @@ mod tests {
             fw.push(f);
         }
         assert_eq!(fw.len(), 3);
+        let payloads: usize = frames.iter().map(|f| encode_payload(f).len()).sum();
+        assert_eq!(fw.payload_bytes(), payloads);
         let mut got = Vec::new();
         fw.write_to(&mut got).unwrap();
         assert_eq!(got, expect);

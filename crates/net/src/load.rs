@@ -91,7 +91,7 @@ pub struct LoadConfig {
 
 /// Forwards the fingerprints of the values `group` delivers, with their
 /// arrival instant; exits on EOF/error. Deliveries arrive in bursts (the
-/// node writes one vectored batch per flush), so the reader drains every
+/// node writes one batch frame per flush), so the reader drains every
 /// frame already buffered and crosses the channel once per burst — one
 /// timestamp, one send, one receiver wakeup — instead of once per
 /// operation.

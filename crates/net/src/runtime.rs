@@ -305,7 +305,7 @@ impl NodeCore {
     fn flush(&mut self, transport: &dyn Transport) {
         // One batched token can deliver hundreds of messages in a single
         // flush; collect them and hand the transport the whole batch so
-        // clients get one vectored write instead of a syscall apiece. The
+        // clients get one frame in one write instead of a syscall apiece. The
         // recording sinks are batched the same way: one clock read, one
         // claimed sequence block, one lock acquisition per flush instead
         // of one per event — at ring throughput the per-event constants
@@ -549,11 +549,9 @@ impl NetNode {
     /// nothing itself — the caller provides the already-bound `listener`
     /// (so ephemeral ports can be collected before any node starts) and
     /// the full peer address map. The transport records into `obs`.
-    ///
-    /// When any group recovers from a [`StableState`], pass a
-    /// `transport_cfg` whose `generation_base` exceeds every generation
-    /// the old incarnation used (e.g. `incarnation << 32`), or peers
-    /// will refuse the new connections as stale.
+    /// A restarted node is started the same way: its connection
+    /// generations come from the wall clock, so peers take them over the
+    /// old incarnation's.
     pub fn start(
         id: ProcId,
         listener: TcpListener,

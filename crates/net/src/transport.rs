@@ -1,7 +1,8 @@
 //! The TCP peer transport: one accept loop per node, one reconnecting
 //! writer thread per peer, bounded send queues, and connection-generation
 //! numbering so frames from a stale socket can never be delivered into a
-//! newer incarnation of a link.
+//! newer incarnation of a link. Generations start from the wall clock, so
+//! a restarted endpoint outnumbers every earlier one of the same node.
 //!
 //! The transport deliberately provides the *timed asynchronous* service
 //! the paper assumes and nothing more: frames can be lost (bounded queues
@@ -19,9 +20,10 @@
 //! writer they concern through its send queue.
 //!
 //! The node runtime itself only needs the tiny [`Transport`] trait —
-//! enqueue a packet, push a client delivery — so the same
-//! `NodeCore` runs unchanged over this TCP endpoint or over the
-//! deterministic in-process transport of `gcs-sim`.
+//! enqueue a packet, push a client delivery — so the same `NodeCore`
+//! runs unchanged over this TCP endpoint, one [`GroupEndpoint`] per
+//! hosted group, or over the deterministic in-process transport of
+//! `gcs-sim`.
 
 use crate::codec::{
     buffered_payload, decode_payload, encode_deliveries_into, encode_payload_into, frame_into,
@@ -43,12 +45,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// What the node runtime needs from a transport — the seam between the
-/// protocol stack and the wire. [`TcpTransport`] is the deployable
-/// implementation; the deterministic simulator (`gcs-sim`) provides an
-/// in-process one, so the exact same node code runs under both.
+/// protocol stack and the wire. [`GroupEndpoint`], one group's view of a
+/// [`TcpTransport`], is the deployable implementation; the deterministic
+/// simulator (`gcs-sim`) provides an in-process one, so the exact same
+/// node code runs under both.
 ///
 /// The contract mirrors the timed asynchronous model: `send` is
 /// fire-and-forget (frames may be dropped, the protocol recovers via its
@@ -62,8 +65,8 @@ pub trait Transport {
     /// Pushes a delivery notification to connected clients, if any.
     fn push_delivery(&self, src: ProcId, a: &Value);
     /// Pushes a batch of delivery notifications. The default forwards one
-    /// at a time; transports with a vectored framing fast path override
-    /// it to coalesce the whole batch into one write per client.
+    /// at a time; the TCP endpoint overrides it to send the whole batch
+    /// as one frame, one write per client.
     fn push_deliveries(&self, batch: &[(ProcId, Value)]) {
         for (src, a) in batch {
             self.push_delivery(*src, a);
@@ -76,11 +79,10 @@ pub trait Transport {
     fn push_view(&self, _view: &View) {}
 }
 
-/// Most frames a writer thread coalesces into one vectored write; keeps
-/// a single syscall's iovec bounded even when the queue is deep. Public
-/// because it also bounds the writer's in-flight window — frames in the
-/// current batch are neither counted sent nor dropped yet — which
-/// conservation-accounting tests need to know.
+/// Most frames a writer thread coalesces into one write, even when the
+/// queue is deep. Public because it also bounds the writer's in-flight
+/// window — frames in the current batch are neither counted sent nor
+/// dropped yet — which conservation-accounting tests need to know.
 pub const COALESCE_FRAMES: usize = 256;
 /// Byte ceiling for one coalesced write; stops a batch of large tokens
 /// from building an arbitrarily large buffer before flushing.
@@ -138,22 +140,11 @@ pub struct TransportConfig {
     /// Per-peer outbound queue depth; frames beyond it are dropped (the
     /// protocol recovers via its token-loss and probe timers).
     pub send_queue: usize,
-    /// Test-only fault injection: sleep this long before every outbound
-    /// frame write. Unlike `sever`/`kick`, this violates the timing
-    /// assumptions *covertly* — no fault event is recorded — which is
-    /// exactly what the online bound monitors are supposed to catch.
-    pub inject_send_delay: Option<Duration>,
-    /// Added to every outbound connection generation. A restarted node
-    /// passes `incarnation << 32` here: peers remember the highest
-    /// generation they ever saw from us (`latest_gen`), so a fresh
-    /// incarnation restarting its counter at 1 would be refused forever.
-    /// The base keeps generations monotone across process lifetimes.
-    pub generation_base: u64,
 }
 
 impl Default for TransportConfig {
     fn default() -> Self {
-        TransportConfig { send_queue: 1024, inject_send_delay: None, generation_base: 0 }
+        TransportConfig { send_queue: 1024 }
     }
 }
 
@@ -268,12 +259,11 @@ impl NetObs {
 }
 
 /// Counters for one peer link.
-#[derive(Default)]
 struct LinkStats {
     /// Connection attempts (successful or not).
     attempts: AtomicU64,
-    /// Current connection generation (bumped on every established
-    /// connection).
+    /// Current connection generation: the endpoint's start time in µs
+    /// since the UNIX epoch, bumped on every established connection.
     generation: AtomicU64,
 }
 
@@ -427,6 +417,12 @@ impl TcpTransport {
         obs: Obs,
     ) -> io::Result<Arc<TcpTransport>> {
         let local_addr = listener.local_addr()?;
+        // Peers keep the highest generation they have seen from this
+        // node for as long as they live, so a restarted endpoint must
+        // start above every earlier one: its start time does, with one
+        // reading per endpoint (a clock before the epoch reads 0).
+        let started_us =
+            SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_micros() as u64);
         // The accept loop blocks in `accept`; `stop` wakes it.
         listener.set_nonblocking(false)?;
         let spare = Mutex::new(Some(listener.try_clone()?));
@@ -457,12 +453,14 @@ impl TcpTransport {
                 continue;
             }
             let (tx, rx) = queue::bounded::<(u32, Wire), _>(config.send_queue);
-            let stats = Arc::new(LinkStats::default());
+            let stats = Arc::new(LinkStats {
+                attempts: AtomicU64::new(0),
+                generation: AtomicU64::new(started_us),
+            });
             {
                 let shared = shared.clone();
                 let stats = stats.clone();
-                let config = config.clone();
-                let writer = move || writer_loop(p, addr, rx, shared, stats, config);
+                let writer = move || writer_loop(p, addr, rx, shared, stats);
                 writers.push(std::thread::Builder::new().name("gcs-writer".into()).spawn(writer)?);
             }
             links.insert(p, PeerLink { tx, stats });
@@ -522,18 +520,12 @@ impl TcpTransport {
         self.shared.routes.lock_clean().insert(group, tx);
     }
 
-    /// Pushes a batch of deliveries: the whole batch travels as one
-    /// `DeliverBatch` frame, encoded once, and lands on each client
-    /// socket as a single write instead of one frame (and one decode
-    /// dispatch at the client) per notification.
-    pub fn push_deliveries(&self, batch: &[(ProcId, Value)]) {
-        self.push_deliveries_group(0, batch);
-    }
-
     /// Pushes a batch of deliveries from one group instance to the
-    /// clients that have submitted to that group. Group 0 uses the
-    /// untagged [`Frame::DeliverBatch`] so existing clients keep working;
-    /// other groups are tagged [`Frame::DeliverGroup`].
+    /// clients that have submitted to that group: the whole batch travels
+    /// as one frame, encoded once, and lands on each client socket as a
+    /// single write. Group 0 uses the untagged [`Frame::DeliverBatch`] so
+    /// existing clients keep working; other groups are tagged
+    /// [`Frame::DeliverGroup`].
     pub fn push_deliveries_group(&self, group: u32, batch: &[(ProcId, Value)]) {
         if batch.is_empty() {
             return;
@@ -636,7 +628,8 @@ impl TcpTransport {
         self.links.get(&p).map_or(0, |l| l.stats.attempts.load(Ordering::Relaxed))
     }
 
-    /// The current outbound connection generation toward `p`.
+    /// The current outbound connection generation toward `p`: the
+    /// endpoint's start time in µs plus the link's connections so far.
     pub fn generation(&self, p: ProcId) -> u64 {
         // ordering: Relaxed — observational read; the authoritative
         // generation travels in the Hello frame, not through this load.
@@ -751,24 +744,6 @@ impl TcpTransport {
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn send(&self, to: ProcId, wire: Wire) {
-        TcpTransport::send(self, to, wire);
-    }
-
-    fn push_delivery(&self, src: ProcId, a: &Value) {
-        TcpTransport::push_deliveries(self, &[(src, a.clone())]);
-    }
-
-    fn push_deliveries(&self, batch: &[(ProcId, Value)]) {
-        TcpTransport::push_deliveries(self, batch);
-    }
-
-    fn push_view(&self, view: &View) {
-        TcpTransport::push_view_group(self, 0, view);
     }
 }
 
@@ -1014,11 +989,7 @@ fn writer_loop(
     rx: QueueReceiver<(u32, Wire)>,
     shared: Arc<Shared>,
     stats: Arc<LinkStats>,
-    config: TransportConfig,
 ) {
-    // Fault injection is defined per frame: with a send delay, every
-    // frame pays it and goes out alone.
-    let coalesce = if config.inject_send_delay.is_some() { 1 } else { COALESCE_FRAMES };
     let mut backoff = BACKOFF_MIN;
     loop {
         // ordering: SeqCst — shutdown-flag poll; pairs with the SeqCst
@@ -1053,8 +1024,7 @@ fn writer_loop(
         // link: the peer's stale-frame filter compares the Hello value
         // against the highest generation it ever saw, so this counter
         // must never appear to move backwards from any thread's view.
-        let generation =
-            config.generation_base + stats.generation.fetch_add(1, Ordering::SeqCst) + 1;
+        let generation = stats.generation.fetch_add(1, Ordering::SeqCst) + 1;
         let hello = Frame::Hello { node: shared.me, generation, kind: HelloKind::Peer };
         if write_frame(&mut &*stream, &hello).is_err() {
             std::thread::sleep(backoff);
@@ -1074,15 +1044,12 @@ fn writer_loop(
                         shared.netobs.on_drop(peer, DropReason::Blocked);
                         break true;
                     }
-                    if let Some(delay) = config.inject_send_delay {
-                        std::thread::sleep(delay);
-                    }
                     // Coalesce: drain whatever queued behind this frame
-                    // (bounded) and flush the whole batch as one vectored
-                    // write instead of one syscall per frame.
+                    // (bounded) and flush the whole batch as one write
+                    // instead of one syscall per frame.
                     batch.clear();
                     batch.push(&peer_frame(group, wire));
-                    while batch.len() < coalesce && batch.payload_bytes() < COALESCE_BYTES {
+                    while batch.len() < COALESCE_FRAMES && batch.payload_bytes() < COALESCE_BYTES {
                         let Some((g, w)) = rx.try_recv() else { break };
                         batch.push(&peer_frame(g, w));
                     }

@@ -53,7 +53,7 @@ fn slow_consumer_fills_queue_and_drops_are_counted() {
         me,
         listener,
         &peers,
-        TransportConfig { send_queue: QUEUE, ..Default::default() },
+        TransportConfig { send_queue: QUEUE },
         events_tx,
         obs.clone(),
     )
@@ -109,11 +109,7 @@ fn tiny_send_queue_cluster_survives_partition_and_passes_checkers() {
     let n = 3u32;
     let obs = Obs::with_trace_capacity(1 << 18);
     let cluster = LoopbackCluster::start_with_obs(
-        ClusterConfig {
-            n,
-            delta_ms: 20,
-            transport: TransportConfig { send_queue: 8, ..Default::default() },
-        },
+        ClusterConfig { n, delta_ms: 20, transport: TransportConfig { send_queue: 8 } },
         obs.clone(),
     )
     .expect("bind loopback");

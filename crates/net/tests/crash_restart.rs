@@ -3,14 +3,19 @@
 //! and a restarted incarnation recovers from its stable-storage
 //! snapshot, re-merges, and catches up on everything it missed — with
 //! no value delivered twice at any location and the merged
-//! cross-incarnation trace passing the VS/TO safety checkers.
+//! cross-incarnation trace passing the VS/TO safety checkers. A bare
+//! endpoint restarted after its links reconnected is heard at once.
 
 use gcs_core::check_conformance;
 use gcs_model::{ProcId, Value};
 use gcs_net::cluster::{wait_for, ClusterConfig, LoopbackCluster};
+use gcs_net::{Incoming, TcpTransport, TransportConfig};
 use gcs_vsimpl::convert::{to_obs, vs_actions};
-use std::collections::HashSet;
-use std::time::Duration;
+use gcs_vsimpl::Wire;
+use std::collections::{BTreeMap, HashSet};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 fn full_view_everywhere(cluster: &LoopbackCluster) -> bool {
     let n = cluster.n();
@@ -98,4 +103,69 @@ fn crash_and_restart_recovers_without_duplicate_deliveries() {
     let report =
         check_conformance(&vs_actions(&trace), &to_obs(&trace).untimed(), &ProcId::range(n));
     assert!(report.ok(), "conformance failed: {:?}", report.violations().first());
+}
+
+/// Waits until `rx` hands up a frame from node 0, taking whatever else
+/// arrives; `true` if one came within `within`.
+fn hears_node_0(rx: &mpsc::Receiver<Incoming>, within: Duration) -> bool {
+    let deadline = Instant::now() + within;
+    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+        if let Ok(Incoming::Wire { from: ProcId(0), .. }) = rx.recv_timeout(left) {
+            return true;
+        }
+    }
+    false
+}
+
+/// A restarted endpoint is heard from its first frame on, however often
+/// the link from its previous incarnation reconnected: peers keep the
+/// highest connection generation they have seen from a node, and a new
+/// incarnation's generations start from its own start time, above every
+/// earlier one's, with nothing passed in by the caller.
+#[test]
+fn a_restarted_endpoint_is_heard_from_its_first_frame() {
+    let listeners: Vec<TcpListener> =
+        (0..2).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind")).collect();
+    let peers: BTreeMap<ProcId, SocketAddr> =
+        (0..2).zip(&listeners).map(|(p, l)| (ProcId(p), l.local_addr().unwrap())).collect();
+    // Kept open across the restart, so node 0 comes back on its port.
+    let keep = listeners[0].try_clone().expect("clone listener");
+    let mut endpoints = Vec::new();
+    let mut events = Vec::new();
+    for (p, listener) in (0..2).zip(listeners) {
+        let (tx, rx) = mpsc::channel();
+        let config = TransportConfig::default();
+        endpoints
+            .push(TcpTransport::start(ProcId(p), listener, &peers, config, tx).expect("start"));
+        events.push(rx);
+    }
+    let (t0, t1, rx1) = (&endpoints[0], &endpoints[1], &events[1]);
+
+    // Five reconnects of the link 0 → 1, each one heard at node 1.
+    for kick in 0..=5 {
+        if kick > 0 {
+            let before = t0.generation(ProcId(1));
+            t0.kick(ProcId(1));
+            let relinked = || t0.generation(ProcId(1)) > before && t0.connected(ProcId(1));
+            assert!(wait_for(Duration::from_secs(5), relinked), "no reconnect after kick {kick}");
+        }
+        let heard = wait_for(Duration::from_secs(5), || {
+            t0.send(ProcId(1), Wire::Probe);
+            hears_node_0(rx1, Duration::from_millis(20))
+        });
+        assert!(heard, "node 1 heard nothing from node 0 after kick {kick}");
+    }
+
+    assert!(t0.stop().clean(), "node 0 leaked a thread");
+    let (tx, _rx0) = mpsc::channel();
+    let listener = keep.try_clone().expect("clone listener");
+    let t0 = TcpTransport::start(ProcId(0), listener, &peers, TransportConfig::default(), tx)
+        .expect("restart");
+    while rx1.try_recv().is_ok() {}
+    t0.send(ProcId(1), Wire::Probe);
+    assert!(
+        hears_node_0(rx1, Duration::from_secs(2)),
+        "node 1 refused the restarted node's first frame"
+    );
+    assert!(t0.stop().clean() && t1.stop().clean(), "a thread outlived its endpoint");
 }

@@ -2,16 +2,23 @@
 //! under partition/merge fault injection serves a metrics endpoint whose
 //! counters reconcile exactly with the merged trace ring, and the online
 //! b/d bound monitors pass on a clean run but fire when a covert send
-//! delay violates the configured δ underneath a quiet-looking network.
+//! delay — a relay between the nodes — violates the configured δ
+//! underneath a quiet-looking network.
 
 use gcs_core::check_conformance;
 use gcs_model::{ProcId, Value};
 use gcs_net::cluster::{wait_for, ClusterConfig, LoopbackCluster};
+use gcs_net::runtime::{Clock, HostedGroup, NetNode};
 use gcs_net::transport::TransportConfig;
 use gcs_obs::{BoundParams, EventKind, Obs, ObsEvent, StabilizationMonitor, TokenRoundMonitor};
 use gcs_vsimpl::convert::{to_obs, vs_actions};
-use std::collections::BTreeSet;
-use std::net::TcpListener;
+use gcs_vsimpl::ProtoConfig;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 fn full_view_everywhere(cluster: &LoopbackCluster) -> bool {
@@ -274,36 +281,136 @@ fn kib_values_reach_every_node_under_their_submitted_fingerprint() {
     }
 }
 
-/// A covert delay injected *below* the event stream — every outbound
-/// frame sleeps 150 ms while the trace shows a quiet network — breaks
-/// both bounds for δ = 20 ms, and the monitors catch it: views churn
-/// past the stabilization deadline (token rotation now exceeds the token
-/// timeout) and deliveries miss `d` or never arrive.
+/// A TCP relay in front of one node that forwards each connection's
+/// first frame (the `Hello`) at once and sleeps `delay` before every
+/// later frame, one frame at a time: a slow network that records no
+/// fault event. Peer links carry bytes one way only, so nothing is
+/// relayed back.
+struct Relay {
+    addr: SocketAddr,
+    stopping: Arc<AtomicBool>,
+    accept: JoinHandle<()>,
+    relayed: Arc<Mutex<Vec<Relayed>>>,
+}
+
+/// One relayed connection: both of its sockets and the thread pumping it.
+struct Relayed {
+    down: TcpStream,
+    up: TcpStream,
+    pump: JoinHandle<()>,
+}
+
+impl Relay {
+    fn start(upstream: SocketAddr, delay: Duration) -> Relay {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind relay");
+        let addr = listener.local_addr().expect("relay address");
+        let stopping = Arc::new(AtomicBool::new(false));
+        let relayed = Arc::new(Mutex::new(Vec::new()));
+        let accept = {
+            let (stopping, relayed) = (stopping.clone(), relayed.clone());
+            std::thread::spawn(move || {
+                for down in listener.incoming() {
+                    if stopping.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    let Ok(down) = down else { continue };
+                    let Ok(up) = TcpStream::connect(upstream) else { continue };
+                    let _ = up.set_nodelay(true);
+                    let (from, to) =
+                        (down.try_clone().expect("clone"), up.try_clone().expect("clone"));
+                    let pump = std::thread::spawn(move || pump(from, to, delay));
+                    relayed.lock().unwrap().push(Relayed { down, up, pump });
+                }
+            })
+        };
+        Relay { addr, stopping, accept, relayed }
+    }
+
+    /// Stops accepting, closes every relayed connection and joins every
+    /// thread the relay started.
+    fn stop(self) {
+        self.stopping.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+        self.accept.join().expect("relay accept thread");
+        for r in std::mem::take(&mut *self.relayed.lock().unwrap()) {
+            let _ = r.down.shutdown(Shutdown::Both);
+            let _ = r.up.shutdown(Shutdown::Both);
+            r.pump.join().expect("relay pump thread");
+        }
+    }
+}
+
+/// Copies length-prefixed frames from `from` to `to`, every frame but
+/// the first after `delay`, until either side closes; then closes both.
+fn pump(mut from: TcpStream, mut to: TcpStream, delay: Duration) {
+    let mut frame = Vec::new();
+    for i in 0.. {
+        let mut len = [0u8; 4];
+        if from.read_exact(&mut len).is_err() {
+            break;
+        }
+        frame.clear();
+        frame.extend_from_slice(&len);
+        frame.resize(4 + u32::from_be_bytes(len) as usize, 0);
+        if from.read_exact(&mut frame[4..]).is_err() {
+            break;
+        }
+        if i > 0 {
+            std::thread::sleep(delay);
+        }
+        if to.write_all(&frame).is_err() {
+            break;
+        }
+    }
+    let _ = from.shutdown(Shutdown::Both);
+    let _ = to.shutdown(Shutdown::Both);
+}
+
+/// A covert delay injected *below* the event stream — every frame on a
+/// peer link sleeps 150 ms in a relay while the trace shows a quiet
+/// network — breaks both bounds for δ = 20 ms, and the monitors catch
+/// it: views churn past the stabilization deadline (token rotation now
+/// exceeds the token timeout) and deliveries miss `d` or never arrive.
 #[test]
 fn bound_monitors_fire_under_covert_send_delay() {
     let n = 3u32;
     let delta_ms = 20u64;
     let params = BoundParams::standard(n, delta_ms); // b = 420 ms, d = 300 ms
     let obs = Obs::with_trace_capacity(1 << 18);
-    let cluster = LoopbackCluster::start_with_obs(
-        ClusterConfig {
-            n,
-            delta_ms,
-            transport: TransportConfig {
-                inject_send_delay: Some(Duration::from_millis(150)),
-                ..Default::default()
-            },
-        },
-        obs.clone(),
-    )
-    .expect("bind loopback");
+    let listeners: Vec<TcpListener> =
+        (0..n).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback")).collect();
+    let relays: Vec<Relay> = listeners
+        .iter()
+        .map(|l| Relay::start(l.local_addr().expect("address"), Duration::from_millis(150)))
+        .collect();
+    // Every node reaches every other through that node's relay.
+    let peers: BTreeMap<ProcId, SocketAddr> =
+        (0..n).zip(&relays).map(|(p, r)| (ProcId(p), r.addr)).collect();
+    let clock = Clock::new();
+    let nodes: Vec<NetNode> = (0..n)
+        .zip(listeners)
+        .map(|(p, listener)| {
+            let ring =
+                HostedGroup { proto: ProtoConfig::standard(n, delta_ms), obs: None, stable: None };
+            NetNode::start(
+                ProcId(p),
+                listener,
+                &peers,
+                TransportConfig::default(),
+                clock.clone(),
+                obs.clone(),
+                BTreeMap::from([(0, ring)]),
+            )
+            .expect("start node")
+        })
+        .collect();
 
-    // Links come up promptly (the Hello handshake is not delayed); after
-    // that the stream looks quiet while every frame crawls.
+    // Links come up promptly (the relay does not delay the Hello);
+    // after that the stream looks quiet while every frame crawls.
     assert!(
         wait_for(Duration::from_secs(10), || {
-            (0..n).all(|p| {
-                (0..n).all(|q| p == q || cluster.node(ProcId(p)).transport().connected(ProcId(q)))
+            nodes.iter().all(|node| {
+                (0..n).map(ProcId).all(|q| q == node.id() || node.transport().connected(q))
             })
         }),
         "links never came up"
@@ -313,7 +420,9 @@ fn bound_monitors_fire_under_covert_send_delay() {
     // eligible, spread out so some land mid-churn.
     std::thread::sleep(Duration::from_millis(2 * params.b_ms()));
     for i in 1..=30u64 {
-        cluster.submit(ProcId((i % n as u64) as u32), Value::from_u64(i));
+        if let Some(ring) = nodes[(i % n as u64) as usize].group(0) {
+            ring.submit(Value::from_u64(i));
+        }
         std::thread::sleep(Duration::from_millis(100));
     }
     std::thread::sleep(Duration::from_secs(2));
@@ -338,5 +447,10 @@ fn bound_monitors_fire_under_covert_send_delay() {
         round.bound_ms,
         round.checked
     );
-    cluster.stop();
+    for node in nodes {
+        assert!(node.stop().1.clean(), "a transport thread outlived its node");
+    }
+    for relay in relays {
+        relay.stop();
+    }
 }

@@ -4,9 +4,10 @@
 # manifest's `default-members`, so the plain commands cover crates/*
 # and their binaries; the gcs-mc model suites run there at preemption
 # bound 1), the crate-graph shape gate (the deployable stack links no
-# simulator), a deterministic-simulation smoke sweep, the repository
-# benchmark's smoke run with every checker on, and clippy over every
-# target (tests and examples too) with warnings promoted to errors.
+# simulator), a deterministic-simulation smoke sweep, the deployable
+# binaries end to end, the repository benchmark's smoke run with every
+# checker on, and clippy over every target (tests and examples too)
+# with warnings promoted to errors.
 # Everything runs offline against the vendored dependency set; a clean
 # exit here is the merge bar.
 #
@@ -118,6 +119,14 @@ fi
 # the paper's bounds, fails here.
 echo "==> gcs-sim follower (2n+3 hops with round requests, d without)"
 ./target/release/gcs-sim follower
+
+# The deployable binaries end to end: three release gcs-nodes under a
+# 300k-operation gcs-client run, node 0's online b/d monitors seeing
+# every event (`missed 0`) and finding nothing, then a `kill -9` of
+# node 2 and a restart that must merge back within 10 s (see the
+# script's header).
+echo "==> scripts/node_e2e.sh (gcs-node x3, gcs-client, kill -9 and restart)"
+bash scripts/node_e2e.sh
 
 # The repository benchmark at 1/50 size, every workload with its traced
 # checker pass: exactly-once delivery in one identical order at every
